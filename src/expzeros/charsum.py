@@ -13,6 +13,13 @@ truncated to r) into a complete sum over mu that factors term by term:
 
 The inner sums are partial Gauss sums; at full order their modulus is at
 most sqrt(q), which is what the density bounds in density.py rest on.
+
+That sum is a discrete Fourier transform on the additive group
+(F_q, +) = (Z/p)^nu: the partial Gauss sums transform the histograms of
+the walks a_j g_j^x, and N_{f_b}(r) for every b at once is the
+convolution of those histograms.  `spectral_counts` evaluates it with one
+FFT per term and one inverse, certified against rounding or redone in
+exact integers; `brute_count` is the independent exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -24,12 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import factorize, multiplicative_order
-from .errors import CapExceeded, FieldMismatch, Overflow, ZeroElement
+from .errors import (CapExceeded, FieldMismatch, InvariantViolated, Overflow,
+                     ZeroElement)
 from .fields import DEFAULT_ENUM_CAP, FieldElement, FieldSpec, raw_ops
 
 TERM_CAP = 16
 LIST_CAP = 1 << 16
-MU_CHUNK = 1 << 12
+BRUTE_BLOCK = 1 << 16  # box points per comparison block in brute_count
 MAX_CARD = (1 << 63) - 1
 
 
@@ -145,22 +153,27 @@ def sorted_terms(eq: ExpEquation, box: SearchBox
 # character tables
 
 
+def _digit_rows(packed: np.ndarray, p: int, nu: int) -> np.ndarray:
+    """Base-p digit matrix (c_0 .. c_{nu-1}), one row per packed value."""
+    powers = p ** np.arange(nu, dtype=np.int64)
+    return (packed[:, None] // powers[None, :]) % p
+
+
 class FieldTables:
-    """Per-field caches: p-th roots of unity and trace contraction data.
+    """Per-field caches: p-th roots of unity and the trace Hankel matrix.
 
     For u with coefficients (u_0..u_{nu-1}) and mu with (m_0..m_{nu-1}),
     Tr(mu u) = m . (H u) mod p where H[k][j] = Tr(X^{k+j}): trace is
     F_p-linear, so one Hankel matrix of monomial traces covers every
-    product.  Prime fields skip all of this (Tr is the identity).
+    product.  Row 0 holds the traces of the basis monomials.  Prime
+    fields have H = [[1]] (Tr is the identity).
     """
 
-    __slots__ = ("spec", "p", "nu", "q", "roots", "tau", "hankel")
+    __slots__ = ("p", "nu", "roots", "hankel")
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
         self.p = spec.p
         self.nu = spec.nu
-        self.q = spec.cardinality
         self.roots = np.exp(2j * np.pi * np.arange(self.p) / self.p)
         if self.nu > 1:
             taus = []
@@ -169,28 +182,14 @@ class FieldTables:
             for _ in range(2 * self.nu - 1):
                 taus.append(cur.trace())
                 cur = cur * x
-            self.tau = tuple(taus)
             self.hankel = np.array(
                 [[taus[k + j] for j in range(self.nu)]
                  for k in range(self.nu)], dtype=np.int64)
         else:
-            self.tau = (1,)
             self.hankel = np.ones((1, 1), dtype=np.int64)
 
-    def digits(self, packed: np.ndarray) -> np.ndarray:
-        """Base-p digit matrix, one row per packed value."""
-        powers = self.p ** np.arange(self.nu, dtype=np.int64)
-        return (packed[:, None] // powers[None, :]) % self.p
-
-    def trace_rows(self, packed: np.ndarray) -> np.ndarray:
-        """Row k is H @ coeffs(packed[k]) mod p; Tr(mu u) = digits(mu) . row."""
-        return (self.digits(packed) @ self.hankel) % self.p
-
     def traces(self, packed: np.ndarray) -> np.ndarray:
-        if self.nu == 1:
-            return packed % self.p
-        return (self.digits(packed) @ np.array(self.tau[:self.nu],
-                                               dtype=np.int64)) % self.p
+        return (_digit_rows(packed, self.p, self.nu) @ self.hankel[0]) % self.p
 
 
 _tables: dict[FieldSpec, FieldTables] = {}
@@ -227,7 +226,8 @@ def delta_indicator(u: FieldElement, cap: int = DEFAULT_ENUM_CAP) -> float:
         vals = np.arange(q, dtype=np.int64) * u.packed() % spec.p
     else:
         t_u = (tab.hankel @ np.array(u.coeffs, dtype=np.int64)) % spec.p
-        vals = (tab.digits(np.arange(q, dtype=np.int64)) @ t_u) % spec.p
+        mus = _digit_rows(np.arange(q, dtype=np.int64), spec.p, spec.nu)
+        vals = (mus @ t_u) % spec.p
     return float(tab.roots[vals].sum().real) / q
 
 
@@ -264,46 +264,133 @@ def gauss_partial_sum(a: FieldElement, mu: FieldElement, g: FieldElement,
     return complex(np.exp(2j * np.pi * (tr / spec.p)).sum())
 
 
-def count_via_charsum(eq: ExpEquation, box: SearchBox,
-                      cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Evaluate N_{f_b}(r) by the factored complete character sum.
+# ---------------------------------------------------------------------------
+# the spectral counting engine
+#
+# A histogram h_j(v) = #{x < limit_j : a_j g_j^x = v}, stored in packed order
+# and reshaped to (p,)*nu, has coefficient c_i of v on its own axis, so
+# numpy's n-dimensional FFT is the Fourier transform on (Z/p)^nu.  Its
+# characters exp(2 pi i m.c / p) differ from psi(mu u) only by the
+# invertible Hankel change of variables mu -> m, which a count never sees:
+# the inverse transform of prod_j FFT(h_j) is N_{f_b}(r) for every b.
 
-    Within 1e-6 * box.card of the exact integer count.  The mu-sum is
-    accumulated with math.fsum in packed order, so the result does not
-    depend on chunking.
+UNIT_ROUNDOFF = 2.0 ** -53
+FFT_ERR_CONST = 8  # rounding growth per butterfly stage, in units of u
+ROUND_SLACK = 0.25  # largest certified distance from an integer
+PAD_LIMIT = 8  # zero-pad a prime axis only up to this many times p
+
+
+def _transform_shape(p: int, nu: int, n: int) -> tuple[int, ...]:
+    """The grid the convolution runs on.
+
+    numpy computes a prime-length transform by Bluestein's algorithm,
+    several times slower than a power of two.  So a prime field's n
+    histograms are zero-padded to a power of two L >= n(p-1)+1, where the
+    cyclic convolution equals the linear one, to be folded mod p after.
+    Padding stops at PAD_LIMIT * p (many terms), keeping memory O(n q).
+    """
+    if nu == 1:
+        length = 1 << (n * (p - 1)).bit_length()
+        if length <= PAD_LIMIT * p:
+            return (length,)
+    return (p,) * nu
+
+
+def _fft_error_bound(card: int, n: int, shape: tuple[int, ...]) -> float:
+    """A-priori bound on |computed - exact| for every transform entry.
+
+    Histogram h_j has L1 mass limit_j, so each of its transform
+    coefficients has modulus <= limit_j, and a transform of `levels`
+    butterfly stages computes it to within gamma * limit_j, gamma =
+    FFT_ERR_CONST * u * levels.  An axis of length m counts log2(4m)
+    stages, which covers Bluestein's padded length below 4m.  The product
+    of the n coefficients, of modulus <= card, is then off by at most
+    card * n * (gamma + u) to first order.  The inverse transform,
+    normalised by 1/size, averages those errors and adds gamma * card of
+    its own.  While the bound is below ROUND_SLACK the first-order terms
+    dominate and FFT_ERR_CONST absorbs the rest.
+    """
+    levels = sum(math.ceil(math.log2(4 * m)) for m in shape)
+    gamma = FFT_ERR_CONST * UNIT_ROUNDOFF * levels
+    return card * ((n + 1) * gamma + n * UNIT_ROUNDOFF)
+
+
+def _fft_counts(hists: list[np.ndarray], p: int, nu: int,
+                card: int) -> np.ndarray | None:
+    """Counts by floating-point FFT, or None unless certified exact.
+
+    The certificate: the a-priori bound is below ROUND_SLACK, and after
+    the transform every real part lies within ROUND_SLACK of an integer,
+    every imaginary part is below it, and the rounded values sum to card.
+    """
+    shape = _transform_shape(p, nu, len(hists))
+    if _fft_error_bound(card, len(hists), shape) >= ROUND_SLACK:
+        return None
+    axes = tuple(range(len(shape)))
+    spectrum = np.ones(shape, dtype=np.complex128)
+    for h in hists:
+        spectrum *= np.fft.fftn(h.reshape((p,) * nu), s=shape, axes=axes)
+    raw = np.fft.ifftn(spectrum, axes=axes).reshape(-1)
+    counts = np.rint(raw.real)
+    # written so that a NaN fails it
+    if not (np.abs(raw.real - counts).max() < ROUND_SLACK
+            and np.abs(raw.imag).max() < ROUND_SLACK):
+        return None
+    counts = counts.astype(np.int64)
+    if int(counts.sum()) != card:
+        return None
+    if len(counts) != p ** nu:  # zero-padded prime axis: fold mod p
+        counts = np.concatenate(
+            [counts, np.zeros(-len(counts) % p, dtype=np.int64)])
+        counts = counts.reshape(-1, p).sum(axis=0)
+    return counts
+
+
+def _exact_counts(hists: list[np.ndarray], p: int, nu: int) -> np.ndarray:
+    """Counts by integer shift-and-add over (Z/p)^nu.
+
+    For each value v a walk takes, add h_j[v] times the running
+    convolution rolled by v: q * (sum of the walk lengths) int64 adds.
+    """
+    grid = (p,) * nu
+    axes = tuple(range(nu))
+    acc = hists[0].reshape(grid)
+    for h in hists[1:]:
+        out = np.zeros(grid, dtype=np.int64)
+        for v in np.flatnonzero(h):
+            out += h[v] * np.roll(acc, np.unravel_index(v, grid), axis=axes)
+        acc = out
+    return acc.reshape(-1)
+
+
+def spectral_counts(eq: ExpEquation, box: SearchBox,
+                    cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """N_{f_b}(r) for every b, as int64 indexed by packed b (eq.b ignored).
+
+    Uses the floating-point FFT when its rounding is certified and exact
+    integer shift-and-add otherwise.  Memory is O(n q) whatever the box.
     """
     spec = eq.spec
     q, p, nu = spec.cardinality, spec.p, spec.nu
     if q > cap:
         raise CapExceeded(f"cardinality {q} exceeds cap {cap}")
-    tab = tables_for(spec)
-    terms = sorted_terms(eq, box)
-    limits = box.limits()
-    walks = [_power_walk(a, g, limit)
-             for (a, g), limit in zip(terms, limits)]
-    neg_b = -eq.b
-    contrib = np.empty(q, dtype=np.complex128)
-    if nu == 1:
-        nb = neg_b.packed()
-        for lo in range(0, q, MU_CHUNK):
-            hi = min(lo + MU_CHUNK, q)
-            mus = np.arange(lo, hi, dtype=np.int64)
-            prod = tab.roots[mus * nb % p].astype(np.complex128)
-            for walk in walks:
-                prod = prod * tab.roots[mus[:, None] * walk[None, :] % p
-                                        ].sum(axis=1)
-            contrib[lo:hi] = prod
-    else:
-        walk_rows = [tab.trace_rows(walk) for walk in walks]
-        tb = (tab.hankel @ np.array(neg_b.coeffs, dtype=np.int64)) % p
-        for lo in range(0, q, MU_CHUNK):
-            hi = min(lo + MU_CHUNK, q)
-            D = tab.digits(np.arange(lo, hi, dtype=np.int64))
-            prod = tab.roots[(D @ tb) % p].astype(np.complex128)
-            for rows in walk_rows:
-                prod = prod * tab.roots[(D @ rows.T) % p].sum(axis=1)
-            contrib[lo:hi] = prod
-    return math.fsum(contrib.real) / q
+    hists = [np.bincount(_power_walk(a, g, limit), minlength=q)
+             for (a, g), limit in zip(sorted_terms(eq, box), box.limits())]
+    counts = _fft_counts(hists, p, nu, box.card)
+    if counts is None:
+        counts = _exact_counts(hists, p, nu)
+    total = int(counts.sum())
+    if total != box.card:
+        raise InvariantViolated(
+            f"per-b counts sum to {total}, not the box size {box.card}")
+    return counts
+
+
+def count_via_charsum(eq: ExpEquation, box: SearchBox,
+                      cap: int = DEFAULT_ENUM_CAP) -> float:
+    """N_{f_b}(r) by the character-sum identity: one entry of
+    spectral_counts, returned as a float (an exact integer value)."""
+    return float(spectral_counts(eq, box, cap)[eq.b.packed()])
 
 
 def brute_count(eq: ExpEquation, box: SearchBox,
@@ -312,80 +399,51 @@ def brute_count(eq: ExpEquation, box: SearchBox,
                 ) -> tuple[int, list[tuple[int, ...]] | None]:
     """Exhaustive count over the box; the oracle for every other count.
 
-    Iterates the box in lexicographic order of the sorted coordinates.
+    Evaluates f over the box in C order of the sorted coordinates, which
+    is lexicographic order, in blocks of at most BRUTE_BLOCK points.  The
+    sums over the trailing coordinates whose sub-box fits in a block are
+    materialized once (digit rows added mod p); each block pairs them
+    with a run of leading-coordinate points, and a point solves f_b = 0
+    exactly when its trailing sum equals b minus its leading sum.
     Returns (N, solutions) with solution tuples in *original* term order,
     or (N, None) when box.card exceeds list_cap.
     """
     if box.card > cap:
         raise CapExceeded(f"box cardinality {box.card} exceeds cap {cap}")
     spec = eq.spec
-    n = box.n
-    terms = sorted_terms(eq, box)
+    p, nu = spec.p, spec.nu
     limits = box.limits()
     keep_list = box.card <= list_cap
-    solutions: list[tuple[int, ...]] | None = [] if keep_list else None
+    walks = [_digit_rows(_power_walk(a, g, limit), p, nu)
+             for (a, g), limit in zip(sorted_terms(eq, box), limits)]
+    split = box.n
+    while split > 0 and math.prod(limits[split - 1:]) <= BRUTE_BLOCK:
+        split -= 1
+    tail = np.zeros((1, nu), dtype=np.int64)
+    for walk in walks[split:]:
+        tail = ((tail[:, None, :] + walk[None, :, :]) % p).reshape(-1, nu)
+    powers = p ** np.arange(nu, dtype=np.int64)
+    tail = tail @ powers
+    target = np.array(eq.b.coeffs, dtype=np.int64)
+    head_limits = limits[:split]
+    head_card = math.prod(head_limits)
+    step = max(1, BRUTE_BLOCK // len(tail))
     count = 0
-    if spec.nu == 1:
-        p = spec.p
-        walks = [[int(v) for v in _power_walk(a, g, limit)]
-                 for (a, g), limit in zip(terms, limits)]
-        target = eq.b.packed()
-        x = [0] * n
-        partial = [0] * (n + 1)
-        for j in range(n):
-            partial[j + 1] = (partial[j] + walks[j][0]) % p
-        while True:
-            if partial[n] == target:
-                count += 1
-                if keep_list:
-                    sol = [0] * n
-                    for k in range(n):
-                        sol[box.perm[k]] = x[k]
-                    solutions.append(tuple(sol))
-            j = n - 1
-            while j >= 0:
-                x[j] += 1
-                if x[j] < limits[j]:
-                    break
-                x[j] = 0
-                j -= 1
-            if j < 0:
-                return count, solutions
-            for k in range(j, n):
-                partial[k + 1] = (partial[k] + walks[k][x[k]]) % p
-    # extension fields: coefficient tuples, componentwise mod-p addition
-    p = spec.p
-    value_rows = []
-    for (a, g), limit in zip(terms, limits):
-        cur = a
-        row = []
-        for _ in range(limit):
-            row.append(cur.coeffs)
-            cur = cur * g
-        value_rows.append(row)
-    target = eq.b.coeffs
-    x = [0] * n
-    partial = [spec.zero().coeffs] * (n + 1)
-    for j in range(n):
-        partial[j + 1] = tuple(
-            (s + t) % p for s, t in zip(partial[j], value_rows[j][0]))
-    while True:
-        if partial[n] == target:
-            count += 1
-            if keep_list:
-                sol = [0] * n
-                for k in range(n):
-                    sol[box.perm[k]] = x[k]
-                solutions.append(tuple(sol))
-        j = n - 1
-        while j >= 0:
-            x[j] += 1
-            if x[j] < limits[j]:
-                break
-            x[j] = 0
-            j -= 1
-        if j < 0:
-            return count, solutions
-        for k in range(j, n):
-            partial[k + 1] = tuple(
-                (s + t) % p for s, t in zip(partial[k], value_rows[k][x[k]]))
+    hits = []
+    for lo in range(0, head_card, step):
+        idx = np.arange(lo, min(lo + step, head_card))
+        need = np.broadcast_to(target, (len(idx), nu))
+        coords = np.unravel_index(idx, head_limits) if split else ()
+        for walk, x in zip(walks, coords):
+            need = (need - walk[x]) % p
+        found = np.flatnonzero((need @ powers)[:, None] == tail[None, :])
+        count += len(found)
+        if keep_list:
+            hits.append(found + lo * len(tail))
+    if not keep_list:
+        return count, None
+    coords = np.unravel_index(np.concatenate(hits), limits)
+    cols = [None] * box.n
+    for k, orig in enumerate(box.perm):
+        cols[orig] = coords[k].tolist()
+    return count, list(zip(*cols))

@@ -7,7 +7,7 @@ Field elements on the wire are packed integers sum_i c_i p^i (for prime
 fields, the residue itself).
 
 Exit codes: 0 success, 1 invalid input, 2 resource caps or a failed
-model hypothesis.
+model hypothesis, 3 a violated internal invariant (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .solver import solve_classical
 CONFIG_KEYS = {
     "p", "nu", "terms", "b", "n", "seed", "delta", "log_base", "mode",
     "out", "format", "n_max", "r", "qs", "ns", "workers", "trials",
-    "slack_exponent", "enum_cap", "card_cap", "samples",
+    "slack_exponent", "enum_cap", "samples",
 }
 
 CAP_ERRORS = (errors.CapExceeded, errors.MemoryCap, errors.HypothesisFailed)
@@ -304,9 +304,12 @@ def cmd_density(args) -> int:
                  f"{len(census.exceptional)} exceptional b "
                  f"(bound {float(census.bound):.3f})")
     doc = density_mod.report_to_dict(report, census)
-    buf = io.StringIO()
-    density_mod.write_per_b_csv(report, census, buf)
-    emit(cfg, lines, doc, csv_text=buf.getvalue())
+    csv_text = None
+    if cfg.get("format") == "csv":
+        buf = io.StringIO()
+        density_mod.write_per_b_csv(report, census, buf)
+        csv_text = buf.getvalue()
+    emit(cfg, lines, doc, csv_text=csv_text)
     return 0
 
 
@@ -443,6 +446,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except errors.InvariantViolated as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except CAP_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

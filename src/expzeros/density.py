@@ -1,8 +1,8 @@
 """Full-b density sweeps: deviation terms, the energy bound, and the
 exceptional-b census.
 
-For a fixed term family (a_j, g_j) and box, one pass over the box
-histograms the value sum_j a_j g_j^{x_j} over F_q, giving N_{f_b}(r) for
+For a fixed term family (a_j, g_j) and box, the spectral engine of
+charsum convolves the n walk histograms over F_q, giving N_{f_b}(r) for
 every b at once.  Writing main = r prod_{l<n} s_l / q,
 
     Delta_b(r) = N_{f_b}(r) - main,      E(r) = sum_b Delta_b(r)^2,
@@ -22,11 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import ExpEquation, SearchBox, sorted_terms, _power_walk
-from .errors import BadDelta, CapExceeded, Overflow
+from .charsum import ExpEquation, SearchBox, spectral_counts
+from .errors import BadDelta, InvariantViolated, Overflow
 from .fields import DEFAULT_ENUM_CAP
-
-SWEEP_CARD_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -60,43 +58,11 @@ class DensityReport:
 
 
 def sweep_b(eq: ExpEquation, box: SearchBox,
-            cap: int = DEFAULT_ENUM_CAP,
-            card_cap: int = SWEEP_CARD_CAP) -> DensityReport:
-    """Count N_{f_b}(r) for every b in one box pass (eq.b is ignored)."""
-    spec = eq.spec
-    q, p = spec.cardinality, spec.p
-    if q > cap:
-        raise CapExceeded(f"cardinality {q} exceeds cap {cap}")
-    if box.card > card_cap:
-        raise CapExceeded(f"box cardinality {box.card} exceeds cap {card_cap}")
-    terms = sorted_terms(eq, box)
-    limits = box.limits()
-    if spec.nu == 1:
-        acc = None
-        for (a, g), limit in zip(terms, limits):
-            walk = _power_walk(a, g, limit)
-            if acc is None:
-                acc = walk.copy()
-            else:
-                acc = (acc[:, None] + walk[None, :]).reshape(-1) % p
-        counts = np.bincount(acc, minlength=q).astype(np.int64)
-    else:
-        nu = spec.nu
-        acc = None
-        for (a, g), limit in zip(terms, limits):
-            cur = a
-            rows = np.empty((limit, nu), dtype=np.int64)
-            for x in range(limit):
-                rows[x] = cur.coeffs
-                cur = cur * g
-            if acc is None:
-                acc = rows.copy()
-            else:
-                acc = (acc[:, None, :] + rows[None, :, :]
-                       ).reshape(-1, nu) % p
-        powers = p ** np.arange(nu, dtype=np.int64)
-        counts = np.bincount(acc @ powers, minlength=q).astype(np.int64)
-    assert int(counts.sum()) == box.card
+            cap: int = DEFAULT_ENUM_CAP) -> DensityReport:
+    """Count N_{f_b}(r) for every b with the spectral engine (eq.b is
+    ignored).  Memory is O(n q), whatever the size of the box."""
+    counts = spectral_counts(eq, box, cap)
+    q = eq.q
     main = Fraction(box.card, q)
     ssq = sum(c * c for c in counts.tolist())
     energy = Fraction(q * ssq - box.card * box.card, q)
@@ -164,7 +130,10 @@ def exceptional_census(report: DensityReport, delta) -> CensusResult:
             exceptional.append(b)
     bound = Fraction(q) / delta_sq
     size_ok = len(exceptional) <= bound
-    assert size_ok, "census exceeded q/delta^2; energy bound violated?"
+    if not size_ok:
+        raise InvariantViolated(
+            f"census of {len(exceptional)} exceeds q/delta^2 = {bound}; "
+            "energy bound violated?")
     return CensusResult(float(delta_sq) ** 0.5, delta_sq, threshold_sq,
                         tuple(flags), tuple(exceptional), bound, size_ok)
 

@@ -55,3 +55,10 @@ class OrderMismatch(ExpzerosError):
 
 class IndexOutOfRange(ExpzerosError, IndexError):
     """An exponent vector lies outside its search box."""
+
+
+class InvariantViolated(ExpzerosError):
+    """An internal consistency check failed: a bug, not a bad input.
+
+    Raised in place of `assert`, so the check still runs under python -O.
+    """

@@ -134,6 +134,28 @@ def test_density_text_and_json():
     assert doc["census"]["size_ok"] is True
 
 
+def test_density_builds_csv_only_for_csv_output(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-b CSV rendered for a non-CSV format")
+
+    monkeypatch.setattr(density_mod, "write_per_b_csv", refuse)
+    for fmt in ("json", "text"):
+        rc, out, _ = run(["density", *F7_ARGS, "--format", fmt])
+        assert rc == 0 and out
+
+
+def test_invariant_violation_exits_3(monkeypatch):
+    from expzeros import errors
+
+    def broken(*args, **kwargs):
+        raise errors.InvariantViolated("planted")
+
+    monkeypatch.setattr(density_mod, "spectral_counts", broken)
+    rc, out, err = run(["density", *F7_ARGS, "--format", "json"])
+    assert rc == 3 and out == ""
+    assert "internal error: planted" in err
+
+
 # -------------------------------------------------------------------- solve
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expzeros import charsum
 from expzeros.charsum import brute_count, make_box, make_equation
 from expzeros.density import (
     CensusResult,
@@ -28,7 +29,8 @@ from expzeros.density import (
 )
 from expzeros.errors import BadDelta, CapExceeded, Overflow
 from expzeros.fields import make_field
-from expzeros.instances import random_equation
+from expzeros.instances import (find_generator, random_equation,
+                                 random_equation_with_orders)
 
 
 def sweep_fixture(p, nu, terms, r=None):
@@ -104,14 +106,25 @@ def test_sweep_energy_matches_direct_recomputation():
             - direct
 
 
-def test_sweep_caps():
+def test_sweep_caps(monkeypatch):
     spec = make_field(7)
     eq = make_equation(spec, [(1, 3), (1, 2)], 0)
     box = make_box(eq)
     with pytest.raises(CapExceeded):
         sweep_b(eq, box, cap=3)
-    with pytest.raises(CapExceeded):
-        sweep_b(eq, box, card_cap=box.card - 1)
+    # no cap on the box itself: memory is O(n q), so a box far above the
+    # 2^22 points a materializing sweep could hold still sweeps exactly
+    spec = make_field(7, 4)
+    gen = find_generator(spec)
+    eq = random_equation_with_orders(spec, (2400, 2400, 600, 96),
+                                     random.Random(41), gen)
+    box = make_box(eq, r=50)
+    assert box.card > 1 << 30
+    rep = sweep_b(eq, box)
+    assert int(rep.counts.sum()) == box.card
+    assert energy_bound_check(rep)[0]
+    monkeypatch.setattr(charsum, "_fft_counts", lambda *args: None)
+    assert sweep_b(eq, box).counts.tolist() == rep.counts.tolist()
 
 
 # ---------------------------------------------------------------------------

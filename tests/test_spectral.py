@@ -1,0 +1,198 @@
+"""The spectral counting engine against the exhaustive oracle.
+
+Three independent routes must agree on every small instance: brute_count
+(box evaluation), count_via_charsum (one entry of the spectral counts) and
+sweep_b (all of them).  The floating-point transform must agree with the
+exact integer fallback, its certificate must reject corrupted output, and
+the invariants behind exit code 3 must still fire under python -O.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from expzeros import charsum
+from expzeros.charsum import (brute_count, count_via_charsum, make_box,
+                              make_equation, spectral_counts)
+from expzeros.density import sweep_b
+from expzeros.fields import make_field
+from expzeros.instances import find_generator, random_equation
+
+SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2),
+                (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]
+PROPERTY_CARD_CAP = 200_000
+
+
+def instance(p, nu, terms, b, r=None):
+    eq = make_equation(make_field(p, nu), terms, b)
+    return eq, make_box(eq, r)
+
+
+@st.composite
+def small_instances(draw):
+    """(eq, box) over a small field; g = 1 (order 1) is drawn often."""
+    p, nu = draw(st.sampled_from(SMALL_FIELDS))
+    q = p ** nu
+    unit = st.integers(1, q - 1)
+    terms = draw(st.lists(st.tuples(unit, st.one_of(st.just(1), unit)),
+                          min_size=1, max_size=4))
+    eq = make_equation(make_field(p, nu), terms,
+                       draw(st.one_of(st.just(0), st.integers(0, q - 1))))
+    full = make_box(eq)
+    front = full.card // full.r
+    r = draw(st.integers(1, full.r))
+    return eq, make_box(eq, min(r, max(1, PROPERTY_CARD_CAP // front)))
+
+
+def eval_packed(eq, x):
+    acc = eq.spec.zero()
+    for (a, g), xi in zip(eq.terms, x):
+        acc = acc + a * g ** xi
+    return acc.packed()
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances())
+@example(instance(2, 1, [(1, 1)], 0, 1))          # p = 2, g = 1, n = 1
+@example(instance(2, 1, [(1, 1)], 1, 1))
+@example(instance(2, 3, [(1, 1), (3, 2)], 0, 1))  # r = 1, b = 0
+@example(instance(5, 2, [(7, 1)], 7))             # order 1, b = a
+@example(instance(7, 1, [(3, 1), (1, 3), (2, 1)], 0))
+@example(instance(13, 1, [(1, 2), (3, 6), (2, 4), (5, 5)], 0, 1))
+@example(instance(11, 1, [(a, 10) for a in range(1, 10)] + [(2, 1)], 3))
+def test_brute_charsum_and_sweep_agree(case):
+    eq, box = case
+    b = eq.b.packed()
+    want, sols = brute_count(eq, box)
+    assert round(count_via_charsum(eq, box)) == want
+    assert count_via_charsum(eq, box) == want
+    assert sweep_b(eq, box).counts[b] == want
+    if sols is not None:
+        assert len(sols) == want == len(set(sols))
+        assert sols == sorted(sols, key=lambda x: [x[box.perm[k]]
+                                                  for k in range(box.n)])
+        for x in sols:
+            assert eval_packed(eq, x) == b
+            assert all(0 <= x[box.perm[k]] < lim
+                       for k, lim in enumerate(box.limits()))
+
+
+def test_exact_fallback_matches_float_path(monkeypatch):
+    rng = random.Random(8128)
+    cases = []
+    for p, nu in [(7, 1), (101, 1), (257, 1), (2, 6), (3, 4), (5, 2),
+                  (97, 2)]:
+        spec = make_field(p, nu)
+        for n in (1, 2, 3, 4):
+            eq = random_equation(spec, n, rng)
+            full = make_box(eq)
+            cases.append((eq, make_box(eq, rng.randrange(1, full.r + 1))))
+    floats = [spectral_counts(eq, box) for eq, box in cases]
+    monkeypatch.setattr(charsum, "_fft_counts", lambda *args: None)
+    for (eq, box), want in zip(cases, floats):
+        got = spectral_counts(eq, box)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw + 0.4,                       # far from every integer
+    lambda raw: raw + 0.3j,                      # imaginary part too big
+    lambda raw: raw + (np.arange(raw.size) == 0).reshape(raw.shape),
+    lambda raw: raw * np.nan,
+])
+def test_certificate_rejects_bad_transform_and_falls_back(monkeypatch,
+                                                         corrupt):
+    eq, box = instance(101, 1, [(3, 2), (5, 6), (7, 10)], 0)
+    hists = [np.bincount(charsum._power_walk(a, g, lim), minlength=eq.q)
+             for (a, g), lim in zip(charsum.sorted_terms(eq, box),
+                                    box.limits())]
+    want = spectral_counts(eq, box)
+    assert charsum._fft_counts(hists, 101, 1, box.card).tolist() \
+        == want.tolist()
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn",
+                        lambda *args, **kw: corrupt(ifftn(*args, **kw)))
+    assert charsum._fft_counts(hists, 101, 1, box.card) is None
+    assert spectral_counts(eq, box).tolist() == want.tolist()
+
+
+def test_a_priori_bound_scales_with_card_and_size():
+    small = charsum._fft_error_bound(10 ** 6, 3, (1 << 15,))
+    assert 0 < small < 1e-6
+    assert charsum._fft_error_bound(10 ** 7, 3, (1 << 15,)) == \
+        pytest.approx(10 * small)
+    assert charsum._fft_error_bound(10 ** 6, 3, (1 << 16,)) > small
+    # a box this large never reaches the float path
+    assert charsum._fft_error_bound(1 << 62, 2, (2,)) >= charsum.ROUND_SLACK
+    assert charsum._fft_counts([np.ones(7, dtype=np.int64)] * 2, 7, 1,
+                               1 << 60) is None
+
+
+def test_transform_shape_pads_prime_axis_to_power_of_two():
+    assert charsum._transform_shape(9973, 1, 3) == (1 << 15,)
+    assert charsum._transform_shape(2, 1, 1) == (2,)
+    assert charsum._transform_shape(3, 4, 2) == (3, 3, 3, 3)
+    # too many terms: the padded grid would pass PAD_LIMIT * p (the
+    # ten-term F_11 example above runs this prime-length path)
+    assert charsum._transform_shape(101, 1, 16) == (101,)
+    assert charsum._transform_shape(11, 1, 10) == (11,)
+    L, = charsum._transform_shape(65537, 1, 2)
+    assert L >= 2 * 65536 + 1 and L & (L - 1) == 0
+
+
+def test_brute_count_blocks_cover_large_boxes():
+    # one axis longer than a block, and a head run over several blocks
+    g = find_generator(make_field(131071)).packed()
+    for p, terms, r in [(131071, [(5, g)], None),
+                        (1031, [(2, 14), (3, 14)], 100)]:
+        eq, box = instance(p, 1, terms, 1, r)
+        assert box.card > charsum.BRUTE_BLOCK
+        n, sols = brute_count(eq, box, list_cap=1 << 20)
+        assert n == round(count_via_charsum(eq, box)) == len(sols)
+        assert all(eval_packed(eq, x) == 1 for x in sols)
+
+
+INVARIANT_SCRIPT = """
+import sys
+from fractions import Fraction
+import numpy as np
+assert False, "assertions are on; this script must run under python -O"
+from expzeros import charsum, cli, density, errors
+from expzeros.charsum import make_box, make_equation
+from expzeros.fields import make_field
+
+eq = make_equation(make_field(7), [(1, 3), (1, 2)], 0)
+box = make_box(eq)
+counts = np.array([9, 9, 0, 0, 0, 0, 0], dtype=np.int64)
+report = density.DensityReport(eq, box, counts, Fraction(18, 7), Fraction(0))
+try:
+    density.exceptional_census(report, Fraction(6, 5))
+except errors.InvariantViolated:
+    print("census invariant held")
+charsum._fft_counts = lambda *args: None
+charsum._exact_counts = lambda hists, p, nu: 0 * hists[0]
+sys.exit(cli.main(["density", "--p", "7", "--terms", "1,3;1,2",
+                   "--b", "0", "--format", "json"]))
+"""
+
+
+def test_invariants_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", INVARIANT_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.stdout.splitlines()[0] == "census invariant held"
+    assert proc.returncode == 3, proc.stderr
+    assert "internal error" in proc.stderr
+    assert "sum to 0, not the box size 18" in proc.stderr
