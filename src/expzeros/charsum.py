@@ -33,7 +33,7 @@ import numpy as np
 from .arith import factorize, multiplicative_order
 from .errors import (CapExceeded, FieldMismatch, InvariantViolated, Overflow,
                      ZeroElement)
-from .fields import DEFAULT_ENUM_CAP, FieldElement, FieldSpec, raw_ops
+from .fields import DEFAULT_ENUM_CAP, FieldElement, FieldSpec
 
 TERM_CAP = 16
 LIST_CAP = 1 << 16
@@ -159,6 +159,17 @@ def _digit_rows(packed: np.ndarray, p: int, nu: int) -> np.ndarray:
     return (packed[:, None] // powers[None, :]) % p
 
 
+def _monomial_traces(spec: FieldSpec, count: int) -> list[int]:
+    """Tr(X^k) for k = 0..count-1 (X = 0 in a prime field)."""
+    x = spec.element([0, 1]) if spec.nu > 1 else spec.zero()
+    out = []
+    cur = spec.one()
+    for _ in range(count):
+        out.append(cur.trace())
+        cur = cur * x
+    return out
+
+
 class FieldTables:
     """Per-field caches: p-th roots of unity and the trace Hankel matrix.
 
@@ -175,21 +186,14 @@ class FieldTables:
         self.p = spec.p
         self.nu = spec.nu
         self.roots = np.exp(2j * np.pi * np.arange(self.p) / self.p)
-        if self.nu > 1:
-            taus = []
-            x = spec.element([0, 1])
-            cur = spec.one()
-            for _ in range(2 * self.nu - 1):
-                taus.append(cur.trace())
-                cur = cur * x
-            self.hankel = np.array(
-                [[taus[k + j] for j in range(self.nu)]
-                 for k in range(self.nu)], dtype=np.int64)
-        else:
-            self.hankel = np.ones((1, 1), dtype=np.int64)
+        taus = _monomial_traces(spec, 2 * self.nu - 1)
+        self.hankel = np.array(
+            [[taus[k + j] for j in range(self.nu)]
+             for k in range(self.nu)], dtype=np.int64)
 
-    def traces(self, packed: np.ndarray) -> np.ndarray:
-        return (_digit_rows(packed, self.p, self.nu) @ self.hankel[0]) % self.p
+    def traces(self, rows: np.ndarray) -> np.ndarray:
+        """Tr of each element given as a coefficient row."""
+        return (rows @ self.hankel[0]) % self.p
 
 
 _tables: dict[FieldSpec, FieldTables] = {}
@@ -231,16 +235,55 @@ def delta_indicator(u: FieldElement, cap: int = DEFAULT_ENUM_CAP) -> float:
     return float(tab.roots[vals].sum().real) / q
 
 
-def _power_walk(a: FieldElement, g: FieldElement, limit: int) -> np.ndarray:
-    """Packed values a * g^x for x = 0..limit-1."""
-    ops = raw_ops(a.spec)
-    gp = g.packed()
-    out = np.empty(limit, dtype=np.int64)
-    cur = a.packed()
-    for x in range(limit):
-        out[x] = cur
-        cur = ops.mul(cur, gp)
+def _mul_matrix(g: FieldElement) -> list[list[int]]:
+    """The F_p-matrix M of multiplication by g on coefficient rows.
+
+    Row k holds the coefficients of X^k g, so c @ M mod p is the row of
+    u g for u with row c.  Each row is the one before times X: shift up
+    one degree, then replace X^nu by -(f_0 + ... + f_{nu-1} X^{nu-1})
+    (the companion matrix of the modulus f).  O(nu^2) integer work.
+    """
+    spec = g.spec
+    p = spec.p
+    reduce_top = [-c % p for c in spec.modulus[:-1]]
+    row = list(g.coeffs)
+    out = [row]
+    for _ in range(spec.nu - 1):
+        row = [(low + row[-1] * f) % p
+               for low, f in zip([0] + row[:-1], reduce_top)]
+        out.append(row)
     return out
+
+
+def _power_walk(a: FieldElement, g: FieldElement, limit: int) -> np.ndarray:
+    """Coefficient rows of a * g^x for x = 0..limit-1, shape (limit, nu).
+
+    Doubling with the multiplication matrix: once the rows for x < k are
+    known, rows @ M_g^k mod p gives those for k <= x < 2k, and M_g^k is
+    squared for the next round.  That is log2(limit) matrix products and
+    no field multiplication per step.  Products are exact in int64 while
+    nu (p-1)^2 < 2^63; huge prime fields run the same code on Python ints
+    (numpy object arrays).  The rows are returned as int64 (entries < p).
+    """
+    spec = a.spec
+    p, nu = spec.p, spec.nu
+    dtype = np.int64 if nu * (p - 1) ** 2 < 1 << 63 else object
+    rows = np.empty((limit, nu), dtype=dtype)
+    rows[0] = a.coeffs
+    step = np.array(_mul_matrix(g), dtype=dtype)
+    done = 1
+    while done < limit:
+        more = min(done, limit - done)
+        rows[done:done + more] = rows[:more] @ step % p
+        done += more
+        if done < limit:
+            step = step @ step % p
+    return rows.astype(np.int64, copy=False)
+
+
+def _pack(rows: np.ndarray, p: int) -> np.ndarray:
+    """Packed values sum_i c_i p^i of coefficient rows."""
+    return rows @ p ** np.arange(rows.shape[1], dtype=np.int64)
 
 
 def gauss_partial_sum(a: FieldElement, mu: FieldElement, g: FieldElement,
@@ -251,16 +294,15 @@ def gauss_partial_sum(a: FieldElement, mu: FieldElement, g: FieldElement,
     if a.is_zero() or mu.is_zero() or g.is_zero():
         raise ZeroElement("gauss_partial_sum needs units")
     spec = a.spec
-    vals = _power_walk(a * mu, g, limit)
+    rows = _power_walk(a * mu, g, limit)
     if spec.p <= DEFAULT_ENUM_CAP:
         tab = tables_for(spec)
-        return complex(tab.roots[tab.traces(vals)].sum())
-    # huge characteristic: no root table, exponentiate directly
-    if spec.nu == 1:
-        tr = vals % spec.p
-    else:
-        tr = np.array([spec.from_packed(int(v)).trace() for v in vals],
-                      dtype=np.int64)
+        return complex(tab.roots[tab.traces(rows)].sum())
+    # huge characteristic: no root table, exponentiate directly.  The
+    # trace products are exact in int64: Tr(1) = 1 when nu = 1, and
+    # q <= 2^62 gives nu (p-1)^2 < 2^63 when nu > 1.
+    taus = np.array(_monomial_traces(spec, spec.nu), dtype=np.int64)
+    tr = (rows @ taus) % spec.p
     return complex(np.exp(2j * np.pi * (tr / spec.p)).sum())
 
 
@@ -374,7 +416,7 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
     q, p, nu = spec.cardinality, spec.p, spec.nu
     if q > cap:
         raise CapExceeded(f"cardinality {q} exceeds cap {cap}")
-    hists = [np.bincount(_power_walk(a, g, limit), minlength=q)
+    hists = [np.bincount(_pack(_power_walk(a, g, limit), p), minlength=q)
              for (a, g), limit in zip(sorted_terms(eq, box), box.limits())]
     counts = _fft_counts(hists, p, nu, box.card)
     if counts is None:
@@ -414,7 +456,7 @@ def brute_count(eq: ExpEquation, box: SearchBox,
     p, nu = spec.p, spec.nu
     limits = box.limits()
     keep_list = box.card <= list_cap
-    walks = [_digit_rows(_power_walk(a, g, limit), p, nu)
+    walks = [_power_walk(a, g, limit)
              for (a, g), limit in zip(sorted_terms(eq, box), limits)]
     split = box.n
     while split > 0 and math.prod(limits[split - 1:]) <= BRUTE_BLOCK:
@@ -422,8 +464,7 @@ def brute_count(eq: ExpEquation, box: SearchBox,
     tail = np.zeros((1, nu), dtype=np.int64)
     for walk in walks[split:]:
         tail = ((tail[:, None, :] + walk[None, :, :]) % p).reshape(-1, nu)
-    powers = p ** np.arange(nu, dtype=np.int64)
-    tail = tail @ powers
+    tail = _pack(tail, p)
     target = np.array(eq.b.coeffs, dtype=np.int64)
     head_limits = limits[:split]
     head_card = math.prod(head_limits)
@@ -436,7 +477,7 @@ def brute_count(eq: ExpEquation, box: SearchBox,
         coords = np.unravel_index(idx, head_limits) if split else ()
         for walk, x in zip(walks, coords):
             need = (need - walk[x]) % p
-        found = np.flatnonzero((need @ powers)[:, None] == tail[None, :])
+        found = np.flatnonzero(_pack(need, p)[:, None] == tail[None, :])
         count += len(found)
         if keep_list:
             hits.append(found + lo * len(tail))

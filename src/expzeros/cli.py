@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -83,7 +84,11 @@ def parse_terms(text: str) -> list[tuple[int, int]]:
     return terms
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building it costs about 90 add_argument
+    calls."""
     parser = argparse.ArgumentParser(
         prog="expzeros",
         description="Zeros of a_1 g_1^x_1 + ... + a_n g_n^x_n - b over "

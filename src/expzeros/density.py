@@ -26,6 +26,9 @@ from .charsum import ExpEquation, SearchBox, spectral_counts
 from .errors import BadDelta, InvariantViolated, Overflow
 from .fields import DEFAULT_ENUM_CAP
 
+INT64_MAX = np.iinfo(np.int64).max
+INT64_MIN = np.iinfo(np.int64).min
+
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -116,18 +119,21 @@ def exceptional_census(report: DensityReport, delta) -> CensusResult:
     if delta_sq > q:
         raise BadDelta(f"need delta <= sqrt(q), got delta^2 = {delta_sq}")
     threshold_sq = delta_sq * r * Fraction(q) ** (n - 2)
-    # |N - card/q|^2 >= thr  <=>  den*(q N - card)^2 >= num*q^2
+    # |N - card/q|^2 >= thr  <=>  den (q N - card)^2 >= num  (num/den =
+    # thr q^2)  <=>  |q N - card| >= t, the least integer with den t^2 >=
+    # num  <=>  N >= ceil((card + t) / q)  or  N <= floor((card - t) / q).
     scaled = threshold_sq * q * q
     num, den = scaled.numerator, scaled.denominator
+    t = math.isqrt(-(-num // den))
+    if den * t * t < num:
+        t += 1
     card = report.box.card
-    flags = []
-    exceptional = []
-    for b, count in enumerate(report.counts.tolist()):
-        dev = q * count - card
-        exc = den * dev * dev >= num
-        flags.append(exc)
-        if exc:
-            exceptional.append(b)
+    # strict comparisons, so clipping to int64 never admits a count
+    above = min(-(-(card + t) // q) - 1, INT64_MAX)
+    below = max((card - t) // q + 1, INT64_MIN)
+    mask = (report.counts > above) | (report.counts < below)
+    flags = mask.tolist()
+    exceptional = np.flatnonzero(mask).tolist()
     bound = Fraction(q) / delta_sq
     size_ok = len(exceptional) <= bound
     if not size_ok:

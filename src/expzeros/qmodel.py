@@ -31,12 +31,17 @@ import numpy as np
 
 from .charsum import ExpEquation, brute_count, make_box
 from .density import corollary_min_r  # noqa: F401  (re-export for demos)
-from .errors import BadCounts, CapExceeded, HypothesisFailed
+from .errors import (BadCounts, CapExceeded, HypothesisFailed,
+                     InvariantViolated)
 from .fields import DEFAULT_ENUM_CAP
 from .solver import build_box, log_of
 
 GROVER_SIM_CAP = 1 << 14
 BBHT_GROWTH = 6 / 5
+# Once ceil(1.2^j) passes about sqrt(t/m), a round succeeds with
+# probability at least 1/4, so no run needs 1000 rounds; 1.2^j would
+# overflow a float near j = 3900.
+BBHT_MAX_ROUNDS = 1000
 
 
 def grover_success(t: int, m: int, k: int) -> float:
@@ -110,7 +115,9 @@ def bbht_expected_queries(t: int, m: int, trials: int,
             if rng.random() < math.sin((2 * k + 1) * theta) ** 2:
                 break
             j += 1
-            assert j < 10_000, "guessing schedule failed to terminate"
+            if j >= BBHT_MAX_ROUNDS:
+                raise InvariantViolated(
+                    f"guessing schedule ran {j} rounds without success")
         totals.append(queries)
     return math.fsum(totals) / trials
 

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import BsgsTable, QueryCounter
-from .charsum import ExpEquation, SearchBox, make_box, sorted_terms
-from .errors import CapExceeded, IndexOutOfRange, Overflow
+from .charsum import (ExpEquation, SearchBox, _pack, _power_walk, make_box,
+                      sorted_terms)
+from .errors import CapExceeded, IndexOutOfRange, InvariantViolated, Overflow
 from .fields import RawOps, raw_ops
 
 FOUND = "found"
@@ -122,12 +123,7 @@ class _SearchContext:
         limits = box.limits()
         self.walks = []
         for (a, g), limit in zip(terms[1:], limits[1:]):
-            walk = [a.packed()]
-            cur = walk[0]
-            gp = g.packed()
-            for _ in range(limit - 1):
-                cur = self.ops.mul(cur, gp)
-                walk.append(cur)
+            walk = _pack(_power_walk(a, g, limit), spec.p).tolist()
             counter.mults(limit - 1, "setup")
             self.walks.append(walk)
 
@@ -142,7 +138,8 @@ class _SearchContext:
             return None
         counter.dlog_calls += 1
         x1 = self.table.lookup(self.spec.from_packed(t), counter)
-        assert x1 is not None, "membership passed but dlog missed"
+        if x1 is None:
+            raise InvariantViolated("membership passed but dlog missed")
         return x1
 
 
@@ -181,6 +178,13 @@ def verify_solution(eq: ExpEquation, x: tuple[int, ...]) -> bool:
     return total == eq.b
 
 
+def _checked(eq: ExpEquation, x: tuple[int, ...]) -> tuple[int, ...]:
+    """x, after verify_solution accepts it; a rejected hit is a bug."""
+    if not verify_solution(eq, x):
+        raise InvariantViolated(f"search returned {x}, which is no zero")
+    return x
+
+
 def solve_classical(eq: ExpEquation, log_base: str = "natural",
                     counter: QueryCounter | None = None,
                     outer_cap: int = OUTER_GRID_CAP) -> SolutionReport:
@@ -213,9 +217,7 @@ def solve_classical(eq: ExpEquation, log_base: str = "natural",
         counter.outer_points_visited += 1
         x1 = ctx.resolve(0, counter)
         if x1 is not None and x1 < box.r:
-            sol = (x1,)
-            assert verify_solution(eq, sol)
-            return report(FOUND, sol)
+            return report(FOUND, _checked(eq, (x1,)))
         return finish()
 
     x = [0] * (n - 1)
@@ -230,9 +232,7 @@ def solve_classical(eq: ExpEquation, log_base: str = "natural",
             sol = [0] * n
             for k in range(n):
                 sol[box.perm[k]] = sorted_x[k]
-            sol = tuple(sol)
-            assert verify_solution(eq, sol)
-            return report(FOUND, sol)
+            return report(FOUND, _checked(eq, tuple(sol)))
         j = n - 2
         while j >= 0:
             x[j] += 1

@@ -10,6 +10,9 @@ import contextlib
 import io
 import json
 
+import pytest
+
+from expzeros import cli
 from expzeros import density as density_mod
 from expzeros.cli import ConfigError, main, parse_config_file, parse_terms
 
@@ -329,3 +332,31 @@ def test_bench_small_grid_deterministic():
     assert [(c[0], c[1]) for c in cells] == [("11", "2"), ("13", "2")]
     assert all(c[-1] in ("found", "no_solution_certified", "box_exhausted")
                for c in cells)
+
+
+# ------------------------------------------------------------ parser reuse
+
+
+def test_cached_parser_matches_fresh_parser(monkeypatch):
+    # one process, several subcommands through the cached parser; a flag
+    # given to one command (--r, --delta) must not leak into the next
+    argvs = [["count", *F7_ARGS, "--r", "1", "--format", "json"],
+             ["density", *F7_ARGS, "--format", "json"],
+             ["density", *F7_ARGS, "--delta", "1", "--r", "2"],
+             ["count", *F7_ARGS]]
+    assert main is cli.main and cli.build_parser() is cli.build_parser()
+    cached = [run(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(argv) for argv in argvs]
+    assert cached == fresh
+    assert all(rc == 0 for rc, _, _ in cached)
+
+
+def test_cached_parser_still_rejects_bad_arguments():
+    for argv in (["count", "--p", "seven"], ["nosuchcommand"],
+                 ["density", "--format", "xml"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+    # the parser is still usable after those errors
+    assert run(["count", *F7_ARGS])[0] == 0

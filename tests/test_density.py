@@ -13,9 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expzeros import charsum
-from expzeros.charsum import brute_count, make_box, make_equation
+from expzeros.charsum import SearchBox, brute_count, make_box, make_equation
 from expzeros.density import (
     CensusResult,
     DensityReport,
@@ -27,7 +29,7 @@ from expzeros.density import (
     sweep_b,
     write_per_b_csv,
 )
-from expzeros.errors import BadDelta, CapExceeded, Overflow
+from expzeros.errors import BadDelta, CapExceeded, InvariantViolated, Overflow
 from expzeros.fields import make_field
 from expzeros.instances import (find_generator, random_equation,
                                  random_equation_with_orders)
@@ -181,6 +183,56 @@ def test_census_exact_boundary_tie_counts_as_exceptional():
     # nudging delta up by any amount drops both ties
     census2 = exceptional_census(rep, Fraction(3, 2) + Fraction(1, 10 ** 9))
     assert census2.exceptional == ()
+
+
+def loop_census_flags(counts, q, n, r, card, delta):
+    """The census as a per-b big-int loop: the reference for the
+    threshold comparison of exceptional_census."""
+    delta_sq = Fraction(delta) ** 2
+    scaled = delta_sq * r * Fraction(q) ** (n - 2) * q * q
+    num, den = scaled.numerator, scaled.denominator
+    return [den * (q * c - card) ** 2 >= num for c in counts]
+
+
+CENSUS_FIELDS = [(7, 1), (11, 1), (13, 1), (3, 2), (2, 4), (5, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(CENSUS_FIELDS), n=st.integers(1, 4),
+       k=st.integers(1, 7), data=st.data())
+def test_census_matches_loop_oracle(field, n, k, data):
+    # Synthetic counts around card/q, with one count placed exactly on
+    # the threshold: n = 2 and r = k^2 make the threshold |q N - card| = d
+    # for delta = d / (q k).  Other n make the same delta a non-tie case.
+    spec = make_field(*field)
+    q = spec.cardinality
+    scale = data.draw(st.sampled_from([1, 1000, 1 << 40, 1 << 58]))
+    base = data.draw(st.integers(0, scale))
+    counts = data.draw(st.lists(st.integers(max(0, base - 40), base + 40),
+                                min_size=q, max_size=q))
+    tie = data.draw(st.integers(0, q - 1))
+    d = data.draw(st.integers(1, 40 * q))
+    sign = data.draw(st.sampled_from([1, -1]))
+    card = q * counts[tie] - sign * d
+    assume(0 <= card <= (1 << 63) - 1)
+    delta = Fraction(d, q * k)
+    assume(delta * delta <= q)
+    r = k * k
+    eq = make_equation(spec, [(1, 1)] * n, 0)
+    box = SearchBox(tuple(range(n)), (r,) * n, r, card)
+    counts = np.array(counts, dtype=np.int64)
+    rep = DensityReport(eq, box, counts, Fraction(card, q), Fraction(0))
+    want = loop_census_flags(counts.tolist(), q, n, r, card, delta)
+    if n == 2:
+        assert want[tie]   # the exact tie is exceptional
+    if sum(want) > q / (delta * delta):
+        with pytest.raises(InvariantViolated):
+            exceptional_census(rep, delta)
+        return
+    census = exceptional_census(rep, delta)
+    assert list(census.flags) == want
+    assert all(type(f) is bool for f in census.flags)
+    assert list(census.exceptional) == [b for b in range(q) if want[b]]
 
 
 def test_census_delta_validation():

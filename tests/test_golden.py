@@ -1,0 +1,104 @@
+"""Golden CLI outputs: byte-for-byte JSON for a fixed corpus.
+
+Each case runs `expzeros.cli.main(argv + ["--format", "json"])` in process
+and compares stdout with tests/golden/<name>.json.  The corpus covers
+count, density, solve and qmodel over prime and extension fields, and all
+three solve statuses, so a refactor that changes a count, a census, a
+solution or a QueryCounter ledger shows up here.
+
+Regenerate (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from expzeros.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    # count: brute force and character sum, prime and extension fields
+    "count_f7": ["count", "--p", "7", "--terms", "1,3;1,2", "--b", "3"],
+    "count_f101_n3": ["count", "--p", "101", "--n", "3", "--seed", "4",
+                      "--r", "2"],
+    "count_f3e4": ["count", "--p", "3", "--nu", "4", "--terms", "2,9;3,9",
+                   "--b", "5"],
+    "count_f2e6_r1": ["count", "--p", "2", "--nu", "6", "--n", "3",
+                      "--seed", "2", "--r", "1"],
+    "count_f2e8": ["count", "--p", "2", "--nu", "8", "--n", "2",
+                   "--seed", "1"],
+    # density: per-b counts, energy and census
+    "density_f7": ["density", "--p", "7", "--terms", "1,3;1,2", "--b", "0"],
+    "density_f101": ["density", "--p", "101", "--n", "2", "--seed", "3",
+                     "--delta", "1"],
+    "density_f3e4": ["density", "--p", "3", "--nu", "4", "--terms",
+                     "2,9;3,9", "--b", "0", "--delta", "1"],
+    "density_f2e6_r2": ["density", "--p", "2", "--nu", "6", "--n", "3",
+                        "--seed", "5", "--r", "2"],
+    "density_f5e2": ["density", "--p", "5", "--nu", "2", "--terms",
+                     "2,8;3,8", "--b", "0"],
+    # solve: all three statuses, prime and extension fields
+    "solve_f257_found": ["solve", "--p", "257", "--terms", "1,9;1,136",
+                         "--b", "217"],
+    "solve_f11_certified": ["solve", "--p", "11", "--terms", "1,3;1,10",
+                            "--b", "1"],
+    "solve_f41_exhausted": ["solve", "--p", "41", "--terms", "2,36;3,36",
+                            "--b", "0"],
+    "solve_f13_n3": ["solve", "--p", "13", "--n", "3", "--seed", "2"],
+    "solve_f101_n1": ["solve", "--p", "101", "--terms", "3,5", "--b", "7"],
+    "solve_f3e4_found": ["solve", "--p", "3", "--nu", "4", "--terms",
+                         "2,9;3,9", "--b", "1"],
+    "solve_f3e4_exhausted": ["solve", "--p", "3", "--nu", "4", "--terms",
+                             "2,9;3,9", "--b", "0"],
+    "solve_f2e8_certified": ["solve", "--p", "2", "--nu", "8", "--terms",
+                             "2,51;3,51", "--b", "0"],
+    "solve_f5e2_certified": ["solve", "--p", "5", "--nu", "2", "--terms",
+                             "2,8;3,8", "--b", "6"],
+    "solve_f2e6_n3": ["solve", "--p", "2", "--nu", "6", "--n", "3",
+                      "--seed", "41"],
+    "solve_f7e2_n3": ["solve", "--p", "7", "--nu", "2", "--n", "3",
+                      "--seed", "0"],
+    # qmodel: both modes, brute-force m_exact and the BBHT simulation
+    "qmodel_f7_thm2": ["qmodel", "--p", "7", "--terms", "1,3;1,2", "--b",
+                       "3", "--mode", "thm2", "--trials", "50"],
+    "qmodel_f101_thm3": ["qmodel", "--p", "101", "--terms", "1,2;1,5",
+                         "--b", "7", "--mode", "thm3", "--trials", "50"],
+    "qmodel_f3e4_thm2": ["qmodel", "--p", "3", "--nu", "4", "--terms",
+                         "2,9;3,9", "--b", "1", "--mode", "thm2",
+                         "--seed", "3", "--trials", "40"],
+    "qmodel_f2e8_thm3": ["qmodel", "--p", "2", "--nu", "8", "--terms",
+                         "1,3;2,5", "--b", "9", "--mode", "thm3",
+                         "--trials", "40"],
+}
+
+
+def render(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main([*argv, "--format", "json"])
+    assert rc == 0, f"{argv} exited {rc}"
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cli_json(name):
+    expected = (GOLDEN_DIR / f"{name}.json").read_text()
+    assert render(CASES[name]) == expected
+
+
+def test_golden_corpus_covers_every_solve_status():
+    statuses = {json.loads((GOLDEN_DIR / f"{name}.json").read_text())["status"]
+                for name in CASES if name.startswith("solve_")}
+    assert statuses == {"found", "no_solution_certified", "box_exhausted"}
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN_DIR / f"{name}.json").write_text(render(argv))

@@ -4,7 +4,11 @@ subroutine, and an exact replay of the multiplication accounting.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -349,3 +353,49 @@ def test_accounting_scales_like_sqrt_q_times_r():
                + (m - 1) + (bin(m).count("1") + m.bit_length() - 1) + 1
                + rep.queries.outer_points_visited * (1 + mem + lookup_max))
     assert counter.group_mults <= ceiling
+
+
+# ---------------------------------------------------------------------------
+# invariants under python -O
+
+
+INVARIANT_SCRIPT = """
+import random
+import sys
+import numpy as np
+assert False, "assertions are on; this script must run under python -O"
+from expzeros import arith, cli, errors, qmodel, solver
+
+FOUND_ARGS = ["solve", "--p", "257", "--terms", "1,9;1,136", "--b", "136"]
+
+# a walk shifted by one step: the hit it yields fails verify_solution
+walk = solver._power_walk
+solver._power_walk = lambda a, g, limit: np.roll(walk(a, g, limit), 1, 0)
+print("walk", cli.main(FOUND_ARGS))
+solver._power_walk = walk
+
+# membership passes, but the discrete log is not in the table
+arith.BsgsTable.lookup = lambda self, t, counter: None
+print("lookup", cli.main(FOUND_ARGS))
+
+# a guessing schedule whose rounds never succeed must stop
+random.Random.random = lambda self: 1.0
+try:
+    qmodel.bbht_expected_queries(16, 1, 1)
+except errors.InvariantViolated:
+    print("bbht held")
+"""
+
+
+def test_solver_invariants_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", INVARIANT_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.stdout.splitlines() == ["walk 3", "lookup 3", "bbht held"], \
+        proc.stderr
+    assert "which is no zero" in proc.stderr
+    assert "membership passed but dlog missed" in proc.stderr

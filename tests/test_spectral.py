@@ -111,7 +111,8 @@ def test_exact_fallback_matches_float_path(monkeypatch):
 def test_certificate_rejects_bad_transform_and_falls_back(monkeypatch,
                                                          corrupt):
     eq, box = instance(101, 1, [(3, 2), (5, 6), (7, 10)], 0)
-    hists = [np.bincount(charsum._power_walk(a, g, lim), minlength=eq.q)
+    hists = [np.bincount(charsum._pack(charsum._power_walk(a, g, lim), 101),
+                         minlength=eq.q)
              for (a, g), lim in zip(charsum.sorted_terms(eq, box),
                                     box.limits())]
     want = spectral_counts(eq, box)
