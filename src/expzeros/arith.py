@@ -159,26 +159,20 @@ class QueryCounter:
         }
 
 
+def pow_cost(k: int) -> int:
+    """Multiplications square-and-multiply spends on x^k (k >= 0): one per
+    set bit and one squaring per bit after the lowest, none at k = 0."""
+    return k.bit_count() + k.bit_length() - 1 if k else 0
+
+
 def counted_pow(x: FieldElement, k: int, counter: QueryCounter | None,
                 bucket: str = "pow") -> FieldElement:
-    """Square-and-multiply x^k, charging each multiplication performed."""
+    """x^k, charging the pow_cost(k) multiplications of square-and-multiply."""
     if k < 0:
         raise ValueError("counted_pow needs k >= 0")
-    spec = x.spec
-    result = spec.one()
-    base = x
-    n_mults = 0
-    while k:
-        if k & 1:
-            result = result * base
-            n_mults += 1
-        k >>= 1
-        if k:
-            base = base * base
-            n_mults += 1
     if counter is not None:
-        counter.mults(n_mults, bucket)
-    return result
+        counter.mults(pow_cost(k), bucket)
+    return x ** k
 
 
 def multiplicative_order(g: FieldElement, fact: Factorization) -> OrderInfo:

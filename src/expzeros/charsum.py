@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -144,13 +145,41 @@ def make_box(eq: ExpEquation, r: int | None = None) -> SearchBox:
     return SearchBox(perm, orders_sorted, r, card)
 
 
+def log_of(q: int, log_base: str) -> float:
+    """log q in the named base, "natural" or "base2"."""
+    if log_base == "natural":
+        return math.log(q)
+    if log_base == "base2":
+        return math.log2(q)
+    raise ValueError(f"unknown log base {log_base!r}")
+
+
+def box_radius(q: int, orders_sorted, log_base: str) -> float:
+    """The density radius q^n (prod_{l<n} s_l)^(-2) log q, unrounded.
+
+    orders_sorted is descending, so s_n is the smallest order.  The solver
+    takes its ceiling, the minimal-r corollary its floor + 1 and the thm3
+    model its floor.  Raises Overflow past 2^62.
+    """
+    logq = log_of(q, log_base)
+    prod = math.prod(orders_sorted[:-1])
+    big = Fraction(q ** len(orders_sorted), prod * prod)
+    try:
+        val = float(big) * logq
+    except OverflowError as exc:
+        raise Overflow(f"q^n/P^2 too large: {big}") from exc
+    if val > float(1 << 62):
+        raise Overflow(f"box radius {val:.3e} exceeds 2^62")
+    return val
+
+
 def sorted_terms(eq: ExpEquation, box: SearchBox
                  ) -> tuple[tuple[FieldElement, FieldElement], ...]:
     return tuple(eq.terms[i] for i in box.perm)
 
 
 # ---------------------------------------------------------------------------
-# character tables
+# additive characters
 
 
 def _digit_rows(packed: np.ndarray, p: int, nu: int) -> np.ndarray:
@@ -170,69 +199,29 @@ def _monomial_traces(spec: FieldSpec, count: int) -> list[int]:
     return out
 
 
-class FieldTables:
-    """Per-field caches: p-th roots of unity and the trace Hankel matrix.
-
-    For u with coefficients (u_0..u_{nu-1}) and mu with (m_0..m_{nu-1}),
-    Tr(mu u) = m . (H u) mod p where H[k][j] = Tr(X^{k+j}): trace is
-    F_p-linear, so one Hankel matrix of monomial traces covers every
-    product.  Row 0 holds the traces of the basis monomials.  Prime
-    fields have H = [[1]] (Tr is the identity).
-    """
-
-    __slots__ = ("p", "nu", "roots", "hankel")
-
-    def __init__(self, spec: FieldSpec):
-        self.p = spec.p
-        self.nu = spec.nu
-        self.roots = np.exp(2j * np.pi * np.arange(self.p) / self.p)
-        taus = _monomial_traces(spec, 2 * self.nu - 1)
-        self.hankel = np.array(
-            [[taus[k + j] for j in range(self.nu)]
-             for k in range(self.nu)], dtype=np.int64)
-
-    def traces(self, rows: np.ndarray) -> np.ndarray:
-        """Tr of each element given as a coefficient row."""
-        return (rows @ self.hankel[0]) % self.p
-
-
-_tables: dict[FieldSpec, FieldTables] = {}
-
-
-def tables_for(spec: FieldSpec) -> FieldTables:
-    """Cached FieldTables; refuses p beyond the root-table budget."""
-    if spec.p > DEFAULT_ENUM_CAP:
-        raise CapExceeded(
-            f"characteristic {spec.p} exceeds root-table cap")
-    tab = _tables.get(spec)
-    if tab is None:
-        tab = _tables[spec] = FieldTables(spec)
-    return tab
-
-
 def psi(u: FieldElement) -> complex:
     """Canonical additive character exp(2 pi i Tr(u) / p)."""
-    tr = u.trace()
-    p = u.spec.p
-    if p <= DEFAULT_ENUM_CAP:
-        return complex(tables_for(u.spec).roots[tr])
-    return cmath.exp(2j * cmath.pi * tr / p)
+    return cmath.exp(2j * cmath.pi * u.trace() / u.spec.p)
 
 
 def delta_indicator(u: FieldElement, cap: int = DEFAULT_ENUM_CAP) -> float:
-    """(1/q) sum_mu psi(u mu): 1.0 at u = 0, else 0.0 (to 1e-9)."""
+    """(1/q) sum_mu psi(u mu): 1.0 at u = 0, else 0.0 (to 1e-9).
+
+    For mu with coefficients m, Tr(mu u) = m . (H u) mod p where H[k][j] =
+    Tr(X^{k+j}): trace is F_p-linear, so one Hankel matrix of monomial
+    traces covers every product (H = [[1]] in a prime field).
+    """
     spec = u.spec
-    q = spec.cardinality
+    q, p, nu = spec.cardinality, spec.p, spec.nu
     if q > cap:
         raise CapExceeded(f"cardinality {q} exceeds cap {cap}")
-    tab = tables_for(spec)
-    if spec.nu == 1:
-        vals = np.arange(q, dtype=np.int64) * u.packed() % spec.p
-    else:
-        t_u = (tab.hankel @ np.array(u.coeffs, dtype=np.int64)) % spec.p
-        mus = _digit_rows(np.arange(q, dtype=np.int64), spec.p, spec.nu)
-        vals = (mus @ t_u) % spec.p
-    return float(tab.roots[vals].sum().real) / q
+    taus = _monomial_traces(spec, 2 * nu - 1)
+    hankel = np.array([[taus[k + j] for j in range(nu)] for k in range(nu)],
+                      dtype=np.int64)
+    t_u = (hankel @ np.array(u.coeffs, dtype=np.int64)) % p
+    mus = _digit_rows(np.arange(q, dtype=np.int64), p, nu)
+    vals = (mus @ t_u) % p
+    return float(np.exp(2j * np.pi * vals / p).sum().real) / q
 
 
 def _mul_matrix(g: FieldElement) -> list[list[int]]:
@@ -295,15 +284,11 @@ def gauss_partial_sum(a: FieldElement, mu: FieldElement, g: FieldElement,
         raise ZeroElement("gauss_partial_sum needs units")
     spec = a.spec
     rows = _power_walk(a * mu, g, limit)
-    if spec.p <= DEFAULT_ENUM_CAP:
-        tab = tables_for(spec)
-        return complex(tab.roots[tab.traces(rows)].sum())
-    # huge characteristic: no root table, exponentiate directly.  The
-    # trace products are exact in int64: Tr(1) = 1 when nu = 1, and
+    # The trace products are exact in int64: Tr(1) = 1 when nu = 1, and
     # q <= 2^62 gives nu (p-1)^2 < 2^63 when nu > 1.
     taus = np.array(_monomial_traces(spec, spec.nu), dtype=np.int64)
     tr = (rows @ taus) % spec.p
-    return complex(np.exp(2j * np.pi * (tr / spec.p)).sum())
+    return complex(np.exp(2j * np.pi * tr / spec.p).sum())
 
 
 # ---------------------------------------------------------------------------

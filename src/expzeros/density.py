@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import ExpEquation, SearchBox, spectral_counts
-from .errors import BadDelta, InvariantViolated, Overflow
+from .charsum import ExpEquation, SearchBox, box_radius, spectral_counts
+from .errors import BadDelta, InvariantViolated
 from .fields import DEFAULT_ENUM_CAP
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -152,16 +152,7 @@ def corollary_min_r(q: int, orders, log_base: str = "natural"
     orders = list(orders)
     if any(orders[i] < orders[i + 1] for i in range(len(orders) - 1)):
         raise ValueError("orders must be sorted descending")
-    n = len(orders)
-    logq = math.log(q) if log_base == "natural" else math.log2(q)
-    big = Fraction(q ** n, math.prod(orders[:-1]) ** 2)
-    try:
-        val = float(big) * logq
-    except OverflowError as exc:
-        raise Overflow(f"q^n/P^2 too large: {big}") from exc
-    if val > float(1 << 62):
-        raise Overflow(f"minimal r {val:.3e} exceeds 2^62")
-    r0 = math.floor(val) + 1
+    r0 = math.floor(box_radius(q, orders, log_base)) + 1
     return r0, r0 <= orders[-1]
 
 

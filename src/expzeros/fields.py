@@ -83,13 +83,16 @@ def _pmulmod(a, b, mod, p):
 
 
 def _ppowmod(a, e, mod, p):
+    """a^e reduced mod `mod` over F_p, by square-and-multiply: the one
+    exponentiation loop behind irreducibility tests and FieldElement."""
     result = [1]
     base = list(a)
     while e:
         if e & 1:
             result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
         e >>= 1
+        if e:
+            base = _pmulmod(base, base, mod, p)
     return result
 
 
@@ -353,16 +356,8 @@ class FieldElement:
         spec = self.spec
         if spec.nu == 1:
             return FieldElement(spec, (pow(self.coeffs[0], k, spec.p),))
-        if k == 0:
-            return spec.one()
-        result = spec.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        prod = _ppowmod(self.coeffs, k, spec.modulus, spec.p)
+        return FieldElement(spec, tuple(prod) + (0,) * (spec.nu - len(prod)))
 
     def trace(self) -> int:
         """Absolute trace to F_p: x + x^p + ... + x^(p^(nu-1))."""

@@ -29,12 +29,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import ExpEquation, brute_count, make_box
-from .density import corollary_min_r  # noqa: F401  (re-export for demos)
+from .charsum import ExpEquation, box_radius, brute_count, log_of, make_box
 from .errors import (BadCounts, CapExceeded, HypothesisFailed,
                      InvariantViolated)
 from .fields import DEFAULT_ENUM_CAP
-from .solver import build_box, log_of
+from .solver import build_box
 
 GROVER_SIM_CAP = 1 << 14
 BBHT_GROWTH = 6 / 5
@@ -321,16 +320,14 @@ def model_quantum_solve(eq: ExpEquation, mode: str,
     if mode != "thm3":
         raise ValueError(f"unknown mode {mode!r}; use thm2 or thm3")
 
-    perm = sorted(range(n), key=lambda i: (-eq.orders[i], i))
-    orders_sorted = [eq.orders[i] for i in perm]
+    orders_sorted = sorted(eq.orders, reverse=True)
     prod_front = math.prod(orders_sorted[:-1])
     hyp_lhs = prod_front * prod_front * orders_sorted[-1]
-    if not float(hyp_lhs) > q ** n * logq:
+    if not hyp_lhs > q ** n * logq:  # exact: hyp_lhs may overflow a float
         raise HypothesisFailed(
             "hypothesis (∏s)²sₙ > qⁿ log q failed: "
             f"{hyp_lhs} <= {q ** n * logq:.6g}")
-    r_raw = math.floor(float(Fraction(q ** n, prod_front * prod_front))
-                       * logq)
+    r_raw = math.floor(box_radius(q, orders_sorted, log_base))
     r = max(r_raw, 1)
     box = make_box(eq, r)
     limits = box.limits()

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import BsgsTable, QueryCounter
-from .charsum import (ExpEquation, SearchBox, _pack, _power_walk, make_box,
-                      sorted_terms)
-from .errors import CapExceeded, IndexOutOfRange, InvariantViolated, Overflow
-from .fields import RawOps, raw_ops
+from .arith import BsgsTable, QueryCounter, pow_cost
+from .charsum import (ExpEquation, SearchBox, _pack, _power_walk, box_radius,
+                      make_box, sorted_terms)
+from .errors import CapExceeded, IndexOutOfRange, InvariantViolated
+from .fields import raw_ops
 
 FOUND = "found"
 NO_SOLUTION_CERTIFIED = "no_solution_certified"
@@ -60,47 +59,12 @@ class SolutionReport:
         }
 
 
-def log_of(q: int, log_base: str) -> float:
-    if log_base == "natural":
-        return math.log(q)
-    if log_base == "base2":
-        return math.log2(q)
-    raise ValueError(f"unknown log base {log_base!r}")
-
-
 def build_box(eq: ExpEquation, log_base: str = "natural"
               ) -> tuple[SearchBox, int]:
     """Box from the ceiling formula; returns (box, unclamped r_raw)."""
-    perm = sorted(range(eq.n), key=lambda i: (-eq.orders[i], i))
-    orders_sorted = [eq.orders[i] for i in perm]
-    prod = math.prod(orders_sorted[:-1])
-    big = Fraction(eq.q ** eq.n, prod * prod)
-    try:
-        val = float(big) * log_of(eq.q, log_base)
-    except OverflowError as exc:
-        raise Overflow(f"q^n/P^2 too large: {big}") from exc
-    if val > float(1 << 62):
-        raise Overflow(f"box radius {val:.3e} exceeds 2^62")
-    r_raw = math.ceil(val)
+    orders_sorted = sorted(eq.orders, reverse=True)
+    r_raw = math.ceil(box_radius(eq.q, orders_sorted, log_base))
     return make_box(eq, min(r_raw, orders_sorted[-1])), r_raw
-
-
-def _counted_pow_packed(ops: RawOps, a: int, k: int, counter: QueryCounter,
-                        bucket: str) -> int:
-    """a^k on packed values; performed mults = popcount(k) + bitlen(k) - 1."""
-    result = 1  # packed one
-    base = a
-    n_mults = 0
-    while k:
-        if k & 1:
-            result = ops.mul(result, base)
-            n_mults += 1
-        k >>= 1
-        if k:
-            base = ops.mul(base, base)
-            n_mults += 1
-    counter.mults(n_mults, bucket)
-    return result
 
 
 class _SearchContext:
@@ -115,7 +79,7 @@ class _SearchContext:
         terms = sorted_terms(eq, box)
         a1, g1 = terms[0]
         self.s1 = box.orders_sorted[0]
-        self.g1 = g1
+        self.membership_cost = pow_cost(self.s1)
         self.a1_inv = a1.inverse().packed()
         counter.mults(1, "setup")  # inversion charged as one mult
         self.b = eq.b.packed()
@@ -134,7 +98,8 @@ class _SearchContext:
         counter.mults(1, "subroutine")
         if t == 0:
             return None
-        if _counted_pow_packed(ops, t, self.s1, counter, "membership") != 1:
+        counter.mults(self.membership_cost, "membership")
+        if ops.pow(t, self.s1) != 1:
             return None
         counter.dlog_calls += 1
         x1 = self.table.lookup(self.spec.from_packed(t), counter)

@@ -221,6 +221,17 @@ def test_qmodel_thm3_hypothesis_failure_exits_2():
     assert "hypothesis" in err
 
 
+def test_qmodel_thm3_huge_field_exits_1_like_solve():
+    # (prod s)^2 s_n overflows a float here; the hypothesis holds, and the
+    # box then fails make_box's size check, as it does for solve
+    args = ["--p", "2305843009213693951", "--n", "16", "--seed", "0"]
+    for argv in (["qmodel", *args, "--mode", "thm3"], ["solve", *args]):
+        rc, out, err = run(argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: box cardinality")
+        assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- exponents
 
 

@@ -290,6 +290,8 @@ def test_corollary_validates_and_overflows():
         corollary_min_r(7, (3, 6))
     with pytest.raises(Overflow):
         corollary_min_r(2147483647, (2, 2))
+    with pytest.raises(ValueError):
+        corollary_min_r(7, (6, 3), log_base="decimal")
     # large orders push r0 down to 1
     r0, fits = corollary_min_r(101, (100,) * 5)
     assert (r0, fits) == (1, True)

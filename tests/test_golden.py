@@ -50,6 +50,9 @@ CASES = {
                             "--b", "1"],
     "solve_f41_exhausted": ["solve", "--p", "41", "--terms", "2,36;3,36",
                             "--b", "0"],
+    "solve_f41_base2_certified": ["solve", "--p", "41", "--terms",
+                                  "2,36;3,36", "--b", "0", "--log-base",
+                                  "base2"],
     "solve_f13_n3": ["solve", "--p", "13", "--n", "3", "--seed", "2"],
     "solve_f101_n1": ["solve", "--p", "101", "--terms", "3,5", "--b", "7"],
     "solve_f3e4_found": ["solve", "--p", "3", "--nu", "4", "--terms",
@@ -69,6 +72,9 @@ CASES = {
                        "3", "--mode", "thm2", "--trials", "50"],
     "qmodel_f101_thm3": ["qmodel", "--p", "101", "--terms", "1,2;1,5",
                          "--b", "7", "--mode", "thm3", "--trials", "50"],
+    "qmodel_f101_thm3_base2": ["qmodel", "--p", "101", "--terms", "1,2;1,5",
+                               "--b", "7", "--mode", "thm3", "--trials",
+                               "50", "--log-base", "base2"],
     "qmodel_f3e4_thm2": ["qmodel", "--p", "3", "--nu", "4", "--terms",
                          "2,9;3,9", "--b", "1", "--mode", "thm2",
                          "--seed", "3", "--trials", "40"],

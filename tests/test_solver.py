@@ -13,16 +13,20 @@ from pathlib import Path
 import pytest
 
 from expzeros.arith import QueryCounter
-from expzeros.charsum import brute_count, make_box, make_equation
-from expzeros.density import sweep_b
-from expzeros.errors import CapExceeded, IndexOutOfRange, Overflow
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expzeros.charsum import brute_count, log_of, make_box, make_equation
+from expzeros.density import corollary_min_r
+from expzeros.errors import (CapExceeded, HypothesisFailed, IndexOutOfRange,
+                             Overflow)
 from expzeros.fields import make_field
+from expzeros.qmodel import model_quantum_solve
 from expzeros.solver import (
     BOX_EXHAUSTED,
     FOUND,
     NO_SOLUTION_CERTIFIED,
     build_box,
-    log_of,
     solve_classical,
     subroutine_S,
     verify_solution,
@@ -62,6 +66,33 @@ def test_build_box_overflow():
     eq = make_equation(spec, [(1, minus_one), (1, minus_one)], 1)
     with pytest.raises(Overflow):
         build_box(eq)
+
+
+RADIUS_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2),
+                 (2, 3), (3, 2), (5, 2), (7, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RADIUS_FIELDS), st.data(),
+       st.sampled_from(["natural", "base2"]))
+def test_radius_roundings_agree_across_paths(field, data, log_base):
+    # one radius v, three roundings: corollary floor(v) + 1, solver
+    # ceil(v), thm3 floor(v)
+    p, nu = field
+    q = p ** nu
+    terms = data.draw(st.lists(st.tuples(st.integers(1, q - 1),
+                                         st.integers(1, q - 1)),
+                               min_size=1, max_size=3))
+    eq = make_equation(make_field(p, nu), terms,
+                       data.draw(st.integers(0, q - 1)))
+    r0, _ = corollary_min_r(q, sorted(eq.orders, reverse=True), log_base)
+    _, r_raw = build_box(eq, log_base)
+    assert r0 - 1 <= r_raw <= r0
+    try:
+        rep = model_quantum_solve(eq, "thm3", log_base, sim_trials=1)
+    except HypothesisFailed:
+        return
+    assert rep.r_raw == r0 - 1
 
 
 # ---------------------------------------------------------------------------
