@@ -335,7 +335,10 @@ def _fft_error_bound(card: int, n: int, shape: tuple[int, ...]) -> float:
     card * n * (gamma + u) to first order.  The inverse transform,
     normalised by 1/size, averages those errors and adds gamma * card of
     its own.  While the bound is below ROUND_SLACK the first-order terms
-    dominate and FFT_ERR_CONST absorbs the rest.
+    dominate and FFT_ERR_CONST absorbs the rest.  The real-input transforms
+    compute the same coefficients (the other half are their conjugates)
+    in no more stages than a complex transform of the same shape, so the
+    bound covers them too.
     """
     levels = sum(math.ceil(math.log2(4 * m)) for m in shape)
     gamma = FFT_ERR_CONST * UNIT_ROUNDOFF * levels
@@ -346,22 +349,25 @@ def _fft_counts(hists: list[np.ndarray], p: int, nu: int,
                 card: int) -> np.ndarray | None:
     """Counts by floating-point FFT, or None unless certified exact.
 
-    The certificate: the a-priori bound is below ROUND_SLACK, and after
-    the transform every real part lies within ROUND_SLACK of an integer,
-    every imaginary part is below it, and the rounded values sum to card.
+    The histograms are real, so real-input transforms (rfftn, irfftn) do
+    the work on half the spectrum.  The certificate: the a-priori bound is
+    below ROUND_SLACK, and after the transform every real part lies within
+    ROUND_SLACK of an integer, every imaginary part (if the result has
+    any) is below it, and the rounded values sum to card.
     """
     shape = _transform_shape(p, nu, len(hists))
     if _fft_error_bound(card, len(hists), shape) >= ROUND_SLACK:
         return None
     axes = tuple(range(len(shape)))
-    spectrum = np.ones(shape, dtype=np.complex128)
-    for h in hists:
-        spectrum *= np.fft.fftn(h.reshape((p,) * nu), s=shape, axes=axes)
-    raw = np.fft.ifftn(spectrum, axes=axes).reshape(-1)
+    spectrum = np.fft.rfftn(hists[0].reshape((p,) * nu), s=shape, axes=axes)
+    for h in hists[1:]:
+        spectrum *= np.fft.rfftn(h.reshape((p,) * nu), s=shape, axes=axes)
+    raw = np.fft.irfftn(spectrum, s=shape, axes=axes).reshape(-1)
     counts = np.rint(raw.real)
     # written so that a NaN fails it
     if not (np.abs(raw.real - counts).max() < ROUND_SLACK
-            and np.abs(raw.imag).max() < ROUND_SLACK):
+            and (not np.iscomplexobj(raw)
+                 or np.abs(raw.imag).max() < ROUND_SLACK)):
         return None
     counts = counts.astype(np.int64)
     if int(counts.sum()) != card:

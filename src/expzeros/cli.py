@@ -37,7 +37,7 @@ from .solver import solve_classical
 CONFIG_KEYS = {
     "p", "nu", "terms", "b", "n", "seed", "delta", "log_base", "mode",
     "out", "format", "n_max", "r", "qs", "ns", "workers", "trials",
-    "slack_exponent", "enum_cap", "samples",
+    "slack_exponent", "samples",
 }
 
 CAP_ERRORS = (errors.CapExceeded, errors.MemoryCap, errors.HypothesisFailed)
@@ -213,6 +213,37 @@ def resolve_equation(cfg: dict):
     return random_equation(spec, n, rng), True
 
 
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte.
+
+    With indent set, the stdlib runs its pure-Python encoder on every
+    value.  Here a list of plain ints (a per-b counts list) is one repr
+    and one replace, and every other scalar goes through the C encoder.
+    Keys must be str.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        lines = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON keys must be str, got {key!r}")
+            lines.append(f"{inner}{json.dumps(key)}: "
+                         f"{_json_text(item, inner)}")
+        return "{\n" + ",\n".join(lines) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = repr(list(value))[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join(_json_text(item, inner)
+                                        for item in value)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def emit(cfg: dict, text_lines, doc: dict | None = None,
          csv_rows: list | None = None, csv_text: str | None = None) -> None:
     """Write text, json, or csv per cfg to --out or stdout."""
@@ -220,7 +251,7 @@ def emit(cfg: dict, text_lines, doc: dict | None = None,
     if fmt == "json":
         if doc is None:
             raise ConfigError("no json form for this command")
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = _json_text(doc) + "\n"
     elif fmt == "csv":
         if csv_text is not None:
             payload = csv_text

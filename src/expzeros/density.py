@@ -67,7 +67,11 @@ def sweep_b(eq: ExpEquation, box: SearchBox,
     counts = spectral_counts(eq, box, cap)
     q = eq.q
     main = Fraction(box.card, q)
-    ssq = sum(c * c for c in counts.tolist())
+    # sum c^2 <= max(c) * sum c = max(c) * card, so int64 is exact below
+    if int(counts.max()) * box.card < 1 << 63:
+        ssq = int(counts @ counts)
+    else:
+        ssq = sum(c * c for c in counts.tolist())
     energy = Fraction(q * ssq - box.card * box.card, q)
     return DensityReport(eq, box, counts, main, energy)
 

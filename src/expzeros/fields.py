@@ -21,6 +21,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     FieldTooLarge,
+    InvariantViolated,
     NotPrime,
 )
 
@@ -369,7 +370,8 @@ class FieldElement:
         for _ in range(spec.nu - 1):
             y = y ** spec.p
             acc = acc + y
-        assert all(c == 0 for c in acc.coeffs[1:]), "trace left F_p"
+        if any(acc.coeffs[1:]):
+            raise InvariantViolated(f"trace {acc!r} left F_p")
         return acc.coeffs[0]
 
 

@@ -13,6 +13,7 @@ import random
 
 from .arith import Factorization, factorize, multiplicative_order
 from .charsum import ExpEquation, make_equation
+from .errors import InvariantViolated
 from .fields import FieldElement, FieldSpec
 
 
@@ -73,5 +74,7 @@ def random_equation_with_orders(spec: FieldSpec, orders, rng: random.Random,
     if b is None:
         b = spec.from_packed(rng.randrange(spec.cardinality))
     eq = make_equation(spec, terms, b)
-    assert sorted(eq.orders) == sorted(orders)
+    if sorted(eq.orders) != sorted(orders):
+        raise InvariantViolated(
+            f"drew orders {eq.orders}, asked for {tuple(orders)}")
     return eq

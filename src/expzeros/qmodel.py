@@ -163,7 +163,9 @@ def exponent_row(n: int) -> ExponentRow:
     classical = classical_exponent(n)
     quantum = quantum_exponent(n)
     ratio = Fraction(2 * n - 1, n - 1)
-    assert ratio == classical / quantum
+    if ratio != classical / quantum:
+        raise InvariantViolated(
+            f"ratio {ratio} != {classical} / {quantum} at n = {n}")
     return ExponentRow(n, classical, classical_stated_exponent(n),
                        quantum, ratio)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .arith import QueryCounter, bsgs_dlog, divisor_count, factorize
 from .charsum import ExpEquation
-from .errors import CapExceeded, OrderMismatch
+from .errors import CapExceeded, InvariantViolated, OrderMismatch
 from .fields import FieldElement, FieldSpec
 from .instances import random_equation
 
@@ -37,11 +37,14 @@ def relate_same_order(g1: FieldElement, g2: FieldElement, s: int,
         if not _verify_order(g, s):
             raise OrderMismatch(f"{g!r} does not have order {s}")
     l = bsgs_dlog(g1, s, g2, counter)
-    assert l is not None, "same order implies same cyclic subgroup"
+    if l is None:
+        raise InvariantViolated(
+            f"no l with g1^l = g2, though both have order {s}")
     if l == 0:
         l = 1  # only when s = 1, where g1 = g2 = one and any l works
-    assert math.gcd(l, s) == 1
-    assert g1 ** l == g2
+    if math.gcd(l, s) != 1 or g1 ** l != g2:
+        raise InvariantViolated(
+            f"l = {l} is not a unit mod {s} taking g1 to g2")
     return l
 
 
@@ -90,7 +93,9 @@ def reduce_equation(eq: ExpEquation,
         groups.append(OrderGroup(s, rep, members, relations))
     mu = len(groups)
     d_bound = divisor_count(eq.q - 1)
-    assert mu <= d_bound, "more distinct orders than divisors of q-1"
+    if mu > d_bound:
+        raise InvariantViolated(
+            f"{mu} distinct orders but q-1 has only {d_bound} divisors")
     return ReducedEquation(eq, tuple(groups), mu, d_bound)
 
 
@@ -124,5 +129,7 @@ def mu_bound_report(spec: FieldSpec, samples: int = 100, n: int = 4,
         mus.append(len(set(eq.orders)))
     d_bound = divisor_count(q - 1)
     max_mu = max(mus)
-    assert max_mu <= d_bound
+    if max_mu > d_bound:
+        raise InvariantViolated(
+            f"{max_mu} distinct orders but q-1 has only {d_bound} divisors")
     return MuBoundReport(q, d_bound, tuple(mus), max_mu, n, samples, seed)

@@ -358,10 +358,15 @@ def test_criterion_11_exponent_table():
               and row2.ratio == 3 and row3.classical_exp == Fraction(3, 2)
               and row3.quantum_exp == Fraction(3, 5)
               and row3.ratio == Fraction(5, 2))
+    # ratio - 2 = 1/(n-1) with ratio = (c/d) / (u/v), cross-multiplied
+    # into integers (d, u, v > 0 and n >= 2)
     identity_bad = 0
-    for n in range(2, 10 ** 6 + 1):
-        ratio = qmodel.classical_exponent(n) / qmodel.quantum_exponent(n)
-        if ratio - 2 != Fraction(1, n - 1):
+    ns = range(2, 10 ** 6 + 1)
+    for n, cl, qu in zip(ns, map(qmodel.classical_exponent, ns),
+                         map(qmodel.quantum_exponent, ns)):
+        c, d = cl.numerator, cl.denominator
+        u, v = qu.numerator, qu.denominator
+        if u <= 0 or (c * v - 2 * d * u) * (n - 1) != d * u:
             identity_bad += 1
     # row construction cross-checks ratio == classical/quantum internally
     for n in range(2, 10 ** 4 + 1):

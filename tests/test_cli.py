@@ -11,6 +11,8 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expzeros import cli
 from expzeros import density as density_mod
@@ -285,6 +287,48 @@ def test_config_unknown_key_exits_1(tmp_path):
     rc, out, err = run(["count", "--config", str(path)])
     assert rc == 1 and out == ""
     assert f"{path}:2" in err and "bogus" in err
+
+
+def test_config_enum_cap_is_an_unknown_key(tmp_path):
+    # qmodel never read it; like card_cap before it, naming it is an error
+    path = tmp_path / "old.cfg"
+    path.write_text("p = 7\nterms = 1,3;1,2\nb = 3\nenum_cap = 100\n")
+    rc, out, err = run(["qmodel", "--config", str(path)])
+    assert rc == 1 and out == ""
+    assert f"{path}:4: unknown key 'enum_cap'" in err
+
+
+# ------------------------------------------------------------- json writer
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(1 << 64, 1 << 200), st.integers(-(1 << 200), -(1 << 64)),
+    st.floats(), st.sampled_from([float("nan"), float("inf"),
+                                  float("-inf"), -0.0, 5e-324, 1e-310]),
+    st.text())
+JSON_DOCS = st.recursive(
+    JSON_SCALARS | st.lists(st.integers()) | st.lists(st.booleans())
+    | st.lists(st.one_of(st.booleans(), st.integers())),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_DOCS)
+@example({})
+@example({"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": {"f": []}}})
+@example({"flags": [True, False], "mixed": [1, True, 0, False], "t": (1, 2)})
+@example([[-1, 2 ** 64 + 1, -2 ** 70], {"ü": "∞", "\x00": "\ud800"}])
+def test_json_writer_matches_stdlib_indent_2(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_rejects_non_str_keys():
+    with pytest.raises(TypeError):
+        cli._json_text({"ok": {1: 2}})
 
 
 # ----------------------------------------------------------- error handling

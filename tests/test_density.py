@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expzeros import charsum
+from expzeros import charsum, density
 from expzeros.charsum import SearchBox, brute_count, make_box, make_equation
 from expzeros.density import (
     CensusResult,
@@ -127,6 +127,19 @@ def test_sweep_caps(monkeypatch):
     assert energy_bound_check(rep)[0]
     monkeypatch.setattr(charsum, "_fft_counts", lambda *args: None)
     assert sweep_b(eq, box).counts.tolist() == rep.counts.tolist()
+
+
+@pytest.mark.parametrize("big", [1 << 30, 1 << 32])
+def test_sweep_energy_exact_on_both_sides_of_int64_guard(monkeypatch, big):
+    # planted counts: max * card < 2^63 takes the int64 dot product; at
+    # 2^32, sum c^2 = 2^65 + 26 would wrap in int64 and must not
+    eq = make_equation(make_field(7), [(1, 3), (1, 2)], 0)
+    counts = np.array([big, big, 0, 1, 0, 0, 5], dtype=np.int64)
+    card = int(counts.sum())
+    monkeypatch.setattr(density, "spectral_counts", lambda *args: counts)
+    rep = sweep_b(eq, dataclasses.replace(make_box(eq), card=card))
+    main = Fraction(card, 7)
+    assert rep.energy == sum((Fraction(int(c)) - main) ** 2 for c in counts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Each case runs `expzeros.cli.main(argv + ["--format", "json"])` in process
 and compares stdout with tests/golden/<name>.json.  The corpus covers
-count, density, solve and qmodel over prime and extension fields, and all
-three solve statuses, so a refactor that changes a count, a census, a
+every subcommand over prime and extension fields, and all three solve
+statuses, so a refactor that changes a count, a census, a
 solution or a QueryCounter ledger shows up here.
 
 Regenerate (only when an output change is intended) with
@@ -81,6 +81,14 @@ CASES = {
     "qmodel_f2e8_thm3": ["qmodel", "--p", "2", "--nu", "8", "--terms",
                          "1,3;2,5", "--b", "9", "--mode", "thm3",
                          "--trials", "40"],
+    # the other subcommands, a float-valued bench row and a long counts list
+    "orders_f101_n3": ["orders", "--p", "101", "--n", "3", "--seed", "1"],
+    "exponents_n4": ["exponents", "--n-max", "4"],
+    "reduce_f101_samples": ["reduce", "--p", "101", "--n", "4", "--seed",
+                            "2", "--samples", "3"],
+    "bench_f101_n2": ["bench", "--qs", "101", "--ns", "2", "--workers", "1"],
+    "density_f1031_r3": ["density", "--p", "1031", "--n", "2", "--seed", "1",
+                         "--r", "3", "--delta", "0.5"],
 }
 
 

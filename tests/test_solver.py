@@ -395,7 +395,7 @@ import random
 import sys
 import numpy as np
 assert False, "assertions are on; this script must run under python -O"
-from expzeros import arith, cli, errors, qmodel, solver
+from expzeros import arith, cli, errors, qmodel, reduction, solver
 
 FOUND_ARGS = ["solve", "--p", "257", "--terms", "1,9;1,136", "--b", "136"]
 
@@ -415,6 +415,11 @@ try:
     qmodel.bbht_expected_queries(16, 1, 1)
 except errors.InvariantViolated:
     print("bbht held")
+
+# two terms of one order whose relation the discrete log cannot find
+reduction.bsgs_dlog = lambda *args: None
+print("reduce", cli.main(["reduce", "--p", "101", "--terms", "1,2;3,2",
+                          "--b", "0"]))
 """
 
 
@@ -426,7 +431,8 @@ def test_solver_invariants_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", INVARIANT_SCRIPT],
                           capture_output=True, text=True, env=env,
                           timeout=120)
-    assert proc.stdout.splitlines() == ["walk 3", "lookup 3", "bbht held"], \
-        proc.stderr
+    assert proc.stdout.splitlines() == ["walk 3", "lookup 3", "bbht held",
+                                        "reduce 3"], proc.stderr
     assert "which is no zero" in proc.stderr
     assert "membership passed but dlog missed" in proc.stderr
+    assert "no l with g1^l = g2, though both have order 100" in proc.stderr

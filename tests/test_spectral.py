@@ -118,9 +118,9 @@ def test_certificate_rejects_bad_transform_and_falls_back(monkeypatch,
     want = spectral_counts(eq, box)
     assert charsum._fft_counts(hists, 101, 1, box.card).tolist() \
         == want.tolist()
-    ifftn = np.fft.ifftn
-    monkeypatch.setattr(np.fft, "ifftn",
-                        lambda *args, **kw: corrupt(ifftn(*args, **kw)))
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn",
+                        lambda *args, **kw: corrupt(irfftn(*args, **kw)))
     assert charsum._fft_counts(hists, 101, 1, box.card) is None
     assert spectral_counts(eq, box).tolist() == want.tolist()
 
