@@ -25,6 +25,7 @@ exact integers; `brute_count` is the independent exhaustive oracle.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,8 @@ import numpy as np
 from .arith import factorize, multiplicative_order
 from .errors import (CapExceeded, FieldMismatch, InvariantViolated, Overflow,
                      ZeroElement)
-from .fields import DEFAULT_ENUM_CAP, FieldElement, FieldSpec
+from .fields import (DEFAULT_ENUM_CAP, FieldElement, FieldSpec, _pack,
+                     _power_walk)
 
 TERM_CAP = 16
 LIST_CAP = 1 << 16
@@ -182,12 +184,6 @@ def sorted_terms(eq: ExpEquation, box: SearchBox
 # additive characters
 
 
-def _digit_rows(packed: np.ndarray, p: int, nu: int) -> np.ndarray:
-    """Base-p digit matrix (c_0 .. c_{nu-1}), one row per packed value."""
-    powers = p ** np.arange(nu, dtype=np.int64)
-    return (packed[:, None] // powers[None, :]) % p
-
-
 def _monomial_traces(spec: FieldSpec, count: int) -> list[int]:
     """Tr(X^k) for k = 0..count-1 (X = 0 in a prime field)."""
     x = spec.element([0, 1]) if spec.nu > 1 else spec.zero()
@@ -219,60 +215,11 @@ def delta_indicator(u: FieldElement, cap: int = DEFAULT_ENUM_CAP) -> float:
     hankel = np.array([[taus[k + j] for j in range(nu)] for k in range(nu)],
                       dtype=np.int64)
     t_u = (hankel @ np.array(u.coeffs, dtype=np.int64)) % p
-    mus = _digit_rows(np.arange(q, dtype=np.int64), p, nu)
+    # the base-p digit rows (c_0 .. c_{nu-1}) of every mu, in packed order
+    powers = p ** np.arange(nu, dtype=np.int64)
+    mus = (np.arange(q, dtype=np.int64)[:, None] // powers) % p
     vals = (mus @ t_u) % p
     return float(np.exp(2j * np.pi * vals / p).sum().real) / q
-
-
-def _mul_matrix(g: FieldElement) -> list[list[int]]:
-    """The F_p-matrix M of multiplication by g on coefficient rows.
-
-    Row k holds the coefficients of X^k g, so c @ M mod p is the row of
-    u g for u with row c.  Each row is the one before times X: shift up
-    one degree, then replace X^nu by -(f_0 + ... + f_{nu-1} X^{nu-1})
-    (the companion matrix of the modulus f).  O(nu^2) integer work.
-    """
-    spec = g.spec
-    p = spec.p
-    reduce_top = [-c % p for c in spec.modulus[:-1]]
-    row = list(g.coeffs)
-    out = [row]
-    for _ in range(spec.nu - 1):
-        row = [(low + row[-1] * f) % p
-               for low, f in zip([0] + row[:-1], reduce_top)]
-        out.append(row)
-    return out
-
-
-def _power_walk(a: FieldElement, g: FieldElement, limit: int) -> np.ndarray:
-    """Coefficient rows of a * g^x for x = 0..limit-1, shape (limit, nu).
-
-    Doubling with the multiplication matrix: once the rows for x < k are
-    known, rows @ M_g^k mod p gives those for k <= x < 2k, and M_g^k is
-    squared for the next round.  That is log2(limit) matrix products and
-    no field multiplication per step.  Products are exact in int64 while
-    nu (p-1)^2 < 2^63; huge prime fields run the same code on Python ints
-    (numpy object arrays).  The rows are returned as int64 (entries < p).
-    """
-    spec = a.spec
-    p, nu = spec.p, spec.nu
-    dtype = np.int64 if nu * (p - 1) ** 2 < 1 << 63 else object
-    rows = np.empty((limit, nu), dtype=dtype)
-    rows[0] = a.coeffs
-    step = np.array(_mul_matrix(g), dtype=dtype)
-    done = 1
-    while done < limit:
-        more = min(done, limit - done)
-        rows[done:done + more] = rows[:more] @ step % p
-        done += more
-        if done < limit:
-            step = step @ step % p
-    return rows.astype(np.int64, copy=False)
-
-
-def _pack(rows: np.ndarray, p: int) -> np.ndarray:
-    """Packed values sum_i c_i p^i of coefficient rows."""
-    return rows @ p ** np.arange(rows.shape[1], dtype=np.int64)
 
 
 def gauss_partial_sum(a: FieldElement, mu: FieldElement, g: FieldElement,
@@ -295,74 +242,159 @@ def gauss_partial_sum(a: FieldElement, mu: FieldElement, g: FieldElement,
 # the spectral counting engine
 #
 # A histogram h_j(v) = #{x < limit_j : a_j g_j^x = v}, stored in packed order
-# and reshaped to (p,)*nu, has coefficient c_i of v on its own axis, so
-# numpy's n-dimensional FFT is the Fourier transform on (Z/p)^nu.  Its
-# characters exp(2 pi i m.c / p) differ from psi(mu u) only by the
-# invertible Hankel change of variables mu -> m, which a count never sees:
-# the inverse transform of prod_j FFT(h_j) is N_{f_b}(r) for every b.
+# and reshaped to (p,)*nu, has coefficient c_i of v on its own axis, so a
+# Fourier transform along every axis is the Fourier transform on
+# (Z/p)^nu.  Its characters exp(2 pi i m.c / p) differ from psi(mu u) only
+# by the invertible Hankel change of variables mu -> m, which a count never
+# sees: the inverse transform of prod_j FT(h_j) is N_{f_b}(r) for every b.
+# Small p transform each axis by one product with the p x p character
+# matrix; larger p, and boxes too large for that route's error bound, use
+# numpy's FFT.
 
 UNIT_ROUNDOFF = 2.0 ** -53
 FFT_ERR_CONST = 8  # rounding growth per butterfly stage, in units of u
+DENSE_ERR_CONST = 8  # rounded matrix entry and complex product, in units of u
 ROUND_SLACK = 0.25  # largest certified distance from an integer
 PAD_LIMIT = 8  # zero-pad a prime axis only up to this many times p
+# Largest p whose axes go through the character matrix.  At the measured
+# crossover (nu = 1, 2; n = 1..4) the matrix products beat numpy's FFT up
+# to p = 127, tie between 131 and 193 and lose from 211 on.
+MATRIX_MAX_P = 127
+
+
+def _smooth_length(m: int) -> int:
+    """The least 5-smooth integer 2^i 3^j 5^k >= m (m >= 1)."""
+    best = 1 << (m - 1).bit_length()
+    three = 1
+    while three < best:
+        odd = three
+        while odd < best:
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 5
+        three *= 3
+    return best
 
 
 def _transform_shape(p: int, nu: int, n: int) -> tuple[int, ...]:
-    """The grid the convolution runs on.
+    """The grid numpy's FFT runs the convolution on.
 
-    numpy computes a prime-length transform by Bluestein's algorithm,
-    several times slower than a power of two.  So a prime field's n
-    histograms are zero-padded to a power of two L >= n(p-1)+1, where the
-    cyclic convolution equals the linear one, to be folded mod p after.
-    Padding stops at PAD_LIMIT * p (many terms), keeping memory O(n q).
+    A prime-length FFT runs Bluestein's algorithm, several times slower
+    than a 5-smooth length.  So a prime field's n histograms are
+    zero-padded to the least 5-smooth L >= n(p-1)+1, where the cyclic
+    convolution equals the linear one, to be folded mod p after.  Padding
+    stops at PAD_LIMIT * p (many terms), keeping memory O(n q).
     """
     if nu == 1:
-        length = 1 << (n * (p - 1)).bit_length()
+        length = _smooth_length(n * (p - 1) + 1)
         if length <= PAD_LIMIT * p:
             return (length,)
     return (p,) * nu
 
 
-def _fft_error_bound(card: int, n: int, shape: tuple[int, ...]) -> float:
+def _fft_error_bound(card: int, n: int, shape: tuple[int, ...],
+                     dense: bool = False) -> float:
     """A-priori bound on |computed - exact| for every transform entry.
 
     Histogram h_j has L1 mass limit_j, so each of its transform
-    coefficients has modulus <= limit_j, and a transform of `levels`
-    butterfly stages computes it to within gamma * limit_j, gamma =
-    FFT_ERR_CONST * u * levels.  An axis of length m counts log2(4m)
-    stages, which covers Bluestein's padded length below 4m.  The product
-    of the n coefficients, of modulus <= card, is then off by at most
-    card * n * (gamma + u) to first order.  The inverse transform,
+    coefficients has modulus <= limit_j, and the forward transform
+    computes it to within gamma * limit_j, gamma = u times the sum over
+    the axes of:
+
+    - FFT axis of length m: FFT_ERR_CONST * ceil(log2(4m)).  That counts
+      the butterfly stages, and 4m covers Bluestein's padded length.
+    - Dense axis (`dense`, the character matrix) of length m:
+      m + DENSE_ERR_CONST.  Each output is a sum of m products F_jk x_k
+      with |F_jk| = 1.  Summed in any order, it is off by at most
+      (m - 1) u sum_k |x_k| to first order.  The rounded entry
+      exp(-2 pi i jk/p) and the complex product add a few u per term,
+      which DENSE_ERR_CONST covers.  Here x_k is h_j summed over the axes
+      already transformed, with unit weights, so sum_k |x_k| is at most
+      the mass of h_j over the coordinates the entry depends on, never
+      more than limit_j.  The error left by earlier axes passes through F
+      with the same unit weights and sums the same way, so the per-axis
+      terms add.
+
+    The product of the n coefficients, of modulus <= card, is then off by
+    at most card * n * (gamma + u) to first order.  The inverse transform,
     normalised by 1/size, averages those errors and adds gamma * card of
     its own.  While the bound is below ROUND_SLACK the first-order terms
-    dominate and FFT_ERR_CONST absorbs the rest.  The real-input transforms
+    dominate and the constants absorb the rest.  The real-input FFTs
     compute the same coefficients (the other half are their conjugates)
     in no more stages than a complex transform of the same shape, so the
     bound covers them too.
     """
-    levels = sum(math.ceil(math.log2(4 * m)) for m in shape)
-    gamma = FFT_ERR_CONST * UNIT_ROUNDOFF * levels
+    if dense:
+        per_axes = sum(m + DENSE_ERR_CONST for m in shape)
+    else:
+        per_axes = FFT_ERR_CONST * sum(math.ceil(math.log2(4 * m))
+                                       for m in shape)
+    gamma = UNIT_ROUNDOFF * per_axes
     return card * ((n + 1) * gamma + n * UNIT_ROUNDOFF)
+
+
+@functools.cache
+def _char_matrices(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p x p character matrix exp(-2 pi i (jk mod p) / p) and its
+    inverse, the conjugate over p.  Only p <= MATRIX_MAX_P are built: all
+    31 such pairs together hold 4.4 MB."""
+    k = np.arange(p)
+    fwd = np.exp(-2j * np.pi * (np.outer(k, k) % p) / p)
+    return fwd, fwd.conj() / p
+
+
+def _matrix_transform(x: np.ndarray, mat: np.ndarray, p: int,
+                      nu: int) -> np.ndarray:
+    """mat applied along every axis of x (complex, packed order).
+
+    Each product transforms the leading axis of the contiguous (p, q/p)
+    view, and the transpose moves that axis last; after nu products the
+    axes are back in packed order.  Both operands are complex, which keeps
+    the product on BLAS (a mixed real/complex @ is about 200x slower).
+    """
+    for _ in range(nu):
+        x = (mat @ x.reshape(p, -1)).T.copy()
+    return x.reshape(-1)
+
+
+def _matrix_convolve(hists: list[np.ndarray], p: int, nu: int) -> np.ndarray:
+    """The cyclic convolution of the histograms on (Z/p)^nu, as the
+    complex result of the character-matrix transforms."""
+    fwd, inv = _char_matrices(p)
+    spectrum = _matrix_transform(hists[0].astype(np.complex128), fwd, p, nu)
+    for h in hists[1:]:
+        spectrum *= _matrix_transform(h.astype(np.complex128), fwd, p, nu)
+    return _matrix_transform(spectrum, inv, p, nu)
 
 
 def _fft_counts(hists: list[np.ndarray], p: int, nu: int,
                 card: int) -> np.ndarray | None:
-    """Counts by floating-point FFT, or None unless certified exact.
+    """Counts by floating-point transform, or None unless certified exact.
 
-    The histograms are real, so real-input transforms (rfftn, irfftn) do
-    the work on half the spectrum.  The certificate: the a-priori bound is
-    below ROUND_SLACK, and after the transform every real part lies within
+    Up to MATRIX_MAX_P the character matrix transforms complex data
+    (`_matrix_convolve`).  Above it, or when the dense sums' looser error
+    bound cannot certify the box, the histograms, being real, go through
+    real-input FFTs (rfftn, irfftn) on half the spectrum: on the padded
+    grid, or on the unpadded one, whose fewer butterfly stages certify
+    larger boxes.  The certificate: the a-priori bound is below
+    ROUND_SLACK, and after the transform every real part lies within
     ROUND_SLACK of an integer, every imaginary part (if the result has
     any) is below it, and the rounded values sum to card.
     """
-    shape = _transform_shape(p, nu, len(hists))
-    if _fft_error_bound(card, len(hists), shape) >= ROUND_SLACK:
-        return None
-    axes = tuple(range(len(shape)))
-    spectrum = np.fft.rfftn(hists[0].reshape((p,) * nu), s=shape, axes=axes)
-    for h in hists[1:]:
-        spectrum *= np.fft.rfftn(h.reshape((p,) * nu), s=shape, axes=axes)
-    raw = np.fft.irfftn(spectrum, s=shape, axes=axes).reshape(-1)
+    n, grid = len(hists), (p,) * nu
+    if (p <= MATRIX_MAX_P
+            and _fft_error_bound(card, n, grid, dense=True) < ROUND_SLACK):
+        raw = _matrix_convolve(hists, p, nu)
+    else:
+        shape = _transform_shape(p, nu, n)
+        if _fft_error_bound(card, n, shape) >= ROUND_SLACK:
+            shape = grid
+        if _fft_error_bound(card, n, shape) >= ROUND_SLACK:
+            return None
+        axes = tuple(range(len(shape)))
+        spectrum = np.fft.rfftn(hists[0].reshape(grid), s=shape, axes=axes)
+        for h in hists[1:]:
+            spectrum *= np.fft.rfftn(h.reshape(grid), s=shape, axes=axes)
+        raw = np.fft.irfftn(spectrum, s=shape, axes=axes).reshape(-1)
     counts = np.rint(raw.real)
     # written so that a NaN fails it
     if not (np.abs(raw.real - counts).max() < ROUND_SLACK
@@ -379,19 +411,35 @@ def _fft_counts(hists: list[np.ndarray], p: int, nu: int,
     return counts
 
 
+# int64 adds the exact fallback may spend: about 10 s at the slowest
+# measured rate (39 ns an add over (Z/2)^12), 2-5 ns an add in prime fields
+EXACT_WORK_CAP = 1 << 28
+
+
 def _exact_counts(hists: list[np.ndarray], p: int, nu: int) -> np.ndarray:
     """Counts by integer shift-and-add over (Z/p)^nu.
 
-    For each value v a walk takes, add h_j[v] times the running
-    convolution rolled by v: q * (sum of the walk lengths) int64 adds.
+    For each value v a walk after the first takes, add h_j[v] times the
+    running convolution rolled by v, one axis at a time (numpy's roll over
+    k axes at once copies 2^k blocks): q int64 adds per such value.
+    Raises CapExceeded, before any of it, when those adds pass
+    EXACT_WORK_CAP.
     """
     grid = (p,) * nu
-    axes = tuple(range(nu))
+    values = [np.flatnonzero(h) for h in hists[1:]]
+    work = p ** nu * sum(len(v) for v in values)
+    if work > EXACT_WORK_CAP:
+        raise CapExceeded(f"exact convolution of {work} adds exceeds cap "
+                          f"{EXACT_WORK_CAP}")
     acc = hists[0].reshape(grid)
-    for h in hists[1:]:
+    for h, vs in zip(hists[1:], values):
         out = np.zeros(grid, dtype=np.int64)
-        for v in np.flatnonzero(h):
-            out += h[v] * np.roll(acc, np.unravel_index(v, grid), axis=axes)
+        for v in vs:
+            rolled = acc
+            for axis, shift in enumerate(np.unravel_index(v, grid)):
+                if shift:
+                    rolled = np.roll(rolled, shift, axis=axis)
+            out += h[v] * rolled
         acc = out
     return acc.reshape(-1)
 
@@ -400,8 +448,9 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
                     cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """N_{f_b}(r) for every b, as int64 indexed by packed b (eq.b ignored).
 
-    Uses the floating-point FFT when its rounding is certified and exact
-    integer shift-and-add otherwise.  Memory is O(n q) whatever the box.
+    Uses the floating-point transform when its rounding is certified and
+    exact integer shift-and-add otherwise (CapExceeded past its work cap).
+    Memory is O(n q) whatever the box.
     """
     spec = eq.spec
     q, p, nu = spec.cardinality, spec.p, spec.nu

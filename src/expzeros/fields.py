@@ -8,13 +8,18 @@ sum_i c_i p^i (low coefficients first).  Prime fields (nu = 1) use the
 modulus X, so elements are just residues mod p.
 
 The packed integer encoding sum_i c_i p^i is the wire format used by the
-CLI and by the fast table-based routines in charsum/density.
+CLI and by the fast table-based routines in charsum/density.  Those get
+their runs of powers a g^x from `_power_walk`, which computes them as
+coefficient rows with numpy matrix products instead of one FieldElement
+multiplication per step.
 """
 
 from __future__ import annotations
 
 import functools
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -423,3 +428,58 @@ class RawOps:
 
 def raw_ops(spec: FieldSpec) -> RawOps:
     return RawOps(spec)
+
+
+# ---------------------------------------------------------------------------
+# vectorized power walks
+
+
+def _mul_matrix(g: FieldElement) -> list[list[int]]:
+    """The F_p-matrix M of multiplication by g on coefficient rows.
+
+    Row k holds the coefficients of X^k g, so c @ M mod p is the row of
+    u g for u with row c.  Each row is the one before times X: shift up
+    one degree, then replace X^nu by -(f_0 + ... + f_{nu-1} X^{nu-1})
+    (the companion matrix of the modulus f).  O(nu^2) integer work.
+    """
+    spec = g.spec
+    p = spec.p
+    reduce_top = [-c % p for c in spec.modulus[:-1]]
+    row = list(g.coeffs)
+    out = [row]
+    for _ in range(spec.nu - 1):
+        row = [(low + row[-1] * f) % p
+               for low, f in zip([0] + row[:-1], reduce_top)]
+        out.append(row)
+    return out
+
+
+def _power_walk(a: FieldElement, g: FieldElement, limit: int) -> np.ndarray:
+    """Coefficient rows of a * g^x for x = 0..limit-1, shape (limit, nu).
+
+    Doubling with the multiplication matrix: once the rows for x < k are
+    known, rows @ M_g^k mod p gives those for k <= x < 2k, and M_g^k is
+    squared for the next round.  That is log2(limit) matrix products and
+    no field multiplication per step.  Products are exact in int64 while
+    nu (p-1)^2 < 2^63; huge prime fields run the same code on Python ints
+    (numpy object arrays).  The rows are returned as int64 (entries < p).
+    """
+    spec = a.spec
+    p, nu = spec.p, spec.nu
+    dtype = np.int64 if nu * (p - 1) ** 2 < 1 << 63 else object
+    rows = np.empty((limit, nu), dtype=dtype)
+    rows[0] = a.coeffs
+    step = np.array(_mul_matrix(g), dtype=dtype)
+    done = 1
+    while done < limit:
+        more = min(done, limit - done)
+        rows[done:done + more] = rows[:more] @ step % p
+        done += more
+        if done < limit:
+            step = step @ step % p
+    return rows.astype(np.int64, copy=False)
+
+
+def _pack(rows: np.ndarray, p: int) -> np.ndarray:
+    """Packed values sum_i c_i p^i of coefficient rows."""
+    return rows @ p ** np.arange(rows.shape[1], dtype=np.int64)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .arith import Factorization, factorize, multiplicative_order
+from .arith import Factorization, _first_generator, factorize
 from .charsum import ExpEquation, make_equation
 from .errors import InvariantViolated
 from .fields import FieldElement, FieldSpec
@@ -34,14 +34,9 @@ def random_equation(spec: FieldSpec, n: int, rng: random.Random,
 def find_generator(spec: FieldSpec,
                    fact: Factorization | None = None) -> FieldElement:
     """Smallest unit (in packed order) generating F_q^x."""
-    q = spec.cardinality
     if fact is None:
-        fact = factorize(q - 1)
-    for k in range(1, q):
-        g = spec.from_packed(k)
-        if multiplicative_order(g, fact).order == q - 1:
-            return g
-    raise AssertionError("no generator found; F_q^x should be cyclic")
+        fact = factorize(spec.cardinality - 1)
+    return _first_generator(spec, fact)
 
 
 def element_of_order(spec: FieldSpec, d: int, gen: FieldElement,

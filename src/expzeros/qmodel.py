@@ -272,10 +272,10 @@ def grid_chain_check(orders_sorted, r_raw: int) -> tuple[str, bool]:
     return case, holds
 
 
-def _count_in_box(eq: ExpEquation, box, enum_cap: int) -> int | None:
-    if box.card > enum_cap:
+def _count_in_box(eq: ExpEquation, box) -> int | None:
+    if box.card > DEFAULT_ENUM_CAP:
         return None
-    count, _ = brute_count(eq, box, cap=enum_cap, list_cap=0)
+    count, _ = brute_count(eq, box, list_cap=0)
     return count
 
 
@@ -283,9 +283,7 @@ def model_quantum_solve(eq: ExpEquation, mode: str,
                         log_base: str = "natural",
                         slack_exponent: int = 3,
                         rng_seed: int = 1,
-                        sim_trials: int = 300,
-                        enum_cap: int = DEFAULT_ENUM_CAP
-                        ) -> QueryCostReport:
+                        sim_trials: int = 300) -> QueryCostReport:
     """Model the quantum search cost for one instance.
 
     thm2 needs no hypothesis and charges ceil(sqrt(t)) queries over the
@@ -301,7 +299,7 @@ def model_quantum_solve(eq: ExpEquation, mode: str,
         r_clamped = r_raw > box.orders_sorted[-1]
         limits = box.limits()
         t = math.prod(limits[1:]) if n > 1 else 1
-        m_exact = _count_in_box(eq, box, enum_cap)
+        m_exact = _count_in_box(eq, box)
         modeled = math.isqrt(max(t - 1, 0)) + 1 if t > 1 else 1  # ceil(sqrt t)
         bound = float(q) ** float(quantum_exponent(n)) * slack
         case, holds = grid_chain_check(box.orders_sorted, r_raw)
@@ -334,7 +332,7 @@ def model_quantum_solve(eq: ExpEquation, mode: str,
     box = make_box(eq, r)
     limits = box.limits()
     t = math.prod(limits[1:]) if n > 1 else r
-    m_exact = _count_in_box(eq, box, enum_cap)
+    m_exact = _count_in_box(eq, box)
     m_estimate = float(Fraction(r * prod_front, q))
     if m_exact is not None and m_exact > 0:
         m_used = m_exact

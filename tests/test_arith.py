@@ -5,8 +5,10 @@ baby-step giant-step discrete logs, all validated against brute oracles.
 import math
 import random
 
+import numpy as np
 import pytest
 
+from expzeros import arith
 from expzeros.arith import (
     BsgsTable,
     QueryCounter,
@@ -17,7 +19,6 @@ from expzeros.arith import (
     factorize,
     is_prime,
     multiplicative_order,
-    naive_divisor_count,
     subgroup_membership,
 )
 from expzeros.errors import MemoryCap, ZeroElement
@@ -67,6 +68,17 @@ def test_factorize_random_reconstruction():
         ps = [p for p, _ in fact.prime_powers]
         assert ps == sorted(ps) and len(set(ps)) == len(ps)
         assert all(is_prime(p) for p in ps)
+
+
+def naive_divisor_count(m):
+    """Independent O(sqrt(m)) divisor enumeration, the oracle."""
+    count = 0
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            count += 2 if d * d != m else 1
+        d += 1
+    return count
 
 
 def test_divisor_count_against_naive():
@@ -138,7 +150,9 @@ def brute_order(g):
 
 
 def test_multiplicative_order_exhaustive_small_fields():
-    for p, nu in [(7, 1), (13, 1), (2, 4), (5, 2), (3, 3), (101, 1)]:
+    # (2, 8) and (3, 5) read every order from their log tables
+    for p, nu in [(7, 1), (13, 1), (2, 4), (5, 2), (3, 3), (101, 1), (2, 8),
+                  (3, 5)]:
         spec = make_field(p, nu)
         fact = factorize(spec.cardinality - 1)
         for g in enumerate_units(spec):
@@ -156,6 +170,104 @@ def test_multiplicative_order_divisibility_certificate():
         assert g ** s == spec.one()
         for p, _ in factorize(s).prime_powers:
             assert g ** (s // p) != spec.one()
+
+
+def test_log_table_orders_match_the_pow_loop(monkeypatch):
+    fields = [make_field(2, 6), make_field(3, 4), make_field(7, 2),
+              make_field(17, 2)]
+    facts = [factorize(spec.cardinality - 1) for spec in fields]
+    table = [[multiplicative_order(g, fact).order
+              for g in enumerate_units(spec)]
+             for spec, fact in zip(fields, facts)]
+    monkeypatch.setattr(arith, "LOG_TABLE_MAX_Q", 0)   # force the pow loop
+    loop = [[multiplicative_order(g, fact).order
+             for g in enumerate_units(spec)]
+            for spec, fact in zip(fields, facts)]
+    assert table == loop
+
+
+def test_log_table_is_the_walk_of_the_first_generator():
+    spec = make_field(3, 5)
+    fact = factorize(242)
+    table = arith._log_table(spec, fact)
+    assert table.dtype == np.int32 and table[0] == -1
+    assert sorted(table[1:].tolist()) == list(range(242))
+    gamma = spec.from_packed(int(np.flatnonzero(table == 1)[0]))
+    assert multiplicative_order(gamma, fact).order == 242
+    assert all(brute_order(spec.from_packed(k)) < 242
+               for k in range(1, gamma.packed()))
+    for k in (1, 2, 17, 100, 242):
+        assert gamma ** int(table[k]) == spec.from_packed(k)
+
+
+def test_planted_wrong_log_entry_is_caught(monkeypatch):
+    spec = make_field(2, 8)
+    fact = factorize(255)
+    bad = arith._log_table(spec, fact).copy()
+    gamma = int(np.flatnonzero(bad == 1)[0])
+    bad[gamma] = 3    # gamma now reads as gamma^3, of order 85
+    monkeypatch.setitem(arith._log_tables, spec, bad)
+    wrong = [g.packed() for g in enumerate_units(spec)
+             if multiplicative_order(g, fact).order != brute_order(g)]
+    assert wrong == [gamma]
+
+
+@pytest.mark.parametrize("p, nu", [(2, 15), (3, 9), (2, 21)])
+def test_extension_field_above_table_cap_takes_the_pow_loop(monkeypatch, p,
+                                                            nu):
+    # the fields just above LOG_TABLE_MAX_Q = 2^14, and one far above it
+    spec = make_field(p, nu)
+    assert spec.cardinality > arith.LOG_TABLE_MAX_Q
+
+    def no_table(*args):
+        raise AssertionError("log table built above LOG_TABLE_MAX_Q")
+
+    monkeypatch.setattr(arith, "_log_table", no_table)
+    fact = factorize(spec.cardinality - 1)
+    rng = random.Random(21)
+    for g in [spec.element([0, 1]), spec.element([1, 1, 1])] + [
+            spec.from_packed(rng.randrange(2, spec.cardinality))
+            for _ in range(3)]:
+        s = multiplicative_order(g, fact).order
+        assert (spec.cardinality - 1) % s == 0
+        assert g ** s == spec.one()
+        for ell, _ in factorize(s).prime_powers:
+            assert g ** (s // ell) != spec.one()
+
+
+def test_largest_table_field_reads_orders_from_its_table(monkeypatch):
+    spec = make_field(2, 14)
+    assert spec.cardinality <= arith.LOG_TABLE_MAX_Q
+    fact = factorize(spec.cardinality - 1)   # 3 * 43 * 127
+    rng = random.Random(14)
+    units = [spec.from_packed(rng.randrange(1, spec.cardinality))
+             for _ in range(40)]
+    table = [multiplicative_order(g, fact).order for g in units]
+    assert spec in arith._log_tables
+    monkeypatch.setattr(arith, "LOG_TABLE_MAX_Q", 0)   # force the pow loop
+    assert table == [multiplicative_order(g, fact).order for g in units]
+
+
+def test_log_cache_is_bounded_by_entries(monkeypatch):
+    monkeypatch.setattr(arith, "_log_tables", arith.OrderedDict())
+    monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 1000)
+    for p, nu in [(2, 8), (3, 5), (5, 3), (2, 8), (31, 2)]:
+        spec = make_field(p, nu)
+        arith._log_table(spec, factorize(spec.cardinality - 1))
+    held = {(spec.p, spec.nu): len(t)
+            for spec, t in arith._log_tables.items()}
+    # F_{31^2}'s 961 entries leave no room for any other table
+    assert held == {(31, 2): 961}
+    monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 600)
+    arith._log_tables.clear()
+    for p, nu in [(2, 8), (3, 5), (2, 8), (5, 3)]:
+        spec = make_field(p, nu)
+        arith._log_table(spec, factorize(spec.cardinality - 1))
+    held = {(spec.p, spec.nu): len(t)
+            for spec, t in arith._log_tables.items()}
+    # F_{3^5} was used least recently, so it makes room for F_{5^3}
+    assert held == {(2, 8): 256, (5, 3): 125}
+    assert sum(held.values()) <= 600
 
 
 def test_multiplicative_order_errors():

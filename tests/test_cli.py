@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expzeros import cli
+from expzeros import charsum, cli
 from expzeros import density as density_mod
 from expzeros.cli import ConfigError, main, parse_config_file, parse_terms
 
@@ -347,6 +347,22 @@ def test_cardinality_cap_exits_2():
     rc, _, err = run(["count", "--p", "1009",
                       "--terms", "1,11;1,11;1,11", "--b", "0"])
     assert rc == 2 and "cap" in err
+
+
+def test_exact_fallback_work_cap_exits_2(monkeypatch):
+    # 65536^3 points are past the float certificate, and the exact
+    # fallback would need 2 * 65536 * 65537 adds: refused, not run
+    rc, out, err = run(["density", "--p", "65537",
+                        "--terms", "1,3;2,3;5,3", "--b", "0"])
+    assert rc == 2 and out == ""
+    assert "exact convolution of 8590065664 adds exceeds cap" in err
+    # planted: the F_7 sweep forced onto the exact route under a tiny cap
+    monkeypatch.setattr(charsum, "_fft_counts", lambda *args: None)
+    assert run(["density"] + F7_ARGS)[0] == 0
+    monkeypatch.setattr(charsum, "EXACT_WORK_CAP", 7 * 3 - 1)
+    rc, out, err = run(["density"] + F7_ARGS)
+    assert rc == 2 and out == ""
+    assert "exact convolution of 21 adds exceeds cap 20" in err
 
 
 def test_csv_unsupported_for_solve():

@@ -7,6 +7,7 @@ exact integer fallback, its certificate must reject corrupted output, and
 the invariants behind exit code 3 must still fire under python -O.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expzeros import charsum
+from expzeros import charsum, fields
 from expzeros.charsum import (brute_count, count_via_charsum, make_box,
                               make_equation, spectral_counts)
 from expzeros.density import sweep_b
@@ -102,27 +103,84 @@ def test_exact_fallback_matches_float_path(monkeypatch):
         assert got.tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("corrupt", [
+def histograms(eq, box):
+    p = eq.spec.p
+    return [np.bincount(fields._pack(fields._power_walk(a, g, lim), p),
+                        minlength=eq.q)
+            for (a, g), lim in zip(charsum.sorted_terms(eq, box),
+                                   box.limits())]
+
+
+CORRUPTIONS = [
     lambda raw: raw + 0.4,                       # far from every integer
     lambda raw: raw + 0.3j,                      # imaginary part too big
     lambda raw: raw + (np.arange(raw.size) == 0).reshape(raw.shape),
     lambda raw: raw * np.nan,
-])
+]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
 def test_certificate_rejects_bad_transform_and_falls_back(monkeypatch,
                                                          corrupt):
-    eq, box = instance(101, 1, [(3, 2), (5, 6), (7, 10)], 0)
-    hists = [np.bincount(charsum._pack(charsum._power_walk(a, g, lim), 101),
-                         minlength=eq.q)
-             for (a, g), lim in zip(charsum.sorted_terms(eq, box),
-                                    box.limits())]
+    # p = 257 lies above MATRIX_MAX_P: the FFT route, padded and folded
+    eq, box = instance(257, 1, [(3, 2), (5, 16), (7, 4)], 0)
+    assert 257 > charsum.MATRIX_MAX_P
+    hists = histograms(eq, box)
     want = spectral_counts(eq, box)
-    assert charsum._fft_counts(hists, 101, 1, box.card).tolist() \
+    assert charsum._fft_counts(hists, 257, 1, box.card).tolist() \
         == want.tolist()
     irfftn = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn",
                         lambda *args, **kw: corrupt(irfftn(*args, **kw)))
-    assert charsum._fft_counts(hists, 101, 1, box.card) is None
+    assert charsum._fft_counts(hists, 257, 1, box.card) is None
     assert spectral_counts(eq, box).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("p, nu, terms", [
+    (101, 1, [(3, 2), (5, 6), (7, 10)]),
+    (3, 4, [(3, 2), (5, 7), (7, 10)]),
+])
+def test_matrix_route_certificate_rejects_bad_transform(monkeypatch, corrupt,
+                                                        p, nu, terms):
+    eq, box = instance(p, nu, terms, 0)
+    assert p <= charsum.MATRIX_MAX_P
+    hists = histograms(eq, box)
+    want = spectral_counts(eq, box)
+    assert charsum._fft_counts(hists, p, nu, box.card).tolist() \
+        == want.tolist()
+    convolve = charsum._matrix_convolve
+    monkeypatch.setattr(charsum, "_matrix_convolve",
+                        lambda *args: corrupt(convolve(*args)))
+    assert charsum._fft_counts(hists, p, nu, box.card) is None
+    assert spectral_counts(eq, box).tolist() == want.tolist()
+
+
+# p on both sides of MATRIX_MAX_P, prime and extension fields
+ROUTE_FIELDS = [(2, 1), (2, 3), (2, 6), (3, 2), (3, 5), (5, 3), (7, 1),
+                (11, 2), (97, 1), (127, 1), (131, 1), (257, 1), (521, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_both_routes_match_exact_and_brute(data):
+    p, nu = data.draw(st.sampled_from(ROUTE_FIELDS))
+    spec = make_field(p, nu)
+    q = spec.cardinality
+    unit = st.integers(1, q - 1)
+    terms = data.draw(st.lists(st.tuples(unit, unit), min_size=1,
+                               max_size=3))
+    eq = make_equation(spec, terms, data.draw(st.integers(0, q - 1)))
+    full = make_box(eq)
+    r = data.draw(st.integers(1, full.r))
+    box = make_box(eq, min(r, max(1, PROPERTY_CARD_CAP // (full.card
+                                                           // full.r))))
+    hists = histograms(eq, box)
+    counts = charsum._fft_counts(hists, p, nu, box.card)
+    assert counts is not None  # the float route itself, not its fallback
+    assert counts.tolist() == charsum._exact_counts(hists, p, nu).tolist()
+    assert counts.tolist() == spectral_counts(eq, box).tolist()
+    assert counts[eq.b.packed()] == brute_count(eq, box, list_cap=0)[0]
 
 
 def test_a_priori_bound_scales_with_card_and_size():
@@ -137,16 +195,84 @@ def test_a_priori_bound_scales_with_card_and_size():
                                1 << 60) is None
 
 
-def test_transform_shape_pads_prime_axis_to_power_of_two():
-    assert charsum._transform_shape(9973, 1, 3) == (1 << 15,)
-    assert charsum._transform_shape(2, 1, 1) == (2,)
+def test_dense_error_bound_adds_axis_lengths():
+    u = charsum.UNIT_ROUNDOFF
+    gamma = 2 * (97 + charsum.DENSE_ERR_CONST) * u
+    assert charsum._fft_error_bound(10 ** 6, 3, (97, 97), dense=True) == \
+        pytest.approx(10 ** 6 * (4 * gamma + 3 * u))
+    # length-2 axes: the dense sum counts fewer u than the FFT's stages
+    assert charsum._fft_error_bound(10 ** 6, 2, (2,) * 12, dense=True) < \
+        charsum._fft_error_bound(10 ** 6, 2, (2,) * 12)
+    assert charsum._fft_counts([np.ones(8, dtype=np.int64)] * 2, 2, 3,
+                               1 << 60) is None
+
+
+def is_5_smooth(m):
+    for f in (2, 3, 5):
+        while m % f == 0:
+            m //= f
+    return m == 1
+
+
+def test_transform_shape_pads_prime_axis_to_smooth_length():
+    # a prime axis pads to the least 5-smooth L >= n(p-1)+1, no longer
+    # than the power of two it used to pad to
+    for p, n in [(2, 1), (101, 3), (127, 4), (131, 1), (257, 2), (1031, 3),
+                 (9973, 3), (65537, 2), (65537, 4)]:
+        L, = charsum._transform_shape(p, 1, n)
+        need = n * (p - 1) + 1
+        assert L >= need and is_5_smooth(L)
+        assert L <= 1 << (n * (p - 1)).bit_length()
+        assert not any(is_5_smooth(m) for m in range(need, L))
+    assert charsum._transform_shape(65537, 1, 2) == (131220,)
+    # too many terms: the padded grid would pass PAD_LIMIT * p
+    assert charsum._transform_shape(257, 1, 16) == (257,)
+    # extension fields keep the prime-length axes
     assert charsum._transform_shape(3, 4, 2) == (3, 3, 3, 3)
-    # too many terms: the padded grid would pass PAD_LIMIT * p (the
-    # ten-term F_11 example above runs this prime-length path)
-    assert charsum._transform_shape(101, 1, 16) == (101,)
-    assert charsum._transform_shape(11, 1, 10) == (11,)
-    L, = charsum._transform_shape(65537, 1, 2)
-    assert L >= 2 * 65536 + 1 and L & (L - 1) == 0
+    assert charsum._transform_shape(97, 2, 3) == (97, 97)
+    assert charsum._transform_shape(131, 2, 2) == (131, 131)
+
+
+def walk_histograms(spec, walks):
+    """Histograms of a g^x, x < limit, for (a, g, limit) in walks."""
+    return [np.bincount(fields._pack(fields._power_walk(a, g, limit), spec.p),
+                        minlength=spec.cardinality) for a, g, limit in walks]
+
+
+@pytest.mark.parametrize("p, nu, limits", [
+    # F_{127^2}: 2.0e12 points pass the FFT's bound, not the dense one
+    (127, 2, [16128, 500, 500, 500]),
+    # F_9973: 2.0e12 points pass the unpadded grid's bound, not the
+    # padded one (the 5-smooth length 69984 has 3 more stages)
+    (9973, 1, [57] * 7),
+])
+def test_float_route_certifies_boxes_past_the_first_grids_bound(
+        monkeypatch, p, nu, limits):
+    spec = make_field(p, nu)
+    q = spec.cardinality
+    gamma = find_generator(spec)
+    walks = [(gamma ** (3 * j + 1), gamma ** e, limit) for j, (e, limit)
+             in enumerate(zip([1, 5, 11, 13, 17, 19, 23], limits))]
+    hists = walk_histograms(spec, walks)
+    card = math.prod(limits)
+    n, slack = len(hists), charsum.ROUND_SLACK
+    if p <= charsum.MATRIX_MAX_P:
+        assert charsum._fft_error_bound(card, n, (p,) * nu,
+                                        dense=True) >= slack
+        monkeypatch.setattr(charsum, "_matrix_convolve", None)
+    else:
+        assert charsum._fft_error_bound(
+            card, n, charsum._transform_shape(p, nu, n)) >= slack
+    assert charsum._fft_error_bound(card, n, (p,) * nu) < slack
+    counts = charsum._fft_counts(hists, p, nu, card)
+    assert counts is not None and len(counts) == q
+    assert counts.tolist() == charsum._exact_counts(hists, p, nu).tolist()
+
+
+def test_smooth_length_small_values():
+    smooth = [m for m in range(1, 200) if is_5_smooth(m)]
+    for m in range(1, 190):
+        assert charsum._smooth_length(m) == min(s for s in smooth if s >= m)
 
 
 def test_brute_count_blocks_cover_large_boxes():
