@@ -3,8 +3,7 @@ orders, the divisor function, and baby-step giant-step discrete logarithms.
 
 Group multiplications performed on behalf of a caller are charged to an
 explicit QueryCounter owned by that caller; no counts are kept at module
-level, so parallel callers each count their own work and merge by adding.
-The one module-level state is the cache of per-field log tables, which
+level.  The one module-level state is the cache of per-field log tables, which
 only ever holds values derived from the field itself.
 """
 
@@ -141,13 +140,6 @@ class QueryCounter:
     def mults(self, k: int, bucket: str = "misc"):
         self.group_mults += k
         self.buckets[bucket] = self.buckets.get(bucket, 0) + k
-
-    def merge(self, other: "QueryCounter"):
-        self.group_mults += other.group_mults
-        self.dlog_calls += other.dlog_calls
-        self.outer_points_visited += other.outer_points_visited
-        for key, v in other.buckets.items():
-            self.buckets[key] = self.buckets.get(key, 0) + v
 
     def to_dict(self) -> dict:
         return {

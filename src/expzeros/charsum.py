@@ -475,6 +475,19 @@ def count_via_charsum(eq: ExpEquation, box: SearchBox,
     return float(spectral_counts(eq, box, cap)[eq.b.packed()])
 
 
+def _grid_targets(target: np.ndarray, walks, limits: tuple[int, ...],
+                  lo: int, hi: int, p: int) -> np.ndarray:
+    """Coefficient rows of target - sum_j walks[j][x_j] (mod p) for the
+    points x of the grid [0, limits[0]) x ... whose lexicographic index
+    runs over lo..hi-1; walks[j] holds the rows of coordinate j's terms.
+    """
+    need = np.broadcast_to(target, (hi - lo, len(target)))
+    coords = np.unravel_index(np.arange(lo, hi), limits) if limits else ()
+    for walk, x in zip(walks, coords):
+        need = (need - walk[x]) % p
+    return need
+
+
 def brute_count(eq: ExpEquation, box: SearchBox,
                 cap: int = DEFAULT_ENUM_CAP,
                 list_cap: int = LIST_CAP
@@ -512,11 +525,8 @@ def brute_count(eq: ExpEquation, box: SearchBox,
     count = 0
     hits = []
     for lo in range(0, head_card, step):
-        idx = np.arange(lo, min(lo + step, head_card))
-        need = np.broadcast_to(target, (len(idx), nu))
-        coords = np.unravel_index(idx, head_limits) if split else ()
-        for walk, x in zip(walks, coords):
-            need = (need - walk[x]) % p
+        need = _grid_targets(target, walks, head_limits, lo,
+                             min(lo + step, head_card), p)
         found = np.flatnonzero(_pack(need, p)[:, None] == tail[None, :])
         count += len(found)
         if keep_list:

@@ -18,10 +18,8 @@ import functools
 import io
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import density as density_mod
 from . import errors
@@ -36,7 +34,7 @@ from .solver import solve_classical
 
 CONFIG_KEYS = {
     "p", "nu", "terms", "b", "n", "seed", "delta", "log_base", "mode",
-    "out", "format", "n_max", "r", "qs", "ns", "workers", "trials",
+    "out", "format", "n_max", "r", "qs", "ns", "trials",
     "slack_exponent", "samples",
 }
 
@@ -168,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--qs", help='comma list of primes, e.g. "101,257"')
     sp.add_argument("--ns", help='comma list of term counts, e.g. "2,3"')
     sp.add_argument("--seed", type=int, help="instance seed (default 0)")
-    sp.add_argument("--workers", type=int,
-                    help="process pool size (default: cpu count)")
     sp.set_defaults(func=cmd_bench)
     return parser
 
@@ -450,23 +446,13 @@ def bench_cell(q: int, n: int, seed: int) -> dict:
     }
 
 
-def _bench_cell_star(args) -> dict:
-    return bench_cell(*args)
-
-
 def cmd_bench(args) -> int:
     cfg = merge_config(args)
     qs = [int(s) for s in str(cfg.get("qs") or "101,257,521").split(",")]
     ns = [int(s) for s in str(cfg.get("ns") or "2,3").split(",")]
     seed = _get_int(cfg, "seed", 0)
-    workers = _get_int(cfg, "workers", 0) or os.cpu_count() or 1
-    cells = [(q, n, seed) for q in sorted(qs) for n in sorted(ns)]
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_cell_star, cells))
-    else:
-        results = [bench_cell(*cell) for cell in cells]
-    results.sort(key=lambda row: (row["q"], row["n"]))
+    results = [bench_cell(q, n, seed)
+               for q in sorted(qs) for n in sorted(ns)]
     header = ["q", "n", "classical_mults", "classical_exponent_fit",
               "quantum_modeled_queries", "quantum_exponent_fit",
               "classical_status"]

@@ -47,9 +47,6 @@ class DensityReport:
     def delta(self, b_packed: int) -> Fraction:
         return int(self.counts[b_packed]) - self.main
 
-    def deltas_float(self) -> np.ndarray:
-        return self.counts.astype(np.float64) - float(self.main)
-
     def to_dict(self) -> dict:
         return {
             "eq": self.eq.to_dict(),

@@ -381,56 +381,6 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# packed-integer fast path used by the table-based routines
-
-
-class RawOps:
-    """Field operations on packed integers, avoiding FieldElement overhead.
-
-    Prime fields run on plain modular ints.  Extension fields fall back to
-    FieldElement arithmetic behind the same interface; hot loops stay
-    identical either way.
-    """
-
-    __slots__ = ("spec", "prime")
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.prime = spec.nu == 1
-
-    def mul(self, a: int, b: int) -> int:
-        if self.prime:
-            return a * b % self.spec.p
-        return (self.spec.from_packed(a) * self.spec.from_packed(b)).packed()
-
-    def add(self, a: int, b: int) -> int:
-        if self.prime:
-            return (a + b) % self.spec.p
-        return (self.spec.from_packed(a) + self.spec.from_packed(b)).packed()
-
-    def sub(self, a: int, b: int) -> int:
-        if self.prime:
-            return (a - b) % self.spec.p
-        return (self.spec.from_packed(a) - self.spec.from_packed(b)).packed()
-
-    def inv(self, a: int) -> int:
-        if self.prime:
-            if a == 0:
-                raise DivisionByZero("zero has no inverse")
-            return pow(a, self.spec.p - 2, self.spec.p)
-        return self.spec.from_packed(a).inverse().packed()
-
-    def pow(self, a: int, k: int) -> int:
-        if self.prime:
-            return pow(a, k, self.spec.p)
-        return (self.spec.from_packed(a) ** k).packed()
-
-
-def raw_ops(spec: FieldSpec) -> RawOps:
-    return RawOps(spec)
-
-
-# ---------------------------------------------------------------------------
 # vectorized power walks
 
 
@@ -454,19 +404,24 @@ def _mul_matrix(g: FieldElement) -> list[list[int]]:
     return out
 
 
+def _exact_dtype(p: int, nu: int):
+    """int64 while a coefficient row times an F_p-matrix is exact in it,
+    nu (p-1)^2 < 2^63; numpy object arrays of Python ints past that."""
+    return np.int64 if nu * (p - 1) ** 2 < 1 << 63 else object
+
+
 def _power_walk(a: FieldElement, g: FieldElement, limit: int) -> np.ndarray:
     """Coefficient rows of a * g^x for x = 0..limit-1, shape (limit, nu).
 
     Doubling with the multiplication matrix: once the rows for x < k are
     known, rows @ M_g^k mod p gives those for k <= x < 2k, and M_g^k is
     squared for the next round.  That is log2(limit) matrix products and
-    no field multiplication per step.  Products are exact in int64 while
-    nu (p-1)^2 < 2^63; huge prime fields run the same code on Python ints
-    (numpy object arrays).  The rows are returned as int64 (entries < p).
+    no field multiplication per step, in the dtype of _exact_dtype.  The
+    rows are returned as int64 (entries < p).
     """
     spec = a.spec
     p, nu = spec.p, spec.nu
-    dtype = np.int64 if nu * (p - 1) ** 2 < 1 << 63 else object
+    dtype = _exact_dtype(p, nu)
     rows = np.empty((limit, nu), dtype=dtype)
     rows[0] = a.coeffs
     step = np.array(_mul_matrix(g), dtype=dtype)

@@ -24,11 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import BsgsTable, QueryCounter, pow_cost
-from .charsum import (ExpEquation, SearchBox, _pack, _power_walk, box_radius,
-                      make_box, sorted_terms)
+from .charsum import (BRUTE_BLOCK, ExpEquation, SearchBox, _grid_targets,
+                      box_radius, make_box, sorted_terms)
 from .errors import CapExceeded, IndexOutOfRange, InvariantViolated
-from .fields import raw_ops
+from .fields import FieldElement, _exact_dtype, _mul_matrix, _power_walk
 
 FOUND = "found"
 NO_SOLUTION_CERTIFIED = "no_solution_certified"
@@ -74,38 +76,55 @@ class _SearchContext:
                  counter: QueryCounter):
         spec = eq.spec
         self.spec = spec
-        self.ops = raw_ops(spec)
-        self.box = box
         terms = sorted_terms(eq, box)
         a1, g1 = terms[0]
         self.s1 = box.orders_sorted[0]
         self.membership_cost = pow_cost(self.s1)
-        self.a1_inv = a1.inverse().packed()
+        self.a1_inv = np.array(_mul_matrix(a1.inverse()),
+                               dtype=_exact_dtype(spec.p, spec.nu))
         counter.mults(1, "setup")  # inversion charged as one mult
-        self.b = eq.b.packed()
+        self.b = np.array(eq.b.coeffs, dtype=np.int64)
         self.table = BsgsTable(g1, self.s1, counter)
-        limits = box.limits()
+        self.outer_limits = box.limits()[1:]
         self.walks = []
-        for (a, g), limit in zip(terms[1:], limits[1:]):
-            walk = _pack(_power_walk(a, g, limit), spec.p).tolist()
+        for (a, g), limit in zip(terms[1:], self.outer_limits):
+            self.walks.append(_power_walk(a, g, limit))
             counter.mults(limit - 1, "setup")
-            self.walks.append(walk)
 
-    def resolve(self, partial: int, counter: QueryCounter) -> int | None:
-        """x_1 with a_1 g_1^{x_1} = b - partial, or None."""
-        ops = self.ops
-        t = ops.mul(self.a1_inv, ops.sub(self.b, partial))
-        counter.mults(1, "subroutine")
-        if t == 0:
-            return None
-        counter.mults(self.membership_cost, "membership")
-        if ops.pow(t, self.s1) != 1:
-            return None
-        counter.dlog_calls += 1
-        x1 = self.table.lookup(self.spec.from_packed(t), counter)
-        if x1 is None:
-            raise InvariantViolated("membership passed but dlog missed")
-        return x1
+    def first_hit(self, lo: int, hi: int, counter: QueryCounter
+                  ) -> tuple[int, int] | None:
+        """(index, x_1) for the first outer point, by lexicographic index
+        in lo..hi-1, with a_1 g_1^{x_1} = b - partial; or None.
+
+        The targets t = a_1^{-1}(b - partial) come a block at a time, as
+        matrix products; each point is then charged what the model
+        charges it: one multiplication, a membership test t^{s_1} = 1
+        when t != 0, and a table lookup when that passes.
+        """
+        spec = self.spec
+        one = spec.one()
+        for start in range(lo, hi, BRUTE_BLOCK):
+            need = _grid_targets(self.b, self.walks, self.outer_limits,
+                                 start, min(start + BRUTE_BLOCK, hi), spec.p)
+            flat = (need @ self.a1_inv % spec.p).ravel().tolist()
+            # one coefficient tuple per point, made only for points visited
+            rows = zip(*[iter(flat)] * spec.nu)
+            for index, row in enumerate(rows, start):
+                counter.outer_points_visited += 1
+                counter.mults(1, "subroutine")
+                if not any(row):
+                    continue
+                counter.mults(self.membership_cost, "membership")
+                t = FieldElement(spec, row)
+                if t ** self.s1 != one:
+                    continue
+                counter.dlog_calls += 1
+                x1 = self.table.lookup(t, counter)
+                if x1 is None:
+                    raise InvariantViolated(
+                        "membership passed but dlog missed")
+                return index, x1
+        return None
 
 
 def subroutine_S(eq: ExpEquation, outer: tuple[int, ...],
@@ -120,14 +139,14 @@ def subroutine_S(eq: ExpEquation, outer: tuple[int, ...],
     box = make_box(eq)
     if len(outer) != box.n - 1:
         raise IndexOutOfRange(f"outer point needs {box.n - 1} coordinates")
+    index = 0
     for x, s in zip(outer, box.orders_sorted[1:]):
         if not 0 <= x < s:
             raise IndexOutOfRange(f"coordinate {x} outside [0, {s})")
-    ctx = _SearchContext(eq, box, counter)
-    partial = 0
-    for j, x in enumerate(outer):
-        partial = ctx.ops.add(partial, ctx.walks[j][x])
-    return ctx.resolve(partial, counter)
+        index = index * s + x
+    hit = _SearchContext(eq, box, counter).first_hit(index, index + 1,
+                                                     counter)
+    return None if hit is None else hit[1]
 
 
 def verify_solution(eq: ExpEquation, x: tuple[int, ...]) -> bool:
@@ -161,51 +180,21 @@ def solve_classical(eq: ExpEquation, log_base: str = "natural",
     if counter is None:
         counter = QueryCounter()
     box, r_raw = build_box(eq, log_base)
-    limits = box.limits()
-    outer_limits = limits[1:]
-    outer_size = math.prod(outer_limits) if outer_limits else 1
+    outer_limits = box.limits()[1:]
+    outer_size = math.prod(outer_limits)
     if outer_size > outer_cap:
         raise CapExceeded(f"outer grid of {outer_size} points exceeds cap")
     cost_model = math.sqrt(eq.q) * math.log(eq.q) ** 3
-    ctx = _SearchContext(eq, box, counter)
-    n = box.n
-
-    def report(status, x):
-        return SolutionReport(status, x, counter, box, r_raw, cost_model)
-
-    def finish():
-        if r_raw > box.orders_sorted[-1]:
-            return report(NO_SOLUTION_CERTIFIED, None)
-        return report(BOX_EXHAUSTED, None)
-
-    if n == 1:
-        counter.outer_points_visited += 1
-        x1 = ctx.resolve(0, counter)
-        if x1 is not None and x1 < box.r:
-            return report(FOUND, _checked(eq, (x1,)))
-        return finish()
-
-    x = [0] * (n - 1)
-    partial = [0] * n  # partial[j] = sum of walk values for coords < j
-    for j in range(n - 1):
-        partial[j + 1] = ctx.ops.add(partial[j], ctx.walks[j][0])
-    while True:
-        counter.outer_points_visited += 1
-        x1 = ctx.resolve(partial[n - 1], counter)
-        if x1 is not None:
-            sorted_x = (x1,) + tuple(x)
-            sol = [0] * n
-            for k in range(n):
-                sol[box.perm[k]] = sorted_x[k]
-            return report(FOUND, _checked(eq, tuple(sol)))
-        j = n - 2
-        while j >= 0:
-            x[j] += 1
-            if x[j] < outer_limits[j]:
-                break
-            x[j] = 0
-            j -= 1
-        if j < 0:
-            return finish()
-        for k in range(j, n - 1):
-            partial[k + 1] = ctx.ops.add(partial[k], ctx.walks[k][x[k]])
+    hit = _SearchContext(eq, box, counter).first_hit(0, outer_size, counter)
+    if hit is None:
+        status = (NO_SOLUTION_CERTIFIED if r_raw > box.orders_sorted[-1]
+                  else BOX_EXHAUSTED)
+        return SolutionReport(status, None, counter, box, r_raw, cost_model)
+    # x_1 < s_1 lies in the box: for n = 1, r_raw = ceil(q log q) > s_1
+    index, x1 = hit
+    sorted_x = (x1, *np.unravel_index(index, outer_limits))
+    x = [0] * box.n
+    for k, orig in enumerate(box.perm):
+        x[orig] = int(sorted_x[k])
+    return SolutionReport(FOUND, _checked(eq, tuple(x)), counter, box, r_raw,
+                          cost_model)

@@ -298,6 +298,15 @@ def test_config_enum_cap_is_an_unknown_key(tmp_path):
     assert f"{path}:4: unknown key 'enum_cap'" in err
 
 
+def test_config_workers_is_an_unknown_key(tmp_path):
+    # bench runs its cells in one process; the pool size is gone
+    path = tmp_path / "old.cfg"
+    path.write_text("qs = 11\nns = 2\nworkers = 2\n")
+    rc, out, err = run(["bench", "--config", str(path)])
+    assert rc == 1 and out == ""
+    assert f"{path}:3: unknown key 'workers'" in err
+
+
 # ------------------------------------------------------------- json writer
 
 
@@ -392,11 +401,9 @@ def test_out_flag_writes_file(tmp_path):
 def test_bench_small_grid_deterministic():
     argv = ["bench", "--qs", "11,13", "--ns", "2", "--seed", "1",
             "--format", "csv"]
-    rc1, out1, _ = run([*argv, "--workers", "1"])
-    rc2, out2, _ = run([*argv, "--workers", "1"])
-    rc3, out3, _ = run([*argv, "--workers", "2"])
-    assert rc1 == rc2 == rc3 == 0
-    assert out1 == out2 == out3
+    rc1, out1, _ = run(argv)
+    rc2, out2, _ = run(argv)
+    assert rc1 == rc2 == 0 and out1 == out2
     lines = out1.strip().splitlines()
     assert lines[0].startswith("q,n,classical_mults")
     cells = [line.split(",") for line in lines[1:]]

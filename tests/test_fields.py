@@ -23,7 +23,6 @@ from expzeros.fields import (
     FieldSpec,
     enumerate_units,
     make_field,
-    raw_ops,
 )
 
 AXIOM_TRIPLES = 10_000
@@ -315,28 +314,3 @@ def test_trace_linear_and_balanced():
         # every value in F_p is hit exactly p^(nu-1) times
         counts = Counter(x.trace() for x in spec.elements())
         assert counts == {v: p ** (nu - 1) for v in range(p)}
-
-
-# ---------------------------------------------------------------------------
-# packed fast path
-
-
-def test_raw_ops_agree_with_elements():
-    rng = random.Random(3)
-    for p, nu in [(97, 1), (2, 3), (7, 2)]:
-        spec = make_field(p, nu)
-        ops = raw_ops(spec)
-        q = spec.cardinality
-        for _ in range(500):
-            a = rng.randrange(q)
-            b = rng.randrange(q)
-            ea, eb = spec.from_packed(a), spec.from_packed(b)
-            assert ops.mul(a, b) == (ea * eb).packed()
-            assert ops.add(a, b) == (ea + eb).packed()
-            assert ops.sub(a, b) == (ea - eb).packed()
-            k = rng.randrange(2 * q)
-            assert ops.pow(a, k) == (ea ** k).packed()
-            if a:
-                assert ops.inv(a) == ea.inverse().packed()
-        with pytest.raises(DivisionByZero):
-            ops.inv(0)

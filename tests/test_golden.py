@@ -67,6 +67,16 @@ CASES = {
                       "--seed", "41"],
     "solve_f7e2_n3": ["solve", "--p", "7", "--nu", "2", "--n", "3",
                       "--seed", "0"],
+    # n = 4 (outer index unravelled over three axes) and n = 1 (one outer
+    # point, no walks), both over extension fields
+    "solve_f3e4_n4_found": ["solve", "--p", "3", "--nu", "4", "--terms",
+                            "64,77;46,59;12,75;23,2", "--b", "15"],
+    "solve_f3e4_n4_certified": ["solve", "--p", "3", "--nu", "4", "--terms",
+                                "61,76;68,26;19,75;48,2", "--b", "35"],
+    "solve_f2e8_n1_found": ["solve", "--p", "2", "--nu", "8", "--n", "1",
+                            "--seed", "2"],
+    "solve_f2e8_n1_certified": ["solve", "--p", "2", "--nu", "8", "--n", "1",
+                                "--seed", "1"],
     # qmodel: both modes, brute-force m_exact and the BBHT simulation
     "qmodel_f7_thm2": ["qmodel", "--p", "7", "--terms", "1,3;1,2", "--b",
                        "3", "--mode", "thm2", "--trials", "50"],
@@ -86,7 +96,7 @@ CASES = {
     "exponents_n4": ["exponents", "--n-max", "4"],
     "reduce_f101_samples": ["reduce", "--p", "101", "--n", "4", "--seed",
                             "2", "--samples", "3"],
-    "bench_f101_n2": ["bench", "--qs", "101", "--ns", "2", "--workers", "1"],
+    "bench_f101_n2": ["bench", "--qs", "101", "--ns", "2"],
     "density_f1031_r3": ["density", "--p", "1031", "--n", "2", "--seed", "1",
                          "--r", "3", "--delta", "0.5"],
 }

@@ -10,17 +10,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from expzeros.arith import QueryCounter
-from hypothesis import given, settings
+from expzeros.arith import QueryCounter, pow_cost
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expzeros.charsum import brute_count, log_of, make_box, make_equation
+from expzeros.charsum import (brute_count, log_of, make_box, make_equation,
+                              spectral_counts)
 from expzeros.density import corollary_min_r
 from expzeros.errors import (CapExceeded, HypothesisFailed, IndexOutOfRange,
                              Overflow)
 from expzeros.fields import make_field
+from expzeros.instances import random_equation_with_orders
 from expzeros.qmodel import model_quantum_solve
 from expzeros.solver import (
     BOX_EXHAUSTED,
@@ -176,6 +179,61 @@ def test_statuses_three_term_certificate_regime():
         assert rep.status == NO_SOLUTION_CERTIFIED
 
 
+STATUS_FIELDS = RADIUS_FIELDS + [(31, 1), (41, 1), (2, 4), (3, 3), (3, 4),
+                                 (2, 5)]
+
+
+@st.composite
+def solver_instances(draw):
+    """(equation, log base); b is one the box misses half the time."""
+    p, nu = draw(st.sampled_from(STATUS_FIELDS))
+    q = p ** nu
+    spec = make_field(p, nu)
+    terms = draw(st.lists(st.tuples(st.integers(1, q - 1),
+                                    st.integers(1, q - 1)),
+                          min_size=1, max_size=3))
+    log_base = draw(st.sampled_from(["natural", "base2"]))
+    eq = make_equation(spec, terms, 0)
+    counts = spectral_counts(eq, build_box(eq, log_base)[0])
+    misses = np.flatnonzero(counts == 0).tolist()
+    b = draw(st.integers(0, q - 1)
+             | (st.sampled_from(misses) if misses else st.nothing()))
+    return make_equation(spec, terms, b), log_base
+
+
+@settings(max_examples=150, deadline=None)
+@given(solver_instances())
+@example((make_equation(make_field(41), [(2, 36), (3, 36)], 0), "natural"))
+@example((make_equation(make_field(3, 4), [(2, 9), (3, 9)], 0), "natural"))
+def test_status_and_ledger_agree_with_spectral_counts(case):
+    # each status against the spectral engine's exact counts, and the
+    # solver's ledger identities; random boxes almost never miss a b
+    # while r < s_n, so box_exhausted comes from the two explicit examples
+    eq, log_base = case
+    b = eq.b.packed()
+    rep = solve_classical(eq, log_base)
+    box = rep.box
+    in_box = spectral_counts(eq, box)
+    if rep.status == FOUND:
+        assert verify_solution(eq, rep.x)
+        assert in_box[b] >= 1
+    elif rep.status == BOX_EXHAUSTED:
+        assert in_box[b] == 0
+    else:
+        assert rep.status == NO_SOLUTION_CERTIFIED
+        assert spectral_counts(eq, make_box(eq))[b] == 0
+    ledger = rep.queries
+    buckets = ledger.buckets
+    assert ledger.group_mults == sum(buckets.values())
+    assert buckets["subroutine"] == ledger.outer_points_visited
+    assert ledger.dlog_calls == (rep.status == FOUND)
+    assert buckets.get("membership", 0) % pow_cost(box.orders_sorted[0]) == 0
+    assert buckets["setup"] == 1 + sum(lim - 1 for lim in box.limits()[1:])
+    if rep.status == FOUND:
+        sorted_x = [rep.x[i] for i in box.perm]
+        assert subroutine_S(eq, tuple(sorted_x[1:])) == sorted_x[0]
+
+
 def test_single_term_statuses():
     spec = make_field(101)
     # g = 2 generates F_101^x: every unit is found, zero is certified out
@@ -193,6 +251,29 @@ def test_single_term_statuses():
     assert rep.status == FOUND and pow(5, rep.x[0], 101) == inside
     rep = solve_classical(make_equation(spec, [(1, 5)], outside))
     assert rep.status == NO_SOLUTION_CERTIFIED
+
+
+def test_statuses_over_huge_prime_field():
+    # nu (p-1)^2 >= 2^63, so the targets' product with the matrix of
+    # a_1^{-1} runs on Python ints; s_1 > 7 10^9 keeps r_raw below 2^62
+    spec = make_field((1 << 61) - 1)
+    s1 = 2 * 61 * 151 * 331 * 1321
+    eq0 = random_equation_with_orders(spec, [s1, 9], random.Random(5))
+    (a1, g1), (a2, g2) = eq0.terms
+
+    def members(b):
+        # x_2 whose target (b - a_2 g_2^{x_2}) / a_1 lies in <g_1>
+        return [x2 for x2 in range(9)
+                if ((b - a2 * g2 ** x2) / a1) ** s1 == spec.one()]
+
+    b = a1 * g1 ** 12345 + a2 * g2 ** 4
+    assert members(b) == [4]
+    rep = solve_classical(make_equation(spec, eq0.terms, b))
+    assert rep.x == (12345, 4) and rep.queries.outer_points_visited == 5
+    assert members(eq0.b) == []
+    rep = solve_classical(eq0)
+    assert rep.status == NO_SOLUTION_CERTIFIED
+    assert rep.queries.outer_points_visited == 9
 
 
 def test_solve_respects_original_term_order():
@@ -277,6 +358,20 @@ def test_subroutine_agrees_with_direct_search():
             assert counter.group_mults == sum(counter.buckets.values())
             if x1 is not None:
                 assert counter.dlog_calls == 1
+    # three terms, orders (100, 25, 10): the outer point (x_2, x_3) is the
+    # grid index x_2 * 10 + x_3
+    for _ in range(10):
+        terms = [(rng.randrange(1, 101), g) for g in (2, 5, 6)]
+        eq = make_equation(spec, terms, rng.randrange(101))
+        assert make_box(eq).orders_sorted == (100, 25, 10)
+        (a1, g1), (a2, g2), (a3, g3) = eq.terms
+        for _ in range(5):
+            x2, x3 = rng.randrange(25), rng.randrange(10)
+            want = next(
+                (k for k in range(100)
+                 if a1 * g1 ** k + a2 * g2 ** x2 + a3 * g3 ** x3 == eq.b),
+                None)
+            assert subroutine_S(eq, (x2, x3)) == want
 
 
 # ---------------------------------------------------------------------------
