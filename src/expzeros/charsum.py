@@ -35,8 +35,8 @@ import numpy as np
 from .arith import factorize, multiplicative_order
 from .errors import (CapExceeded, FieldMismatch, InvariantViolated, Overflow,
                      ZeroElement)
-from .fields import (DEFAULT_ENUM_CAP, FieldElement, FieldSpec, _pack,
-                     _power_walk)
+from .fields import (DEFAULT_ENUM_CAP, FieldElement, FieldSpec, _add_mod,
+                     _digit_dtype, _pack, _power_walk)
 
 TERM_CAP = 16
 LIST_CAP = 1 << 16
@@ -477,14 +477,16 @@ def count_via_charsum(eq: ExpEquation, box: SearchBox,
 
 def _grid_targets(target: np.ndarray, walks, limits: tuple[int, ...],
                   lo: int, hi: int, p: int) -> np.ndarray:
-    """Coefficient rows of target - sum_j walks[j][x_j] (mod p) for the
+    """Coefficient rows of target + sum_j walks[j][x_j] (mod p) for the
     points x of the grid [0, limits[0]) x ... whose lexicographic index
     runs over lo..hi-1; walks[j] holds the rows of coordinate j's terms.
+    Callers subtract a term by passing the walk of -a_j g_j^x.  Every
+    array is in _digit_dtype(p).
     """
     need = np.broadcast_to(target, (hi - lo, len(target)))
     coords = np.unravel_index(np.arange(lo, hi), limits) if limits else ()
     for walk, x in zip(walks, coords):
-        need = (need - walk[x]) % p
+        need = _add_mod(need, walk[x], p)
     return need
 
 
@@ -507,18 +509,21 @@ def brute_count(eq: ExpEquation, box: SearchBox,
         raise CapExceeded(f"box cardinality {box.card} exceeds cap {cap}")
     spec = eq.spec
     p, nu = spec.p, spec.nu
+    dtype = _digit_dtype(p)
     limits = box.limits()
     keep_list = box.card <= list_cap
-    walks = [_power_walk(a, g, limit)
-             for (a, g), limit in zip(sorted_terms(eq, box), limits)]
     split = box.n
     while split > 0 and math.prod(limits[split - 1:]) <= BRUTE_BLOCK:
         split -= 1
-    tail = np.zeros((1, nu), dtype=np.int64)
+    # the leading sums are subtracted from b, the trailing ones added
+    walks = [_power_walk(-a if k < split else a, g, limit)
+             for k, ((a, g), limit)
+             in enumerate(zip(sorted_terms(eq, box), limits))]
+    tail = np.zeros((1, nu), dtype=dtype)
     for walk in walks[split:]:
-        tail = ((tail[:, None, :] + walk[None, :, :]) % p).reshape(-1, nu)
+        tail = _add_mod(tail[:, None, :], walk[None, :, :], p).reshape(-1, nu)
     tail = _pack(tail, p)
-    target = np.array(eq.b.coeffs, dtype=np.int64)
+    target = np.array(eq.b.coeffs, dtype=dtype)
     head_limits = limits[:split]
     head_card = math.prod(head_limits)
     step = max(1, BRUTE_BLOCK // len(tail))

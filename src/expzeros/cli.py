@@ -20,6 +20,7 @@ import json
 import math
 import random
 import sys
+from itertools import chain
 
 from . import density as density_mod
 from . import errors
@@ -214,8 +215,9 @@ def _json_text(value, indent: str = "") -> str:
 
     With indent set, the stdlib runs its pure-Python encoder on every
     value.  Here a list of plain ints (a per-b counts list) is one repr
-    and one replace, and every other scalar goes through the C encoder.
-    Keys must be str.
+    and one replace, a list of equally long such lists (count's
+    solutions) is one %-format of all their ints, and every other scalar
+    goes through the C encoder.  Keys must be str.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -231,8 +233,17 @@ def _json_text(value, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
+        kinds = set(map(type, value))
+        if kinds == {int}:
             body = repr(list(value))[1:-1].replace(", ", ",\n" + inner)
+        elif (kinds <= {list, tuple} and len(set(map(len, value))) == 1
+              and value[0]
+              and set(map(type, chain.from_iterable(value))) == {int}):
+            deeper = inner + "  "
+            row = ("[\n" + deeper + (",\n" + deeper).join(
+                ["%d"] * len(value[0])) + "\n" + inner + "]")
+            body = ((",\n" + inner).join([row] * len(value))
+                    % tuple(chain.from_iterable(value)))
         else:
             body = (",\n" + inner).join(_json_text(item, inner)
                                         for item in value)
@@ -310,8 +321,7 @@ def cmd_count(args) -> int:
         lines.append(f"solutions (original term order): {solutions}")
     doc = {"schema": 1, "kind": "count", "eq": eq.to_dict(),
            "box": box.to_dict(), "brute": exact, "charsum": approx,
-           "solutions": [list(s) for s in solutions]
-           if solutions is not None else None}
+           "solutions": solutions}
     emit(cfg, lines, doc)
     return 0
 

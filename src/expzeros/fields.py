@@ -258,9 +258,15 @@ class FieldSpec:
             yield self.from_packed(k)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def make_field(p: int, nu: int = 1) -> FieldSpec:
-    """Construct (and cache) F_{p^nu} with the canonical modulus."""
+    """Construct (and cache) F_{p^nu} with the canonical modulus.
+
+    The cache keeps the 256 fields used last.  A field evicted and built
+    again is a new FieldSpec equal to the old one (specs compare by
+    value), so its elements and the per-field tables keyed by spec still
+    match it.
+    """
     return FieldSpec(p, nu)
 
 
@@ -410,6 +416,31 @@ def _exact_dtype(p: int, nu: int):
     return np.int64 if nu * (p - 1) ** 2 < 1 << 63 else object
 
 
+def _digit_dtype(p: int):
+    """The dtype of coefficient rows: the least unsigned one that holds
+    2(p-1), the sum of two digits (uint8 to p = 127, uint16 to 32749,
+    uint32 to 2^31 - 1), and int64 past that."""
+    top = 2 * (p - 1)
+    if top < 1 << 8:
+        return np.uint8
+    if top < 1 << 16:
+        return np.uint16
+    if top < 1 << 32:
+        return np.uint32
+    return np.int64
+
+
+def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a + b mod p, entrywise with broadcasting, for digit arrays (entries
+    < p) in _digit_dtype(p): one conditional -p instead of a division.
+    In an unsigned dtype s - p wraps past s exactly when s < p, so the
+    minimum of the two is the residue."""
+    s = a + b
+    if s.dtype == np.int64:
+        return np.where(s >= p, s - p, s)
+    return np.minimum(s, s - p, out=s)
+
+
 def _power_walk(a: FieldElement, g: FieldElement, limit: int) -> np.ndarray:
     """Coefficient rows of a * g^x for x = 0..limit-1, shape (limit, nu).
 
@@ -417,7 +448,7 @@ def _power_walk(a: FieldElement, g: FieldElement, limit: int) -> np.ndarray:
     known, rows @ M_g^k mod p gives those for k <= x < 2k, and M_g^k is
     squared for the next round.  That is log2(limit) matrix products and
     no field multiplication per step, in the dtype of _exact_dtype.  The
-    rows are returned as int64 (entries < p).
+    rows are returned in _digit_dtype(p).
     """
     spec = a.spec
     p, nu = spec.p, spec.nu
@@ -432,9 +463,9 @@ def _power_walk(a: FieldElement, g: FieldElement, limit: int) -> np.ndarray:
         done += more
         if done < limit:
             step = step @ step % p
-    return rows.astype(np.int64, copy=False)
+    return rows.astype(_digit_dtype(p), copy=False)
 
 
 def _pack(rows: np.ndarray, p: int) -> np.ndarray:
-    """Packed values sum_i c_i p^i of coefficient rows."""
+    """Packed values sum_i c_i p^i of coefficient rows, as int64."""
     return rows @ p ** np.arange(rows.shape[1], dtype=np.int64)

@@ -23,20 +23,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .arith import BsgsTable, QueryCounter, pow_cost
 from .charsum import (BRUTE_BLOCK, ExpEquation, SearchBox, _grid_targets,
-                      box_radius, make_box, sorted_terms)
-from .errors import CapExceeded, IndexOutOfRange, InvariantViolated
-from .fields import FieldElement, _exact_dtype, _mul_matrix, _power_walk
+                      box_radius, log_of, make_box, sorted_terms)
+from .errors import CapExceeded, IndexOutOfRange, InvariantViolated, Overflow
+from .fields import (FieldElement, _digit_dtype, _exact_dtype, _mul_matrix,
+                     _power_walk)
 
 FOUND = "found"
 NO_SOLUTION_CERTIFIED = "no_solution_certified"
 BOX_EXHAUSTED = "box_exhausted"
 
 OUTER_GRID_CAP = 1 << 22
+FIRST_BLOCK = 1 << 10  # outer points in the first block of a scan
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,19 @@ class SolutionReport:
 
 def build_box(eq: ExpEquation, log_base: str = "natural"
               ) -> tuple[SearchBox, int]:
-    """Box from the ceiling formula; returns (box, unclamped r_raw)."""
+    """Box from the ceiling formula; returns (box, unclamped r_raw).
+
+    Past the 2^62 where box_radius refuses, r_raw exceeds every order,
+    so the box is the full domain; r_raw is then the exact ceiling of
+    q^n (prod_{l<n} s_l)^(-2) times the float log q.
+    """
     orders_sorted = sorted(eq.orders, reverse=True)
-    r_raw = math.ceil(box_radius(eq.q, orders_sorted, log_base))
+    try:
+        r_raw = math.ceil(box_radius(eq.q, orders_sorted, log_base))
+    except Overflow:
+        prod = math.prod(orders_sorted[:-1])
+        r_raw = math.ceil(Fraction(eq.q ** eq.n, prod * prod)
+                          * Fraction(log_of(eq.q, log_base)))
     return make_box(eq, min(r_raw, orders_sorted[-1])), r_raw
 
 
@@ -83,12 +96,13 @@ class _SearchContext:
         self.a1_inv = np.array(_mul_matrix(a1.inverse()),
                                dtype=_exact_dtype(spec.p, spec.nu))
         counter.mults(1, "setup")  # inversion charged as one mult
-        self.b = np.array(eq.b.coeffs, dtype=np.int64)
+        self.b = np.array(eq.b.coeffs, dtype=_digit_dtype(spec.p))
         self.table = BsgsTable(g1, self.s1, counter)
         self.outer_limits = box.limits()[1:]
+        # walks of -a_l g_l^x: the block targets add them to b
         self.walks = []
         for (a, g), limit in zip(terms[1:], self.outer_limits):
-            self.walks.append(_power_walk(a, g, limit))
+            self.walks.append(_power_walk(-a, g, limit))
             counter.mults(limit - 1, "setup")
 
     def first_hit(self, lo: int, hi: int, counter: QueryCounter
@@ -99,13 +113,17 @@ class _SearchContext:
         The targets t = a_1^{-1}(b - partial) come a block at a time, as
         matrix products; each point is then charged what the model
         charges it: one multiplication, a membership test t^{s_1} = 1
-        when t != 0, and a table lookup when that passes.
+        when t != 0, and a table lookup when that passes.  The first
+        block holds at most FIRST_BLOCK points and each next one twice
+        as many, up to BRUTE_BLOCK, so an early hit computes few targets.
         """
         spec = self.spec
         one = spec.one()
-        for start in range(lo, hi, BRUTE_BLOCK):
+        start, size = lo, FIRST_BLOCK
+        while start < hi:
+            stop = min(start + size, hi)
             need = _grid_targets(self.b, self.walks, self.outer_limits,
-                                 start, min(start + BRUTE_BLOCK, hi), spec.p)
+                                 start, stop, spec.p)
             flat = (need @ self.a1_inv % spec.p).ravel().tolist()
             # one coefficient tuple per point, made only for points visited
             rows = zip(*[iter(flat)] * spec.nu)
@@ -124,6 +142,7 @@ class _SearchContext:
                     raise InvariantViolated(
                         "membership passed but dlog missed")
                 return index, x1
+            start, size = stop, min(2 * size, BRUTE_BLOCK)
         return None
 
 

@@ -246,6 +246,28 @@ def test_largest_table_field_reads_orders_from_its_table(monkeypatch):
     assert table == [multiplicative_order(g, fact).order for g in units]
 
 
+def test_evicted_field_still_finds_its_log_table():
+    # make_field keeps the 256 fields used last.  A field evicted from it
+    # and built again is a new FieldSpec equal to the old one, so the log
+    # table cached under the old spec serves the new one
+    spec = make_field(2, 10)
+    fact = factorize(spec.cardinality - 1)
+    table = arith._log_table(spec, fact)
+    assert make_field.cache_info().maxsize == 256
+    primes = [p for p in range(1009, 4000) if is_prime(p)][:300]
+    assert len(primes) == 300
+    for p in primes:
+        make_field(p)
+    again = make_field(2, 10)
+    assert again is not spec
+    assert again == spec and hash(again) == hash(spec)
+    assert arith._log_table(again, fact) is table
+    assert [multiplicative_order(again.from_packed(k), fact).order
+            for k in (2, 77, 1023)] == [
+        multiplicative_order(spec.from_packed(k), fact).order
+        for k in (2, 77, 1023)]
+
+
 def test_log_cache_is_bounded_by_entries(monkeypatch):
     monkeypatch.setattr(arith, "_log_tables", arith.OrderedDict())
     monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 1000)

@@ -316,9 +316,19 @@ JSON_SCALARS = st.one_of(
     st.floats(), st.sampled_from([float("nan"), float("inf"),
                                   float("-inf"), -0.0, 5e-324, 1e-310]),
     st.text())
+INT_OR_BOOL = st.one_of(st.booleans(), st.integers())
+# tables of int rows, as count's solutions are, and their near misses:
+# ragged or empty rows, tuples among lists, bools among ints
+INT_ROWS = st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.integers(), min_size=k, max_size=k)
+    | st.tuples(*[st.integers()] * k)
+    | st.lists(INT_OR_BOOL, min_size=k, max_size=k),
+    min_size=1, max_size=6))
 JSON_DOCS = st.recursive(
     JSON_SCALARS | st.lists(st.integers()) | st.lists(st.booleans())
-    | st.lists(st.one_of(st.booleans(), st.integers())),
+    | st.lists(INT_OR_BOOL) | INT_ROWS
+    | st.lists(st.lists(st.integers(), max_size=3), max_size=4)
+    | st.lists(st.lists(INT_OR_BOOL, max_size=3).map(tuple), max_size=4),
     lambda inner: (st.lists(inner, max_size=5)
                    | st.lists(inner, max_size=5).map(tuple)
                    | st.dictionaries(st.text(), inner, max_size=5)),
@@ -331,6 +341,8 @@ JSON_DOCS = st.recursive(
 @example({"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": {"f": []}}})
 @example({"flags": [True, False], "mixed": [1, True, 0, False], "t": (1, 2)})
 @example([[-1, 2 ** 64 + 1, -2 ** 70], {"ü": "∞", "\x00": "\ud800"}])
+@example({"solutions": [[3, 0, 12], (4, 1, -2), [5, 2, 2 ** 70]]})
+@example({"rows": [[1, 2], [3]], "empty": [[], []], "bools": [[1, True]]})
 def test_json_writer_matches_stdlib_indent_2(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2)
 

@@ -8,6 +8,7 @@ independent Fraction comparison including an exact boundary tie.
 
 import dataclasses
 import io
+import itertools
 import random
 from fractions import Fraction
 
@@ -106,6 +107,38 @@ def test_sweep_energy_matches_direct_recomputation():
         assert ok
         assert margin == Fraction(spec.cardinality) ** (box.n - 1) * box.r \
             - direct
+
+
+ENERGY_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3),
+                 (3, 2), (2, 4), (5, 2), (7, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ENERGY_FIELDS), st.data())
+def test_sweep_energy_is_the_sum_of_squared_deviations(field, data):
+    # E(r) = sum_b (N_b - card/q)^2 in Fractions, each N_b counted by
+    # adding FieldElements over every box point
+    spec = make_field(*field)
+    q = spec.cardinality
+    terms = data.draw(st.lists(st.tuples(st.integers(1, q - 1),
+                                         st.integers(1, q - 1)),
+                               min_size=1, max_size=3))
+    eq = make_equation(spec, terms, 0)
+    box = make_box(eq, data.draw(st.integers(1, min(eq.orders))))
+    assume(box.card <= 3000)
+    runs = [[a * g ** x for x in range(limit)]
+            for (a, g), limit in zip(charsum.sorted_terms(eq, box),
+                                     box.limits())]
+    counts = [0] * q
+    for point in itertools.product(*runs):
+        total = spec.zero()
+        for u in point:
+            total = total + u
+        counts[total.packed()] += 1
+    main = Fraction(box.card, q)
+    rep = sweep_b(eq, box)
+    assert rep.counts.tolist() == counts
+    assert rep.energy == sum((c - main) ** 2 for c in counts)
 
 
 def test_sweep_caps(monkeypatch):

@@ -33,6 +33,17 @@ CASES = {
                       "--seed", "2", "--r", "1"],
     "count_f2e8": ["count", "--p", "2", "--nu", "8", "--n", "2",
                    "--seed", "1"],
+    # brute_count's digit rows in uint8 and at the top of uint16: over
+    # F_{2^12} a listed 51597-point box held as one block, and a head
+    # scan with two walks summed in the tail; p = 32749 is the largest
+    # prime whose sums 2(p-1) fit in uint16
+    "count_f2e12_r63": ["count", "--p", "2", "--nu", "12", "--terms",
+                        "9,255;1234,51", "--b", "3000", "--r", "63"],
+    "count_f2e12_n3_r63": ["count", "--p", "2", "--nu", "12", "--terms",
+                           "5,796;17,3192;1000,3459", "--b", "100",
+                           "--r", "63"],
+    "count_f32749_r30": ["count", "--p", "32749", "--n", "2", "--seed", "2",
+                         "--r", "30"],
     # density: per-b counts, energy and census
     "density_f7": ["density", "--p", "7", "--terms", "1,3;1,2", "--b", "0"],
     "density_f101": ["density", "--p", "101", "--n", "2", "--seed", "3",

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,9 @@ from expzeros.arith import QueryCounter, pow_cost
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expzeros.charsum import (brute_count, log_of, make_box, make_equation,
-                              spectral_counts)
+from expzeros import solver
+from expzeros.charsum import (brute_count, box_radius, log_of, make_box,
+                              make_equation, spectral_counts)
 from expzeros.density import corollary_min_r
 from expzeros.errors import (CapExceeded, HypothesisFailed, IndexOutOfRange,
                              Overflow)
@@ -64,11 +66,44 @@ def test_build_box_examples():
 
 
 def test_build_box_overflow():
+    # q^2 s_1^-2 log q passes 2^62, where box_radius refuses: r_raw is
+    # then the exact ceiling, far above s_n, so the search takes the
+    # whole 4-point domain and certifies (+-1 +-1 is never 1)
     spec = make_field(2147483647)
     minus_one = spec.element(spec.cardinality - 1)   # order 2
     eq = make_equation(spec, [(1, minus_one), (1, minus_one)], 1)
     with pytest.raises(Overflow):
-        build_box(eq)
+        box_radius(eq.q, [2, 2], "natural")
+    box, r_raw = build_box(eq)
+    assert type(r_raw) is int
+    assert r_raw == math.ceil(Fraction(eq.q ** 2, 4)
+                              * Fraction(math.log(eq.q)))
+    assert (box.r, box.card) == (2, 4)
+    rep = solve_classical(eq)
+    assert rep.status == NO_SOLUTION_CERTIFIED and rep.r_raw == r_raw
+    assert rep.queries.outer_points_visited == 2
+    # the density corollary keeps refusing such radii
+    with pytest.raises(Overflow):
+        corollary_min_r(eq.q, [2, 2], "natural")
+
+
+def test_build_box_overflow_orders_9_5_2():
+    # 90 points over F_{2^61-1}, whose radius 2.6e53 used to be refused
+    spec = make_field((1 << 61) - 1)
+    eq0 = random_equation_with_orders(spec, [9, 5, 2], random.Random(3))
+    (a1, g1), (a2, g2), (a3, g3) = eq0.terms
+    values = {(a1 * g1 ** x1 + a2 * g2 ** x2 + a3 * g3 ** x3).packed()
+              for x1 in range(9) for x2 in range(5) for x3 in range(2)}
+    b = a1 * g1 ** 7 + a2 * g2 ** 3 + a3 * g3
+    rep = solve_classical(make_equation(spec, eq0.terms, b))
+    assert rep.status == FOUND and rep.box.card == 90
+    assert rep.r_raw == math.ceil(Fraction(spec.cardinality ** 3, 45 ** 2)
+                                  * Fraction(math.log(spec.cardinality)))
+    assert verify_solution(make_equation(spec, eq0.terms, b), rep.x)
+    miss = next(v for v in range(spec.cardinality) if v not in values)
+    rep = solve_classical(make_equation(spec, eq0.terms, miss))
+    assert rep.status == NO_SOLUTION_CERTIFIED
+    assert rep.queries.outer_points_visited == 10
 
 
 RADIUS_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2),
@@ -306,6 +341,73 @@ def test_outer_grid_cap():
     eq = make_equation(make_field(7), [(1, 3), (1, 2)], 3)
     with pytest.raises(CapExceeded):
         solve_classical(eq, outer_cap=2)
+
+
+# ---------------------------------------------------------------------------
+# the outer scan's blocks: FIRST_BLOCK points, then doubling to BRUTE_BLOCK
+
+
+def sparse_hit_family():
+    # F_{2^31-1} with s_1 = 331: a target lies in <g_1> with chance
+    # 331 / (q-1) < 2e-7, so in the 9362-point outer grid (151 x 62) the
+    # only hit is a planted one
+    spec = make_field((1 << 31) - 1)
+    return random_equation_with_orders(spec, [331, 151, 62],
+                                       random.Random(7))
+
+
+def plant(eq, k):
+    """eq with b solved at outer index k, x_1 = 5, and nowhere before."""
+    (a1, g1), (a2, g2), (a3, g3) = eq.terms
+    x2, x3 = divmod(k, 62)
+    b = a1 * g1 ** 5 + a2 * g2 ** x2 + a3 * g3 ** x3
+    return make_equation(eq.spec, eq.terms, b), (5, x2, x3)
+
+
+REAL_GRID_TARGETS = solver._grid_targets
+
+
+def block_scan(monkeypatch, eq, first, most):
+    """solve_classical's report with the given block sizes, and the
+    (lo, hi) of every block of targets it computed."""
+    monkeypatch.setattr(solver, "FIRST_BLOCK", first)
+    monkeypatch.setattr(solver, "BRUTE_BLOCK", most)
+    blocks = []
+
+    def spy(target, walks, limits, lo, hi, p):
+        blocks.append((lo, hi))
+        return REAL_GRID_TARGETS(target, walks, limits, lo, hi, p)
+
+    monkeypatch.setattr(solver, "_grid_targets", spy)
+    return solve_classical(eq).to_dict(), blocks
+
+
+@pytest.mark.parametrize("first, most, ends", [
+    (4, 64, [4, 12, 28, 60, 124, 188, 252, 316, 380]),
+    (solver.FIRST_BLOCK, solver.BRUTE_BLOCK, [1024, 3072, 7168]),
+])
+def test_block_doubling_matches_one_block_scan(monkeypatch, first, most,
+                                               ends):
+    # the witness and the ledger are those of one block over the grid,
+    # whether the first hit is the last point of a block or the first
+    # of the next
+    family = sparse_hit_family()
+    size = 151 * 62
+    whole, blocks = block_scan(monkeypatch, family, first, most)
+    assert whole["status"] == NO_SOLUTION_CERTIFIED
+    assert whole["queries"]["outer_points_visited"] == size
+    assert blocks[:len(ends)] == list(zip([0] + ends[:-1], ends))
+    assert blocks[-1][1] == size
+    assert all(b - a == most for a, b in blocks[len(ends):-1])
+    single, blocks = block_scan(monkeypatch, family, size, size)
+    assert blocks == [(0, size)] and single == whole
+    for k in [k for end in ends for k in (end - 1, end)]:
+        eq, x = plant(family, k)
+        got, blocks = block_scan(monkeypatch, eq, first, most)
+        assert got["status"] == FOUND and got["x"] == list(x)
+        assert got["queries"]["outer_points_visited"] == k + 1
+        assert blocks[-1][0] <= k < blocks[-1][1]
+        assert got == block_scan(monkeypatch, eq, size, size)[0]
 
 
 # ---------------------------------------------------------------------------
