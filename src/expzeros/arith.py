@@ -168,9 +168,13 @@ def counted_pow(x: FieldElement, k: int, counter: QueryCounter | None,
 
 def _first_generator(spec: FieldSpec, fact: Factorization) -> FieldElement:
     """The first unit gamma, in packed order, with gamma^((q-1)/l) != 1
-    for every prime l | q-1: a generator of F_q^x."""
+    for every prime l | q-1: a generator of F_q^x.
+
+    When nu > 1 the scan starts at packed p: every packed value below it
+    lies in F_p, whose units have orders dividing p - 1 < q - 1.
+    """
     one = spec.one()
-    for k in range(1, spec.cardinality):
+    for k in range(spec.p if spec.nu > 1 else 1, spec.cardinality):
         gamma = spec.from_packed(k)
         if all(gamma ** (fact.value // ell) != one
                for ell, _ in fact.prime_powers):

@@ -414,53 +414,97 @@ def _fft_counts(hists: list[np.ndarray], p: int, nu: int,
 # int64 adds the exact fallback may spend: about 10 s at the slowest
 # measured rate (39 ns an add over (Z/2)^12), 2-5 ns an add in prime fields
 EXACT_WORK_CAP = 1 << 28
+# Fixed cost of one shift of `_exact_counts` on (Z/p), in the cost units
+# of `_shift_add_first`, one L log2 L term of the transform (0.7-0.9 ns
+# for L >= 6750): a shift measured 3.1-3.3 us besides its adds.  An add
+# costs about 0.33 ns, so counting it as a whole unit errs toward the
+# transform.
+SHIFT_ADD_CALL_COST = 4096
 
 
 def _exact_counts(hists: list[np.ndarray], p: int, nu: int) -> np.ndarray:
     """Counts by integer shift-and-add over (Z/p)^nu.
 
     For each value v a walk after the first takes, add h_j[v] times the
-    running convolution rolled by v, one axis at a time (numpy's roll over
-    k axes at once copies 2^k blocks): q int64 adds per such value.
-    Raises CapExceeded, before any of it, when those adds pass
-    EXACT_WORK_CAP.
+    running convolution shifted by v: q int64 adds per such value.  On
+    (Z/p) the cyclic shift is two contiguous slice adds; over nu > 1 axes
+    it rolls one axis at a time (numpy's roll over k axes at once copies
+    2^k blocks).  Raises CapExceeded, before any of it, when those adds
+    pass EXACT_WORK_CAP.
     """
-    grid = (p,) * nu
+    q, grid = p ** nu, (p,) * nu
     values = [np.flatnonzero(h) for h in hists[1:]]
-    work = p ** nu * sum(len(v) for v in values)
+    work = q * sum(len(v) for v in values)
     if work > EXACT_WORK_CAP:
         raise CapExceeded(f"exact convolution of {work} adds exceeds cap "
                           f"{EXACT_WORK_CAP}")
     acc = hists[0].reshape(grid)
     for h, vs in zip(hists[1:], values):
         out = np.zeros(grid, dtype=np.int64)
-        for v in vs:
-            rolled = acc
-            for axis, shift in enumerate(np.unravel_index(v, grid)):
-                if shift:
-                    rolled = np.roll(rolled, shift, axis=axis)
-            out += h[v] * rolled
+        for v, w in zip(vs.tolist(), h[vs].tolist()):
+            if nu == 1:
+                head, tail = acc[:q - v], acc[q - v:]
+                if w != 1:
+                    head, tail = w * head, w * tail
+                out[v:] += head
+                out[:v] += tail
+            else:
+                rolled = acc
+                for axis, shift in enumerate(np.unravel_index(v, grid)):
+                    if shift:
+                        rolled = np.roll(rolled, shift, axis=axis)
+                out += w * rolled
         acc = out
     return acc.reshape(-1)
+
+
+def _shift_add_first(p: int, nu: int, limits: tuple[int, ...]) -> bool:
+    """Whether a prime field above MATRIX_MAX_P takes exact shift-and-add
+    before any transform.
+
+    A walk a g^x with x below the order of g takes distinct values, so
+    the trailing walks make sum(limits[1:]) shifts, each costing q adds
+    plus SHIFT_ADD_CALL_COST.  The transform route costs about
+    (n + 1) L log2 L for its n forward FFTs and one inverse on the
+    `_transform_shape` grid of L points.  Shift-and-add goes first when
+    it is no dearer and within EXACT_WORK_CAP, so a box the transform
+    serves never meets that cap.
+    """
+    if nu > 1 or p <= MATRIX_MAX_P:
+        return False
+    shifts, n = sum(limits[1:]), len(limits)
+    length = math.prod(_transform_shape(p, nu, n))
+    return (p * shifts <= EXACT_WORK_CAP
+            and shifts * (p + SHIFT_ADD_CALL_COST)
+            <= (n + 1) * length * math.log2(length))
 
 
 def spectral_counts(eq: ExpEquation, box: SearchBox,
                     cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """N_{f_b}(r) for every b, as int64 indexed by packed b (eq.b ignored).
 
-    Uses the floating-point transform when its rounding is certified and
-    exact integer shift-and-add otherwise (CapExceeded past its work cap).
-    Memory is O(n q) whatever the box.
+    One term needs no convolution: the counts are its walk's histogram.
+    A prime field above MATRIX_MAX_P whose trailing walks are short
+    enough (`_shift_add_first`) convolves by exact shift-and-add.  Every
+    other box uses the floating-point transform when its rounding is
+    certified and exact shift-and-add otherwise (CapExceeded past its
+    work cap).  Memory is O(n q) whatever the box.
     """
     spec = eq.spec
     q, p, nu = spec.cardinality, spec.p, spec.nu
     if q > cap:
         raise CapExceeded(f"cardinality {q} exceeds cap {cap}")
+    limits = box.limits()
     hists = [np.bincount(_pack(_power_walk(a, g, limit), p), minlength=q)
-             for (a, g), limit in zip(sorted_terms(eq, box), box.limits())]
-    counts = _fft_counts(hists, p, nu, box.card)
-    if counts is None:
+             for (a, g), limit in zip(sorted_terms(eq, box), limits)]
+    if len(hists) == 1:
+        counts = hists[0]
+    elif _shift_add_first(p, nu, limits):
         counts = _exact_counts(hists, p, nu)
+    else:
+        counts = _fft_counts(hists, p, nu, box.card)
+        if counts is None:
+            counts = _exact_counts(hists, p, nu)
     total = int(counts.sum())
     if total != box.card:
         raise InvariantViolated(

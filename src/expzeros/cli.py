@@ -21,6 +21,9 @@ import math
 import random
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import density as density_mod
 from . import errors
@@ -210,16 +213,52 @@ def resolve_equation(cfg: dict):
     return random_equation(spec, n, rng), True
 
 
+# Least length of an int64 array written by `_int_array_text`: its fixed
+# cost (about 35 us) is what tolist + repr spend on some 256 ints.
+ARRAY_TEXT_MIN = 256
+
+
+def _int_array_text(values: np.ndarray, sep: str) -> str:
+    """sep.join(map(repr, values)) for a 1-D non-negative int64 array.
+
+    Column k of a uint8 table holds the text of entry k: sep, then its
+    decimal digits zero-filled to the widest entry.  Leading zeros
+    become NUL, which one translate deletes from the table's bytes.
+    """
+    width = len(str(int(values.max())))
+    head = len(sep)
+    table = np.empty((head + width, len(values)), dtype=np.uint8)
+    table[:head] = np.frombuffer(sep.encode(), dtype=np.uint8)[:, None]
+    rest = values.astype(np.uint64)
+    for row in range(head + width - 1, head - 1, -1):
+        np.remainder(rest, 10, out=table[row], casting="unsafe")
+        rest //= 10
+    table[head:] += ord("0")
+    table[head:-1] *= values >= 10 ** np.arange(width - 1, 0, -1)[:, None]
+    return table.T.tobytes().translate(None, b"\0").decode()[head:]
+
+
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte.
 
     With indent set, the stdlib runs its pure-Python encoder on every
-    value.  Here a list of plain ints (a per-b counts list) is one repr
-    and one replace, a list of equally long such lists (count's
-    solutions) is one %-format of all their ints, and every other scalar
-    goes through the C encoder.  Keys must be str.
+    value.  Here:
+    - a 1-D non-negative int64 array of at least ARRAY_TEXT_MIN entries
+      (density's per-b counts) goes through `_int_array_text`, any other
+      array through its tolist();
+    - a list of plain ints is one repr and one replace, and a list of
+      equally long such lists (count's solutions) one %-format;
+    - an int is its repr, and a str or key goes straight to the C string
+      encoder json.dumps calls; other scalars go through json.dumps.
+    Keys must be str.
     """
     inner = indent + "  "
+    if isinstance(value, np.ndarray):
+        if (value.dtype == np.int64 and value.ndim == 1
+                and len(value) >= ARRAY_TEXT_MIN and value.min() >= 0):
+            body = _int_array_text(value, ",\n" + inner)
+            return "[\n" + inner + body + "\n" + indent + "]"
+        value = value.tolist()
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -227,7 +266,7 @@ def _json_text(value, indent: str = "") -> str:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, got {key!r}")
-            lines.append(f"{inner}{json.dumps(key)}: "
+            lines.append(f"{inner}{encode_basestring_ascii(key)}: "
                          f"{_json_text(item, inner)}")
         return "{\n" + ",\n".join(lines) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
@@ -248,6 +287,10 @@ def _json_text(value, indent: str = "") -> str:
             body = (",\n" + inner).join(_json_text(item, inner)
                                         for item in value)
         return "[\n" + inner + body + "\n" + indent + "]"
+    if type(value) is int:
+        return repr(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     return json.dumps(value)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -48,10 +48,12 @@ class DensityReport:
         return int(self.counts[b_packed]) - self.main
 
     def to_dict(self) -> dict:
+        """Fields for cli's JSON writer; counts stays the int64 array
+        (json.dumps needs counts.tolist())."""
         return {
             "eq": self.eq.to_dict(),
             "box": self.box.to_dict(),
-            "counts": self.counts.tolist(),
+            "counts": self.counts,
             "main": [self.main.numerator, self.main.denominator],
             "energy": [self.energy.numerator, self.energy.denominator],
         }
@@ -88,7 +90,9 @@ class CensusResult:
     delta: float
     delta_sq: Fraction  # exact square of the delta actually used
     threshold_sq: Fraction  # delta^2 r q^(n-2)
-    flags: tuple[bool, ...]  # flags[packed(b)]
+    # read-only bool, mask[packed(b)]; compared through `exceptional`,
+    # which it fixes
+    mask: np.ndarray = field(compare=False, repr=False)
     exceptional: tuple[int, ...]  # packed b values, ascending
     bound: Fraction  # q / delta^2
     size_ok: bool
@@ -133,7 +137,7 @@ def exceptional_census(report: DensityReport, delta) -> CensusResult:
     above = min(-(-(card + t) // q) - 1, INT64_MAX)
     below = max((card - t) // q + 1, INT64_MIN)
     mask = (report.counts > above) | (report.counts < below)
-    flags = mask.tolist()
+    mask.flags.writeable = False
     exceptional = np.flatnonzero(mask).tolist()
     bound = Fraction(q) / delta_sq
     size_ok = len(exceptional) <= bound
@@ -142,7 +146,7 @@ def exceptional_census(report: DensityReport, delta) -> CensusResult:
             f"census of {len(exceptional)} exceeds q/delta^2 = {bound}; "
             "energy bound violated?")
     return CensusResult(float(delta_sq) ** 0.5, delta_sq, threshold_sq,
-                        tuple(flags), tuple(exceptional), bound, size_ok)
+                        mask, tuple(exceptional), bound, size_ok)
 
 
 def corollary_min_r(q: int, orders, log_base: str = "natural"
@@ -189,7 +193,7 @@ def write_per_b_csv(report: DensityReport, census: CensusResult, out) -> None:
     writer.writerow(["b_index", "N", "main_num", "main_den", "delta",
                      "exceptional_flag"])
     main = report.main
-    for b, count in enumerate(report.counts.tolist()):
+    for b, (count, flag) in enumerate(zip(report.counts.tolist(),
+                                          census.mask.tolist())):
         writer.writerow([b, count, main.numerator, main.denominator,
-                         repr(float(count - main)),
-                         int(census.flags[b])])
+                         repr(float(count - main)), int(flag)])

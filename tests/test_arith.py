@@ -4,6 +4,7 @@ baby-step giant-step discrete logs, all validated against brute oracles.
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -196,6 +197,40 @@ def test_log_table_is_the_walk_of_the_first_generator():
                for k in range(1, gamma.packed()))
     for k in (1, 2, 17, 100, 242):
         assert gamma ** int(table[k]) == spec.from_packed(k)
+
+
+def scan_from_one(spec, fact):
+    """The first generator by a scan over every unit from packed 1."""
+    for k in range(1, spec.cardinality):
+        gamma = spec.from_packed(k)
+        if all(gamma ** (fact.value // ell) != spec.one()
+               for ell, _ in fact.prime_powers):
+            return gamma
+
+
+@pytest.mark.parametrize("p, nu", [(2, 2), (2, 3), (2, 8), (3, 2), (3, 5),
+                                   (5, 2), (5, 3), (7, 2), (11, 2), (13, 2),
+                                   (31, 2), (101, 2), (257, 2), (7, 1),
+                                   (101, 1)])
+def test_first_generator_matches_the_scan_from_one(p, nu):
+    spec = make_field(p, nu)
+    fact = factorize(spec.cardinality - 1)
+    assert arith._first_generator(spec, fact) == scan_from_one(spec, fact)
+
+
+def test_first_generator_of_large_extension_fields_is_quick():
+    start = time.perf_counter()
+    spec = make_field(32749, 2)
+    gamma = arith._first_generator(spec, factorize(32749 ** 2 - 1))
+    assert gamma.packed() == 32751
+    spec = make_field((1 << 31) - 1, 2)
+    fact = factorize(spec.cardinality - 1)
+    gamma = arith._first_generator(spec, fact)
+    assert gamma.packed() >= spec.p
+    assert multiplicative_order(gamma, fact).order == spec.cardinality - 1
+    # the scan from packed 1 took seconds on the first field and did not
+    # end in 20 s on the second
+    assert time.perf_counter() - start < 2
 
 
 def test_planted_wrong_log_entry_is_caught(monkeypatch):

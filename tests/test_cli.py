@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -345,6 +346,49 @@ JSON_DOCS = st.recursive(
 @example({"rows": [[1, 2], [3]], "empty": [[], []], "bools": [[1, True]]})
 def test_json_writer_matches_stdlib_indent_2(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+INT64_MAX = (1 << 63) - 1
+
+
+@st.composite
+def int_arrays(draw):
+    """1-D arrays around and far past ARRAY_TEXT_MIN: non-negative int64
+    (the array writer's input), all-zero ones, and near misses that must
+    take the list path (a negative entry, other dtypes)."""
+    n = draw(st.sampled_from([1, 255, 256, 257]) | st.integers(1, 70_000))
+    top = draw(st.sampled_from([0, 1, 9, 10, 99, 10 ** 9 - 1, 10 ** 9,
+                                1 << 32, INT64_MAX]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arr = rng.integers(0, top, n, dtype=np.int64, endpoint=True)
+    arr[rng.integers(0, n)] = top
+    kind = draw(st.sampled_from(["int64", "negative", "int32", "uint64",
+                                 "float64"]))
+    if kind == "negative":
+        arr[rng.integers(0, n)] = -draw(st.integers(1, INT64_MAX))
+    elif kind != "int64":
+        arr = (arr % (1 << 31)).astype(kind)
+    return arr
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_arrays(), st.sampled_from(["", "  ", "    ", "      "]))
+def test_json_writer_formats_int_arrays_like_their_lists(arr, indent):
+    want = json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + indent)
+    assert cli._json_text(arr, indent) == want
+
+
+def test_json_writer_array_digit_places():
+    # every power of ten and its predecessor, in both digit dtypes;
+    # the second array is ten digits wide, its top entry past 2^32
+    edges = [0] + [v for k in range(1, 19) for v in (10 ** k - 1, 10 ** k)]
+    for arr in (np.array(edges + [INT64_MAX] * 300, dtype=np.int64),
+                np.array(edges[:20] * 20, dtype=np.int64),
+                np.zeros(cli.ARRAY_TEXT_MIN, dtype=np.int64),
+                np.zeros((0,), dtype=np.int64),
+                np.arange(600, dtype=np.int64).reshape(2, 300)):
+        assert cli._json_text({"counts": arr}) == json.dumps(
+            {"counts": arr.tolist()}, indent=2)
 
 
 def test_json_writer_rejects_non_str_keys():

@@ -9,6 +9,7 @@ independent Fraction comparison including an exact boundary tie.
 import dataclasses
 import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expzeros import charsum, density
+from expzeros import charsum, cli, density
 from expzeros.charsum import SearchBox, brute_count, make_box, make_equation
 from expzeros.density import (
     CensusResult,
@@ -184,7 +185,7 @@ def test_census_f7_example_is_empty_at_delta_one():
     # max |Delta| = 4/7 < sqrt(3 * 7^0) = 1.73..., so no exceptional b
     census = exceptional_census(rep, 1)
     assert census.exceptional == ()
-    assert census.flags == (False,) * 7
+    assert census.mask.tolist() == [False] * 7
     assert census.bound == 7
     assert census.size_ok
 
@@ -202,9 +203,9 @@ def test_census_matches_independent_fraction_check():
             thr = Fraction(delta) ** 2 * box.r * Fraction(q) ** (box.n - 2)
             for b in range(q):
                 want = rep.delta(b) ** 2 >= thr
-                assert census.flags[b] == want
+                assert census.mask[b] == want
             assert census.exceptional == tuple(
-                b for b in range(q) if census.flags[b])
+                b for b in range(q) if census.mask[b])
             assert len(census.exceptional) <= q / float(delta) ** 2
 
 
@@ -224,8 +225,8 @@ def test_census_exact_boundary_tie_counts_as_exceptional():
     census = exceptional_census(rep, Fraction(3, 2))
     assert census.threshold_sq == Fraction(9)
     assert census.exceptional == (0, 8)
-    assert census.flags[0] and census.flags[8]
-    assert not any(census.flags[1:8])
+    assert census.mask[0] and census.mask[8]
+    assert not any(census.mask[1:8])
     # nudging delta up by any amount drops both ties
     census2 = exceptional_census(rep, Fraction(3, 2) + Fraction(1, 10 ** 9))
     assert census2.exceptional == ()
@@ -276,8 +277,8 @@ def test_census_matches_loop_oracle(field, n, k, data):
             exceptional_census(rep, delta)
         return
     census = exceptional_census(rep, delta)
-    assert list(census.flags) == want
-    assert all(type(f) is bool for f in census.flags)
+    assert census.mask.dtype == bool and census.mask.tolist() == want
+    assert not census.mask.flags.writeable
     assert list(census.exceptional) == [b for b in range(q) if want[b]]
 
 
@@ -358,7 +359,7 @@ def test_corollary_r_guarantees_nonempty_for_nonexceptional():
         rep = sweep_b(eq, box)
         census = exceptional_census(rep, math.sqrt(math.log(101)))
         for b in range(101):
-            if not census.flags[b]:
+            if not census.mask[b]:
                 assert rep.counts[b] >= 1
 
 
@@ -382,6 +383,18 @@ def test_report_json_round_trip():
         report_from_dict(bad)
 
 
+def test_report_dict_writes_like_its_list():
+    # 3329 counts, past the writer's array threshold
+    eq, box, rep = sweep_fixture(3329, 1, [(1, 3), (5, 243)], r=10)
+    census = exceptional_census(rep, 1)
+    doc = report_to_dict(rep, census)
+    assert doc["counts"] is rep.counts
+    listed = {**doc, "counts": doc["counts"].tolist()}
+    assert json.loads(json.dumps(listed)) == listed
+    assert cli._json_text(doc) == json.dumps(listed, indent=2)
+    assert report_from_dict(listed).counts.tolist() == listed["counts"]
+
+
 def test_per_b_csv_layout():
     _, _, rep = sweep_fixture(7, 1, [(1, 3), (1, 2)])
     census = exceptional_census(rep, 1)
@@ -395,3 +408,9 @@ def test_per_b_csv_layout():
     assert first[2] == "18" and first[3] == "7"
     assert abs(float(first[4]) - (3 - 18 / 7)) < 1e-12
     assert first[5] == "0"
+    # at delta = 0.3 the b with two solutions are exceptional
+    census = exceptional_census(rep, 0.3)
+    buf = io.StringIO()
+    write_per_b_csv(rep, census, buf)
+    flags = [line.split(",")[5] for line in buf.getvalue().splitlines()[1:]]
+    assert flags == ["0", "1", "1", "0", "1", "0", "0"]

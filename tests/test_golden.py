@@ -110,6 +110,10 @@ CASES = {
     "bench_f101_n2": ["bench", "--qs", "101", "--ns", "2"],
     "density_f1031_r3": ["density", "--p", "1031", "--n", "2", "--seed", "1",
                          "--r", "3", "--delta", "0.5"],
+    # a trailing walk of 10 values over F_3329: counts by shift-and-add,
+    # 3 329 of them written from the int64 array
+    "density_f3329_r10": ["density", "--p", "3329", "--terms", "1,3;5,243",
+                          "--b", "0", "--r", "10"],
 }
 
 

@@ -20,11 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expzeros import charsum, fields
+from expzeros.arith import divisors
 from expzeros.charsum import (brute_count, count_via_charsum, make_box,
                               make_equation, spectral_counts)
 from expzeros.density import sweep_b
 from expzeros.fields import make_field
-from expzeros.instances import find_generator, random_equation
+from expzeros.instances import (element_of_order, find_generator,
+                                random_equation)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2),
                 (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]
@@ -323,3 +325,123 @@ def test_invariants_survive_python_O():
     assert proc.returncode == 3, proc.stderr
     assert "internal error" in proc.stderr
     assert "sum to 0, not the box size 18" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the route choice: no transform for n = 1, shift-and-add first where its
+# adds cost less than the transform, the certified transform elsewhere
+
+# primes on both sides of MATRIX_MAX_P, and above it on both sides of the
+# cost crossover (short trailing walks in F_3329 and F_9973 take
+# shift-and-add, long ones the transform); extension fields never do
+CROSSOVER_FIELDS = [(7, 1), (127, 1), (131, 1), (257, 1), (1031, 1),
+                    (3329, 1), (9973, 1), (2, 6), (3, 4), (97, 2)]
+ROUTES = ["chosen", "shift_add", "transform", "exact_fallback"]
+
+
+def forced_counts(eq, box, route):
+    """spectral_counts with its route forced."""
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "shift_add":
+            mp.setattr(charsum, "_shift_add_first", lambda *args: True)
+        elif route in ("transform", "exact_fallback"):
+            mp.setattr(charsum, "_shift_add_first", lambda *args: False)
+        if route == "exact_fallback":
+            mp.setattr(charsum, "_fft_counts", lambda *args: None)
+        return spectral_counts(eq, box)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_route_matches_brute_and_exact_counts(data):
+    p, nu = data.draw(st.sampled_from(CROSSOVER_FIELDS))
+    spec = make_field(p, nu)
+    q = spec.cardinality
+    # orders drawn from the divisors of q - 1, the leading ones within the
+    # brute-force budget and the last no larger than any of them
+    divs = divisors(q - 1)
+    front, budget = [], PROPERTY_CARD_CAP
+    for _ in range(data.draw(st.integers(0, 3))):
+        front.append(data.draw(st.sampled_from(
+            [d for d in divs if d <= budget])))
+        budget //= front[-1]
+    last = data.draw(st.sampled_from(
+        [d for d in divs if d <= min(front, default=q - 1)]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    gen = find_generator(spec)
+    terms = [(rng.randrange(1, q),
+              element_of_order(spec, d, gen, rng).packed())
+             for d in front + [last]]
+    eq = make_equation(spec, terms, data.draw(st.integers(0, q - 1)))
+    box = make_box(eq, data.draw(st.integers(1, max(1, min(last, budget)))))
+    hists = histograms(eq, box)
+    want = charsum._exact_counts(hists, p, nu)
+    for route in ROUTES:
+        assert forced_counts(eq, box, route).tolist() == want.tolist()
+    # brute force at the equation's b and at the most and least hit b
+    for b in {eq.b.packed(), int(want.argmax()), int(want.argmin())}:
+        beq = make_equation(spec, terms, b)
+        assert brute_count(beq, make_box(beq, box.r), list_cap=0)[0] \
+            == want[b]
+
+
+def test_shift_add_route_chosen_by_cost():
+    # F_3329, n = 2: 34 shifts of 3329 + 4096 adds against 3 FFTs of 6750
+    assert charsum._shift_add_first(3329, 1, (3328, 34))
+    assert not charsum._shift_add_first(3329, 1, (3328, 35))
+    assert charsum._shift_add_first(65537, 1, (65536, 20))
+    assert charsum._shift_add_first(9973, 1, (831, 40))
+    assert not charsum._shift_add_first(9973, 1, (277, 277, 1))
+    assert not charsum._shift_add_first(1031, 1, (1030, 1030))
+    # every prime up to MATRIX_MAX_P and every extension field transforms
+    assert not charsum._shift_add_first(127, 1, (126, 1))
+    assert not charsum._shift_add_first(97, 2, (96, 4))
+    assert not charsum._shift_add_first(131, 2, (131 ** 2 - 1, 2))
+
+
+def test_exact_counts_slice_adds_match_roll():
+    # the nu = 1 slice adds against the roll path, weights above 1 too
+    rng = np.random.default_rng(3)
+    for q in (2, 7, 131, 3329):
+        hists = [rng.integers(0, 4, q) for _ in range(3)]
+        want = hists[0]
+        for h in hists[1:]:
+            want = sum(int(h[v]) * np.roll(want, v) for v in range(q))
+        got = charsum._exact_counts(hists, q, 1)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+def test_single_term_counts_are_its_histogram(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("n = 1 needs no convolution")
+
+    monkeypatch.setattr(charsum, "_fft_counts", refuse)
+    monkeypatch.setattr(charsum, "_exact_counts", refuse)
+    for p, nu, terms, r in [(9973, 1, [(5, 11)], 8), (2, 12, [(9, 255)], 5),
+                            (7, 4, [(3, 10)], 30), (101, 1, [(2, 1)], None)]:
+        eq, box = instance(p, nu, terms, 0, r)
+        hist, = histograms(eq, box)
+        assert spectral_counts(eq, box).tolist() == hist.tolist()
+        assert count_via_charsum(eq, box) == hist[0]
+
+
+def test_work_cap_keeps_the_transform(monkeypatch):
+    # with the real constants: n = 4 over F_1048573, where 300 trailing
+    # values cost less than the transform but pass EXACT_WORK_CAP
+    p = 1048573
+    assert charsum._shift_add_first(p, 1, (p - 1, 100, 50, 50))
+    assert not charsum._shift_add_first(p, 1, (p - 1, 200, 50, 50))
+    assert p * 300 > charsum.EXACT_WORK_CAP
+    # end to end: F_3329 with r = 10 takes shift-and-add, until its
+    # 33 290 adds pass the cap; then the transform serves it, no raise
+    eq, box = instance(3329, 1, [(1, 3), (5, 243)], 0, 10)
+    want = spectral_counts(eq, box)
+    calls = []
+    fft_counts = charsum._fft_counts
+    monkeypatch.setattr(charsum, "_fft_counts",
+                        lambda *args: calls.append(1) or fft_counts(*args))
+    assert spectral_counts(eq, box).tolist() == want.tolist()
+    assert calls == []
+    monkeypatch.setattr(charsum, "EXACT_WORK_CAP", 3329 * 10 - 1)
+    assert spectral_counts(eq, box).tolist() == want.tolist()
+    assert calls == [1]

@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Paired before/after benchmark runs, written to BENCH_<tag>.json.
+
+    python3 tools/bench_pairs.py --parent ../before --change . \\
+        --workload sweep --seeds 8501-8510 --tag sweep
+
+Runs `perfbench/run.py --trace 0` in two checkouts of the repository, one
+seed at a time, for the run length perfbench itself fixes.  Even-numbered pairs run the parent first and odd ones the
+change first, so a drift of the host's speed during the session falls on
+both sides alike.  The JSON file holds, per seed, both sides' end-to-end
+metrics, `correct` flag and output digest; per metric, both medians, how
+many pairs the change won and the quartiles of the parent's runs, with
+whether the median gap is larger than the parent's interquartile range.
+Each run's `env` line (CPU, Python, numpy, commit) is kept with it.
+
+Exits 1 when a run is not `correct`, exits non-zero, or when the two sides
+print different digests for the same seed (the change altered an output).
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """"8501-8505,8601" -> [8501, ..., 8505, 8601]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_side(checkout: Path, workload: str, seed: int) -> dict:
+    """One perfbench run in `checkout`: its result line and digest."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    lines = proc.stdout.splitlines()
+    digest = next((line.split("sha256=", 1)[1] for line in lines
+                   if line.startswith(f"digest {workload} ")), None)
+    env = next((line for line in lines if line.startswith("env ")), None)
+    if proc.returncode != 0 or not lines:
+        return {"exit": proc.returncode, "correct": False, "digest": digest,
+                "env": env, "stderr": proc.stderr[-2000:]}
+    result = json.loads(lines[-1])
+    return {"exit": 0, "correct": result["correct"], "env": env,
+            "attempted": result["attempted"], "failed": result["failed"],
+            "digest": digest,
+            "metrics": {name: m["value"]
+                        for name, m in result["metrics"].items()}}
+
+
+def directions(checkout: Path) -> dict:
+    """Metric name -> "lower" or "higher", from BENCHMARK.json."""
+    doc = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in doc["end_to_end"]}
+
+
+def summarize(pairs: list[dict], better: dict) -> dict:
+    out = {}
+    names = [name for name in pairs[0]["parent"].get("metrics", {})
+             if all("metrics" in pair[side]
+                    for pair in pairs for side in SIDES)]
+    for name in names:
+        parent = [pair["parent"]["metrics"][name] for pair in pairs]
+        change = [pair["change"]["metrics"][name] for pair in pairs]
+        sign = -1 if better.get(name, "lower") == "lower" else 1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        q1, _, q3 = (statistics.quantiles(parent, n=4) if len(parent) > 1
+                     else (parent[0],) * 3)
+        med_p, med_c = statistics.median(parent), statistics.median(change)
+        out[name] = {
+            "better": better.get(name, "lower"),
+            "parent_median": med_p, "change_median": med_c,
+            "change_wins": wins, "pairs": len(pairs),
+            "parent_q1": q1, "parent_q3": q3, "parent_iqr": q3 - q1,
+            "gain_exceeds_parent_iqr": sign * (med_c - med_p) > q3 - q1,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True,
+                        help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True,
+                        help='e.g. "8501-8510" or "1,2,5-7"')
+    parser.add_argument("--tag", required=True,
+                        help="writes BENCH_<tag>.json unless --out is set")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(),
+                 "change": args.change.resolve()}
+    pairs, problems = [], []
+    for k, seed in enumerate(parse_seeds(args.seeds)):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_side(checkouts[side], args.workload, seed)
+            if not pair[side]["correct"]:
+                problems.append(f"seed {seed}: {side} run not correct")
+        if pair["parent"]["digest"] != pair["change"]["digest"]:
+            problems.append(f"seed {seed}: digests differ")
+        wall = {side: pair[side].get("metrics", {}).get("wall_s")
+                for side in SIDES}
+        print(f"seed {seed} ({pair['first']} first): wall_s parent "
+              f"{wall['parent']} change {wall['change']}", flush=True)
+        pairs.append(pair)
+    summary = summarize(pairs, directions(checkouts["change"]))
+    doc = {"workload": args.workload, "pairs": pairs, "summary": summary, "problems": problems}
+    out = args.out or Path(f"BENCH_{args.tag}.json")
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    for name, s in summary.items():
+        print(f"{name}: {s['parent_median']:.6g} -> {s['change_median']:.6g} "
+              f"wins {s['change_wins']}/{s['pairs']} parent IQR "
+              f"{s['parent_iqr']:.3g}")
+    for problem in problems:
+        print(f"FAIL {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
