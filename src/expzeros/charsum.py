@@ -17,9 +17,10 @@ most sqrt(q), which is what the density bounds in density.py rest on.
 That sum is a discrete Fourier transform on the additive group
 (F_q, +) = (Z/p)^nu: the partial Gauss sums transform the histograms of
 the walks a_j g_j^x, and N_{f_b}(r) for every b at once is the
-convolution of those histograms.  `spectral_counts` evaluates it with one
-FFT per term and one inverse, certified against rounding or redone in
-exact integers; `brute_count` is the independent exhaustive oracle.
+convolution of those histograms.  `spectral_counts` transforms the long
+walks' histograms, certified against rounding or redone in exact
+integers, and shifts and adds the short ones exactly; `brute_count` is
+the independent exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -366,31 +368,47 @@ def _matrix_convolve(hists: list[np.ndarray], p: int, nu: int) -> np.ndarray:
     return _matrix_transform(spectrum, inv, p, nu)
 
 
+def _transform_route(p: int, nu: int, n: int,
+                     card: int) -> tuple[bool, tuple[int, ...]] | None:
+    """(dense, shape) of the route `_fft_counts` takes for n histograms of
+    a box of card points, or None when no route's a-priori bound
+    certifies it.
+
+    Up to MATRIX_MAX_P the character matrix, when its dense bound
+    certifies the box.  Otherwise the real-input FFTs: on the padded
+    grid, or on the unpadded one, whose fewer butterfly stages certify
+    larger boxes.
+    """
+    grid = (p,) * nu
+    if (p <= MATRIX_MAX_P
+            and _fft_error_bound(card, n, grid, dense=True) < ROUND_SLACK):
+        return True, grid
+    for shape in (_transform_shape(p, nu, n), grid):
+        if _fft_error_bound(card, n, shape) < ROUND_SLACK:
+            return False, shape
+    return None
+
+
 def _fft_counts(hists: list[np.ndarray], p: int, nu: int,
                 card: int) -> np.ndarray | None:
     """Counts by floating-point transform, or None unless certified exact.
 
-    Up to MATRIX_MAX_P the character matrix transforms complex data
-    (`_matrix_convolve`).  Above it, or when the dense sums' looser error
-    bound cannot certify the box, the histograms, being real, go through
-    real-input FFTs (rfftn, irfftn) on half the spectrum: on the padded
-    grid, or on the unpadded one, whose fewer butterfly stages certify
-    larger boxes.  The certificate: the a-priori bound is below
-    ROUND_SLACK, and after the transform every real part lies within
-    ROUND_SLACK of an integer, every imaginary part (if the result has
-    any) is below it, and the rounded values sum to card.
+    The route is `_transform_route`'s: the character matrix transforms
+    complex data (`_matrix_convolve`); the FFTs transform the histograms,
+    being real, by rfftn and irfftn on half the spectrum.  The
+    certificate: the a-priori bound is below ROUND_SLACK, and after the
+    transform every real part lies within ROUND_SLACK of an integer,
+    every imaginary part (if the result has any) is below it, and the
+    rounded values sum to card.
     """
-    n, grid = len(hists), (p,) * nu
-    if (p <= MATRIX_MAX_P
-            and _fft_error_bound(card, n, grid, dense=True) < ROUND_SLACK):
+    route = _transform_route(p, nu, len(hists), card)
+    if route is None:
+        return None
+    dense, shape = route
+    if dense:
         raw = _matrix_convolve(hists, p, nu)
     else:
-        shape = _transform_shape(p, nu, n)
-        if _fft_error_bound(card, n, shape) >= ROUND_SLACK:
-            shape = grid
-        if _fft_error_bound(card, n, shape) >= ROUND_SLACK:
-            return None
-        axes = tuple(range(len(shape)))
+        grid, axes = (p,) * nu, tuple(range(len(shape)))
         spectrum = np.fft.rfftn(hists[0].reshape(grid), s=shape, axes=axes)
         for h in hists[1:]:
             spectrum *= np.fft.rfftn(h.reshape(grid), s=shape, axes=axes)
@@ -414,97 +432,167 @@ def _fft_counts(hists: list[np.ndarray], p: int, nu: int,
 # int64 adds the exact fallback may spend: about 10 s at the slowest
 # measured rate (39 ns an add over (Z/2)^12), 2-5 ns an add in prime fields
 EXACT_WORK_CAP = 1 << 28
-# Fixed cost of one shift of `_exact_counts` on (Z/p), in the cost units
-# of `_shift_add_first`, one L log2 L term of the transform (0.7-0.9 ns
-# for L >= 6750): a shift measured 3.1-3.3 us besides its adds.  An add
-# costs about 0.33 ns, so counting it as a whole unit errs toward the
-# transform.
-SHIFT_ADD_CALL_COST = 4096
+# Measured costs of the split rule `_transform_terms`, in units of one
+# int64 add of a contiguous slice add (0.33 ns on a 2-CPU Xeon), fitted
+# from best-of-15 timings of each route.  A shift: SLICE_COST per slice
+# add (3 us) and RUN_COST per strided run of one over nu > 1 axes
+# (80 ns).  A real FFT: FFT_CALL_COST (22 us, its share of the
+# certificate included) plus FFT_COST per L log2 L (1.1 ns).  A
+# character-matrix transform: MATRIX_CALL_COST (5 us), plus per axis
+# MATRIX_ENTRY_COST per entry (product and transpose, 4 ns) and
+# MATRIX_MAC_COST per complex multiply-add (0.12 ns).
+SLICE_COST = 9000
+RUN_COST = 240
+FFT_CALL_COST = 66000
+FFT_COST = 3.3
+MATRIX_CALL_COST = 15000
+MATRIX_ENTRY_COST = 12
+MATRIX_MAC_COST = 0.35
+
+
+def _add_shifted(out: np.ndarray, src: np.ndarray, shift, p: int) -> None:
+    """out += src cyclically shifted by `shift` on (Z/p)^nu, in place.
+
+    An axis shifted by s != 0 splits into two ranges, [0, p - s) ->
+    [s, p) and [p - s, p) -> [0, s), so a shift with k nonzero
+    components is 2^k slice adds of views, and no copy.
+    """
+    pairs, lead = [(out, src)], ()
+    for s in shift:
+        if s:
+            split = []
+            for o, f in pairs:
+                split.append((o[lead + (slice(s, None),)],
+                              f[lead + (slice(p - s),)]))
+                split.append((o[lead + (slice(s),)],
+                              f[lead + (slice(p - s, None),)]))
+            pairs = split
+        lead += (slice(None),)
+    for o, f in pairs:
+        o += f
 
 
 def _exact_counts(hists: list[np.ndarray], p: int, nu: int) -> np.ndarray:
-    """Counts by integer shift-and-add over (Z/p)^nu.
+    """The cyclic convolution of the histograms on (Z/p)^nu, by integer
+    shift-and-add.
 
-    For each value v a walk after the first takes, add h_j[v] times the
-    running convolution shifted by v: q int64 adds per such value.  On
-    (Z/p) the cyclic shift is two contiguous slice adds; over nu > 1 axes
-    it rolls one axis at a time (numpy's roll over k axes at once copies
-    2^k blocks).  Raises CapExceeded, before any of it, when those adds
-    pass EXACT_WORK_CAP.
+    For each value v a histogram after the first takes, add h_j[v] times
+    the running convolution shifted by v (`_add_shifted`): q int64 adds
+    per such value.  Raises CapExceeded, before any of it, when those
+    adds pass EXACT_WORK_CAP.
     """
-    q, grid = p ** nu, (p,) * nu
+    grid = (p,) * nu
     values = [np.flatnonzero(h) for h in hists[1:]]
-    work = q * sum(len(v) for v in values)
+    work = p ** nu * sum(len(v) for v in values)
     if work > EXACT_WORK_CAP:
         raise CapExceeded(f"exact convolution of {work} adds exceeds cap "
                           f"{EXACT_WORK_CAP}")
     acc = hists[0].reshape(grid)
     for h, vs in zip(hists[1:], values):
         out = np.zeros(grid, dtype=np.int64)
-        for v, w in zip(vs.tolist(), h[vs].tolist()):
-            if nu == 1:
-                head, tail = acc[:q - v], acc[q - v:]
-                if w != 1:
-                    head, tail = w * head, w * tail
-                out[v:] += head
-                out[:v] += tail
-            else:
-                rolled = acc
-                for axis, shift in enumerate(np.unravel_index(v, grid)):
-                    if shift:
-                        rolled = np.roll(rolled, shift, axis=axis)
-                out += w * rolled
+        shifts = zip(*(axis.tolist() for axis in np.unravel_index(vs, grid)))
+        for shift, w in zip(shifts, h[vs].tolist()):
+            _add_shifted(out, acc if w == 1 else w * acc, shift, p)
         acc = out
     return acc.reshape(-1)
 
 
-def _shift_add_first(p: int, nu: int, limits: tuple[int, ...]) -> bool:
-    """Whether a prime field above MATRIX_MAX_P takes exact shift-and-add
-    before any transform.
+def _shift_cost(p: int, nu: int) -> float:
+    """Measured cost of one shift of `_exact_counts`: q adds, plus the
+    slice adds of a shift by a random v (an axis of v is nonzero with
+    chance (p-1)/p and then takes two slices, so ((2p-1)/p)^nu on
+    average), plus over nu > 1 axes the strided runs of the last axis,
+    two for each of its q/p rows when its shift is nonzero."""
+    q = p ** nu
+    cost = q + SLICE_COST * ((2 * p - 1) / p) ** nu
+    if nu > 1:
+        cost += RUN_COST * 2 * (p - 1) * q / p ** 2
+    return cost
 
-    A walk a g^x with x below the order of g takes distinct values, so
-    the trailing walks make sum(limits[1:]) shifts, each costing q adds
-    plus SHIFT_ADD_CALL_COST.  The transform route costs about
-    (n + 1) L log2 L for its n forward FFTs and one inverse on the
-    `_transform_shape` grid of L points.  Shift-and-add goes first when
-    it is no dearer and within EXACT_WORK_CAP, so a box the transform
-    serves never meets that cap.
+
+def _transform_cost(p: int, nu: int, m: int, card: int) -> float:
+    """Measured cost of `_fft_counts` on m histograms of a box of card
+    points: m forward transforms and one inverse on its route, or
+    infinite when no route certifies the box."""
+    route = _transform_route(p, nu, m, card)
+    if route is None:
+        return math.inf
+    dense, shape = route
+    if dense:
+        q = p ** nu
+        per = (MATRIX_CALL_COST
+               + nu * q * (MATRIX_ENTRY_COST + MATRIX_MAC_COST * p))
+    else:
+        length = math.prod(shape)
+        per = FFT_CALL_COST + FFT_COST * length * math.log2(length)
+    return (m + 1) * per
+
+
+def _transform_terms(p: int, nu: int, limits: tuple[int, ...]) -> int:
+    """How many leading walks the transform convolves: the split m in
+    1..n of least measured cost.
+
+    The leading m walks cost `_transform_cost` for their sub-box of
+    prod(limits[:m]) points (nothing for m = 1, whose counts are the
+    first walk's histogram).  The other walks are shifted and added
+    exactly: a walk a g^x with x below the order of g takes distinct
+    values, so walk l makes limits[l] shifts of `_shift_cost` each.  A
+    split whose shifts pass EXACT_WORK_CAP is never picked, so a box the
+    transform serves never meets that cap; ties go to the larger m.
     """
-    if nu > 1 or p <= MATRIX_MAX_P:
-        return False
-    shifts, n = sum(limits[1:]), len(limits)
-    length = math.prod(_transform_shape(p, nu, n))
-    return (p * shifts <= EXACT_WORK_CAP
-            and shifts * (p + SHIFT_ADD_CALL_COST)
-            <= (n + 1) * length * math.log2(length))
+    n, q = len(limits), p ** nu
+    shift = _shift_cost(p, nu)
+    best, pick = math.inf, n
+    for m in range(n, 0, -1):
+        shifts = sum(limits[m:])
+        cost = shifts * shift
+        # shifts only grow as m falls: no smaller m can do better
+        if q * shifts > EXACT_WORK_CAP or cost >= best:
+            break
+        if m > 1:
+            cost += _transform_cost(p, nu, m, math.prod(limits[:m]))
+        if cost < best:
+            best, pick = cost, m
+    return pick
+
+
+def box_walks(eq: ExpEquation, box: SearchBox) -> Iterator[np.ndarray]:
+    """Digit rows of a_j g_j^x, x < limit_j, for each sorted coordinate j,
+    one walk at a time: the walks both `spectral_counts` and
+    `brute_count` read (take a list to hand them to both)."""
+    for (a, g), limit in zip(sorted_terms(eq, box), box.limits()):
+        yield _power_walk(a, g, limit)
 
 
 def spectral_counts(eq: ExpEquation, box: SearchBox,
-                    cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+                    cap: int = DEFAULT_ENUM_CAP,
+                    walks: list[np.ndarray] | None = None) -> np.ndarray:
     """N_{f_b}(r) for every b, as int64 indexed by packed b (eq.b ignored).
 
-    One term needs no convolution: the counts are its walk's histogram.
-    A prime field above MATRIX_MAX_P whose trailing walks are short
-    enough (`_shift_add_first`) convolves by exact shift-and-add.  Every
-    other box uses the floating-point transform when its rounding is
-    certified and exact shift-and-add otherwise (CapExceeded past its
-    work cap).  Memory is O(n q) whatever the box.
+    The leading m walks (`_transform_terms`) go through the
+    floating-point transform, certified for their sub-box of
+    prod(limits[:m]) points, and the other walks are shifted and added
+    exactly; m = 1 needs no transform (the first walk's histogram).  An
+    uncertified transform falls back to shift-and-add of every walk
+    (CapExceeded past its work cap).  `walks` are `box_walks(eq, box)`,
+    computed here when not given.  Memory is O(n q) whatever the box.
     """
     spec = eq.spec
     q, p, nu = spec.cardinality, spec.p, spec.nu
     if q > cap:
         raise CapExceeded(f"cardinality {q} exceeds cap {cap}")
     limits = box.limits()
-    hists = [np.bincount(_pack(_power_walk(a, g, limit), p), minlength=q)
-             for (a, g), limit in zip(sorted_terms(eq, box), limits)]
-    if len(hists) == 1:
-        counts = hists[0]
-    elif _shift_add_first(p, nu, limits):
-        counts = _exact_counts(hists, p, nu)
-    else:
-        counts = _fft_counts(hists, p, nu, box.card)
-        if counts is None:
-            counts = _exact_counts(hists, p, nu)
+    if walks is None:
+        walks = box_walks(eq, box)
+    hists = [np.bincount(_pack(walk, p), minlength=q) for walk in walks]
+    m = _transform_terms(p, nu, limits)
+    counts = None
+    if m > 1:
+        counts = _fft_counts(hists[:m], p, nu, math.prod(limits[:m]))
+    if counts is None:
+        counts, m = hists[0], 1
+    if m < len(hists):
+        counts = _exact_counts([counts] + hists[m:], p, nu)
     total = int(counts.sum())
     if total != box.card:
         raise InvariantViolated(
@@ -513,10 +601,11 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
 
 
 def count_via_charsum(eq: ExpEquation, box: SearchBox,
-                      cap: int = DEFAULT_ENUM_CAP) -> float:
+                      cap: int = DEFAULT_ENUM_CAP,
+                      walks: list[np.ndarray] | None = None) -> float:
     """N_{f_b}(r) by the character-sum identity: one entry of
     spectral_counts, returned as a float (an exact integer value)."""
-    return float(spectral_counts(eq, box, cap)[eq.b.packed()])
+    return float(spectral_counts(eq, box, cap, walks)[eq.b.packed()])
 
 
 def _grid_targets(target: np.ndarray, walks, limits: tuple[int, ...],
@@ -536,7 +625,8 @@ def _grid_targets(target: np.ndarray, walks, limits: tuple[int, ...],
 
 def brute_count(eq: ExpEquation, box: SearchBox,
                 cap: int = DEFAULT_ENUM_CAP,
-                list_cap: int = LIST_CAP
+                list_cap: int = LIST_CAP,
+                walks: list[np.ndarray] | None = None
                 ) -> tuple[int, list[tuple[int, ...]] | None]:
     """Exhaustive count over the box; the oracle for every other count.
 
@@ -546,6 +636,9 @@ def brute_count(eq: ExpEquation, box: SearchBox,
     materialized once (digit rows added mod p); each block pairs them
     with a run of leading-coordinate points, and a point solves f_b = 0
     exactly when its trailing sum equals b minus its leading sum.
+    Given `walks` (`box_walks(eq, box)`, shared with `spectral_counts`),
+    the leading ones are negated digit by digit (p - d, 0 staying 0);
+    otherwise the leading coordinates walk -a_j themselves.
     Returns (N, solutions) with solution tuples in *original* term order,
     or (N, None) when box.card exceeds list_cap.
     """
@@ -559,10 +652,15 @@ def brute_count(eq: ExpEquation, box: SearchBox,
     split = box.n
     while split > 0 and math.prod(limits[split - 1:]) <= BRUTE_BLOCK:
         split -= 1
-    # the leading sums are subtracted from b, the trailing ones added
-    walks = [_power_walk(-a if k < split else a, g, limit)
-             for k, ((a, g), limit)
-             in enumerate(zip(sorted_terms(eq, box), limits))]
+    # the leading sums are subtracted from b, the trailing ones added: by
+    # the walks of -a_j, or by negating the given walks digit by digit
+    if walks is None:
+        walks = [_power_walk(-a if k < split else a, g, limit)
+                 for k, ((a, g), limit)
+                 in enumerate(zip(sorted_terms(eq, box), limits))]
+    else:
+        walks = [np.where(walk == 0, walk, p - walk)
+                 for walk in walks[:split]] + walks[split:]
     tail = np.zeros((1, nu), dtype=dtype)
     for walk in walks[split:]:
         tail = _add_mod(tail[:, None, :], walk[None, :, :], p).reshape(-1, nu)

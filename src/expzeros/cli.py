@@ -28,7 +28,7 @@ import numpy as np
 from . import density as density_mod
 from . import errors
 from .arith import QueryCounter, factorize, multiplicative_order
-from .charsum import (brute_count, count_via_charsum, make_box,
+from .charsum import (box_walks, brute_count, count_via_charsum, make_box,
                       make_equation)
 from .fields import make_field
 from .instances import random_equation, random_equation_with_orders
@@ -353,8 +353,9 @@ def cmd_count(args) -> int:
     cfg = merge_config(args)
     eq, generated = resolve_equation(cfg)
     box = make_box(eq, _get_int(cfg, "r"))
-    exact, solutions = brute_count(eq, box)
-    approx = count_via_charsum(eq, box)
+    walks = list(box_walks(eq, box))
+    exact, solutions = brute_count(eq, box, walks=walks)
+    approx = count_via_charsum(eq, box, walks=walks)
     lines = describe_instance(eq, generated)
     lines.append(f"box: sorted orders {list(box.orders_sorted)} "
                  f"r={box.r} card={box.card}")

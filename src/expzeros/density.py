@@ -15,7 +15,7 @@ compares integers, so boundary cases are deterministic.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -173,27 +173,24 @@ def report_to_dict(report: DensityReport,
     return doc
 
 
-def report_from_dict(doc: dict) -> DensityReport:
-    from .charsum import equation_from_dict, make_box
-    if doc.get("schema") != 1:
-        raise ValueError(f"unsupported schema {doc.get('schema')}")
-    eq = equation_from_dict(doc["eq"])
-    box = make_box(eq, doc["box"]["r"])
-    if box.to_dict() != doc["box"]:
-        raise ValueError("stored box disagrees with recomputation")
-    counts = np.array(doc["counts"], dtype=np.int64)
-    main = Fraction(*doc["main"])
-    energy = Fraction(*doc["energy"])
-    return DensityReport(eq, box, counts, main, energy)
-
-
 def write_per_b_csv(report: DensityReport, census: CensusResult, out) -> None:
-    """Per-b table: b_index, N, main_num, main_den, delta, exceptional_flag."""
-    writer = csv.writer(out)
-    writer.writerow(["b_index", "N", "main_num", "main_den", "delta",
-                     "exceptional_flag"])
-    main = report.main
-    for b, (count, flag) in enumerate(zip(report.counts.tolist(),
-                                          census.mask.tolist())):
-        writer.writerow([b, count, main.numerator, main.denominator,
-                         repr(float(count - main)), int(flag)])
+    """Per-b table: b_index, N, main_num, main_den, delta, exceptional_flag.
+
+    The bytes of the csv module's default dialect (no field needs
+    quoting, rows end in CRLF), written by one format operation.  delta
+    = N - card/q = (q N - card)/q: while every |q N - card| < 2^53 both
+    operands are exact doubles, so one IEEE division rounds the exact
+    quotient once, as float(Fraction) does; past that, each delta is
+    taken from the Fraction.
+    """
+    main, counts, q = report.main, report.counts, report.q
+    card = report.box.card
+    if q * int(counts.max()) < 1 << 53 and card < 1 << 53:
+        deltas = ((q * counts - card) / q).tolist()
+    else:
+        deltas = [float(count - main) for count in counts.tolist()]
+    row = f"%d,%d,{main.numerator},{main.denominator},%r,%d\r\n"
+    out.write("b_index,N,main_num,main_den,delta,exceptional_flag\r\n")
+    out.write(row * len(counts) % tuple(itertools.chain.from_iterable(zip(
+        range(len(counts)), counts.tolist(), deltas,
+        census.mask.view(np.uint8).tolist()))))

@@ -19,8 +19,9 @@ def test_parse_seeds():
     assert bench_pairs.parse_seeds("7") == [7]
 
 
-def fake_run(walls, digests=None, correct=True):
-    """A run_side stub: wall_s per (side, seed) from the walls dicts."""
+def fake_run(walls, digests=None, correct=True, passes=None):
+    """A run_side stub: wall_s per (side, seed) from the walls dicts, and
+    passes per (side, seed) from `passes`."""
     calls = []
 
     def run_side(checkout, workload, seed):
@@ -29,6 +30,8 @@ def fake_run(walls, digests=None, correct=True):
         digest = (digests or {}).get((side, seed), f"d{seed}")
         return {"exit": 0, "correct": correct, "env": "env", "digest": digest,
                 "attempted": 10, "failed": 0,
+                "passes": (passes or {}).get((side, seed)),
+                "raw": {"wall_s": walls[side][seed] * 1.1},
                 "metrics": {"wall_s": walls[side][seed],
                             "peak_rss_mb": 50.0}}
     return run_side, calls
@@ -82,3 +85,48 @@ def test_digest_mismatch_or_incorrect_run_exits_1(checkouts, monkeypatch):
     run_side, _ = fake_run(walls, correct=False)
     rc, doc = run_tool(checkouts, monkeypatch, run_side, "1")
     assert rc == 1 and len(doc["problems"]) == 2
+
+
+PERFBENCH_STDOUT = """env cpu="Xeon" python="3.11.7"
+digest count sha256=abc123
+count failed_frac = 0 (0/1160)
+count passes=10 ops/pass=116 latency samples=1160
+count pass walls, raw s / kernel us: 0.150/812 0.149/810
+count set-ups, raw s / scaled s: 0.300/0.250 0.310/0.252
+count raw, unscaled: wall_s=0.151 op_p50_ms=1.2 op_p90_ms=2.5
+{"correct": true, "attempted": 1160, "failed": 0, "metrics": {"wall_s": \
+{"value": 0.13, "unit": "s"}}}
+"""
+
+
+def test_run_side_keeps_passes_and_raw_times(monkeypatch, tmp_path):
+    def fake_subprocess_run(argv, cwd, **kwargs):
+        assert argv[1:] == ["perfbench/run.py", "--workload", "count",
+                            "--seed", "7", "--trace", "0"]
+        return bench_pairs.subprocess.CompletedProcess(
+            argv, 0, PERFBENCH_STDOUT, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    run = bench_pairs.run_side(tmp_path, "count", 7)
+    assert run["correct"] and run["digest"] == "abc123"
+    assert run["passes"] == 10
+    assert run["raw"] == {"wall_s": 0.151, "op_p50_ms": 1.2,
+                          "op_p90_ms": 2.5}
+    assert run["metrics"] == {"wall_s": 0.13}
+    assert run["env"].startswith("env ")
+
+
+def test_summary_gives_each_sides_median_passes(checkouts, monkeypatch):
+    walls = {side: {1: 0.2, 2: 0.2, 3: 0.2} for side in ("parent", "change")}
+    passes = {("parent", 1): 200, ("parent", 2): 240, ("parent", 3): 210,
+              ("change", 1): 280, ("change", 2): 260, ("change", 3): 300}
+    run_side, _ = fake_run(walls, passes=passes)
+    rc, doc = run_tool(checkouts, monkeypatch, run_side, "1-3")
+    assert rc == 0
+    assert doc["passes_median"] == {"parent": 210, "change": 280}
+    assert doc["pairs"][0]["change"]["raw"] == {"wall_s": 0.2 * 1.1}
+    # runs that print no passes line leave the median undefined
+    run_side, _ = fake_run(walls)
+    rc, doc = run_tool(checkouts, monkeypatch, run_side, "1-3")
+    assert doc["passes_median"] == {"parent": None, "change": None}
+

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from expzeros import charsum, cli
 from expzeros import density as density_mod
 from expzeros.cli import ConfigError, main, parse_config_file, parse_terms
+from test_density import report_from_dict
 
 
 def run(argv):
@@ -134,7 +135,7 @@ def test_density_text_and_json():
     assert "0 exceptional b" in out
     rc, out, _ = run(["density", *F7_ARGS, "--format", "json"])
     doc = json.loads(out)
-    report = density_mod.report_from_dict(doc)
+    report = report_from_dict(doc)
     assert list(report.counts) == [3, 2, 2, 3, 2, 3, 3]
     assert doc["census"]["exceptional"] == []
     assert doc["census"]["size_ok"] is True

@@ -6,12 +6,14 @@ Fraction against a direct recomputation, and the census against an
 independent Fraction comparison including an exact boundary tie.
 """
 
+import csv
 import dataclasses
 import io
 import itertools
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,14 +21,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expzeros import charsum, cli, density
-from expzeros.charsum import SearchBox, brute_count, make_box, make_equation
+from expzeros.charsum import (SearchBox, brute_count, equation_from_dict,
+                              make_box, make_equation)
 from expzeros.density import (
     CensusResult,
     DensityReport,
     corollary_min_r,
     energy_bound_check,
     exceptional_census,
-    report_from_dict,
     report_to_dict,
     sweep_b,
     write_per_b_csv,
@@ -367,6 +369,19 @@ def test_corollary_r_guarantees_nonempty_for_nonexceptional():
 # serialization
 
 
+def report_from_dict(doc: dict) -> DensityReport:
+    """The DensityReport a `density_report` document describes, with its
+    equation and box recomputed and checked."""
+    if doc.get("schema") != 1:
+        raise ValueError(f"unsupported schema {doc.get('schema')}")
+    eq = equation_from_dict(doc["eq"])
+    box = make_box(eq, doc["box"]["r"])
+    if box.to_dict() != doc["box"]:
+        raise ValueError("stored box disagrees with recomputation")
+    return DensityReport(eq, box, np.array(doc["counts"], dtype=np.int64),
+                         Fraction(*doc["main"]), Fraction(*doc["energy"]))
+
+
 def test_report_json_round_trip():
     eq, box, rep = sweep_fixture(7, 1, [(1, 3), (1, 2)])
     census = exceptional_census(rep, 1)
@@ -414,3 +429,69 @@ def test_per_b_csv_layout():
     write_per_b_csv(rep, census, buf)
     flags = [line.split(",")[5] for line in buf.getvalue().splitlines()[1:]]
     assert flags == ["0", "1", "1", "0", "1", "0", "0"]
+
+
+def reference_csv(report, mask):
+    """The per-b table with every delta taken from its Fraction."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["b_index", "N", "main_num", "main_den", "delta",
+                     "exceptional_flag"])
+    main = report.main
+    for b, (count, flag) in enumerate(zip(report.counts.tolist(),
+                                          mask.tolist())):
+        writer.writerow([b, count, main.numerator, main.denominator,
+                         repr(float(count - main)), int(flag)])
+    return buf.getvalue()
+
+
+def csv_report(p, nu, counts, card):
+    """A report over F_{p^nu} with the given counts and box size (the
+    writer reads nothing else)."""
+    eq = make_equation(make_field(p, nu), [(1, 1)], 0)
+    box = SearchBox((0,), (1,), 1, card)
+    return DensityReport(eq, box, np.array(counts, dtype=np.int64),
+                         Fraction(card, eq.q), Fraction(0))
+
+
+def written_csv(report, mask):
+    buf = io.StringIO()
+    write_per_b_csv(report, SimpleNamespace(mask=mask), buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_csv_deltas_from_arrays_match_fractions(data):
+    p, nu = data.draw(st.sampled_from([(2, 1), (3, 1), (7, 1), (101, 1),
+                                       (2, 3), (3, 2)]))
+    q = p ** nu
+    # up to the edge of the array path: every |q N - card| < 2^53
+    card = data.draw(st.one_of(st.integers(1, 10 ** 6),
+                               st.integers((1 << 53) - 10 ** 6,
+                                           (1 << 53) - 1)))
+    top = ((1 << 53) - 1) // q
+    counts = data.draw(st.lists(st.one_of(st.integers(0, 3 * card // q + 2),
+                                          st.integers(top - 100, top)),
+                                min_size=q, max_size=q))
+    counts = [min(c, top) for c in counts]
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=q,
+                                       max_size=q)))
+    rep = csv_report(p, nu, counts, card)
+    assert written_csv(rep, mask) == reference_csv(rep, mask)
+
+
+def test_csv_deltas_past_2_to_53_take_the_fraction():
+    # q N - card = -(2^53 + 1): as a double it is -2^53, and dividing that
+    # by 3 rounds to ...330.5 where the exact delta is ...331
+    card = (1 << 53) + 1
+    rep = csv_report(3, 1, [0, 1, 2], card)
+    assert float(-card) / 3 != float(Fraction(-card, 3))
+    mask = np.zeros(3, dtype=bool)
+    text = written_csv(rep, mask)
+    assert text == reference_csv(rep, mask)
+    assert text.splitlines()[1].split(",")[4] == "-3002399751580331.0"
+    # the same through a count too large instead of a card too large
+    rep = csv_report(3, 1, [(1 << 53) // 3 + 1, 0, 0], 5)
+    assert written_csv(rep, mask) == reference_csv(rep, mask)
+

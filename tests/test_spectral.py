@@ -328,33 +328,37 @@ def test_invariants_survive_python_O():
 
 
 # ---------------------------------------------------------------------------
-# the route choice: no transform for n = 1, shift-and-add first where its
-# adds cost less than the transform, the certified transform elsewhere
+# the split: the leading m walks through the certified transform, the
+# other n - m by exact shift-and-add; m = 1 needs no transform
 
-# primes on both sides of MATRIX_MAX_P, and above it on both sides of the
-# cost crossover (short trailing walks in F_3329 and F_9973 take
-# shift-and-add, long ones the transform); extension fields never do
-CROSSOVER_FIELDS = [(7, 1), (127, 1), (131, 1), (257, 1), (1031, 1),
-                    (3329, 1), (9973, 1), (2, 6), (3, 4), (97, 2)]
-ROUTES = ["chosen", "shift_add", "transform", "exact_fallback"]
+# primes on both sides of MATRIX_MAX_P, and extension fields on both sides
+# of it (F_{131^2} runs the FFT on its unpadded grid)
+SPLIT_FIELDS = [(7, 1), (127, 1), (131, 1), (257, 1), (1031, 1),
+                (3329, 1), (9973, 1), (2, 6), (3, 4), (97, 2), (131, 2)]
 
 
-def forced_counts(eq, box, route):
-    """spectral_counts with its route forced."""
+def forced_counts(eq, box, m, fallback=False):
+    """spectral_counts with the split forced to m, and with the transform
+    refused (the exact fallback) when `fallback`; and how many histograms
+    each call of the exact shift-and-add received."""
+    exact_counts, calls = charsum._exact_counts, []
+
+    def counted(hists, p, nu):
+        calls.append(len(hists))
+        return exact_counts(hists, p, nu)
+
     with pytest.MonkeyPatch.context() as mp:
-        if route == "shift_add":
-            mp.setattr(charsum, "_shift_add_first", lambda *args: True)
-        elif route in ("transform", "exact_fallback"):
-            mp.setattr(charsum, "_shift_add_first", lambda *args: False)
-        if route == "exact_fallback":
+        mp.setattr(charsum, "_transform_terms", lambda *args: m)
+        mp.setattr(charsum, "_exact_counts", counted)
+        if fallback:
             mp.setattr(charsum, "_fft_counts", lambda *args: None)
-        return spectral_counts(eq, box)
+        return spectral_counts(eq, box), calls
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_every_route_matches_brute_and_exact_counts(data):
-    p, nu = data.draw(st.sampled_from(CROSSOVER_FIELDS))
+    p, nu = data.draw(st.sampled_from(SPLIT_FIELDS))
     spec = make_field(p, nu)
     q = spec.cardinality
     # orders drawn from the divisors of q - 1, the leading ones within the
@@ -373,11 +377,24 @@ def test_every_route_matches_brute_and_exact_counts(data):
               element_of_order(spec, d, gen, rng).packed())
              for d in front + [last]]
     eq = make_equation(spec, terms, data.draw(st.integers(0, q - 1)))
-    box = make_box(eq, data.draw(st.integers(1, max(1, min(last, budget)))))
+    # r = 1 often: a trailing walk of one value is one shift
+    r = data.draw(st.one_of(st.just(1),
+                            st.integers(1, max(1, min(last, budget)))))
+    box = make_box(eq, r)
     hists = histograms(eq, box)
     want = charsum._exact_counts(hists, p, nu)
-    for route in ROUTES:
-        assert forced_counts(eq, box, route).tolist() == want.tolist()
+    assert spectral_counts(eq, box).tolist() == want.tolist()
+    n = box.n
+    for m in range(1, n + 1):
+        # the transform certifies the leading m walks' sub-box itself and
+        # the other n - m are shifted onto its counts; refused, every walk
+        # after the first is shifted
+        counts, calls = forced_counts(eq, box, m)
+        assert counts.tolist() == want.tolist()
+        assert calls == ([n - m + 1] if m < n else [])
+        counts, calls = forced_counts(eq, box, m, fallback=True)
+        assert counts.tolist() == want.tolist()
+        assert calls == ([n] if n > 1 else [])
     # brute force at the equation's b and at the most and least hit b
     for b in {eq.b.packed(), int(want.argmax()), int(want.argmin())}:
         beq = make_equation(spec, terms, b)
@@ -385,30 +402,77 @@ def test_every_route_matches_brute_and_exact_counts(data):
             == want[b]
 
 
-def test_shift_add_route_chosen_by_cost():
-    # F_3329, n = 2: 34 shifts of 3329 + 4096 adds against 3 FFTs of 6750
-    assert charsum._shift_add_first(3329, 1, (3328, 34))
-    assert not charsum._shift_add_first(3329, 1, (3328, 35))
-    assert charsum._shift_add_first(65537, 1, (65536, 20))
-    assert charsum._shift_add_first(9973, 1, (831, 40))
-    assert not charsum._shift_add_first(9973, 1, (277, 277, 1))
-    assert not charsum._shift_add_first(1031, 1, (1030, 1030))
-    # every prime up to MATRIX_MAX_P and every extension field transforms
-    assert not charsum._shift_add_first(127, 1, (126, 1))
-    assert not charsum._shift_add_first(97, 2, (96, 4))
-    assert not charsum._shift_add_first(131, 2, (131 ** 2 - 1, 2))
+# (p, nu, limits, m) for every count and sweep benchmark shape with n >= 2
+# (sorted limits, the last truncated to r).  Best of 15 convolutions on a
+# 2-CPU Xeon, ms: F_9973 (277, 277, 1) 1.89 at m = 3 -> 0.95 at m = 2;
+# F_97^2 (96, 4) 1.36 -> 0.23 at m = 1; F_97^2 (147, 49, 3) 1.81 -> 1.59;
+# F_1031 (206, 103, 2) 0.17 -> 0.13; F_769 (768, 768, 3) 0.25 -> 0.22.
+BENCHMARK_SPLITS = [
+    # count
+    (7, 1, (6, 6, 6, 6), 4), (7, 1, (6, 3), 2), (31, 1, (30, 15, 10), 3),
+    (101, 1, (100, 100, 5), 3), (101, 1, (50, 25, 20, 4), 4),
+    (257, 1, (256, 64), 2), (257, 1, (64, 32, 8), 3),
+    (1031, 1, (1030, 50), 2), (1031, 1, (206, 103, 2), 2),
+    (9973, 1, (831, 40), 1), (9973, 1, (277, 277, 1), 2),
+    (9973, 1, (277, 3), 1), (2, 3, (7, 7, 7), 3), (3, 2, (8, 8, 8, 4), 4),
+    (5, 2, (24, 12, 8), 3), (2, 6, (63, 21, 9), 3), (3, 4, (80, 40), 2),
+    (7, 4, (96, 25, 12), 3), (2, 12, (585, 63), 2), (3, 8, (205, 41), 2),
+    (3, 8, (41, 41, 3), 3), (97, 2, (147, 49, 3), 2), (97, 2, (96, 4), 1),
+    # sweep
+    (7, 1, (6, 6), 2), (31, 1, (30, 30, 30), 3), (97, 1, (96, 96, 96), 3),
+    (101, 1, (100, 100, 100), 3), (257, 1, (256, 256, 32), 3),
+    (769, 1, (768, 768, 3), 2), (1031, 1, (1030, 1030), 2),
+    (2, 3, (7, 7, 7, 7), 4), (3, 2, (8, 8, 8, 8), 4),
+    (5, 2, (24, 24, 24, 24), 4), (2, 6, (63, 63, 63), 3),
+    (3, 4, (80, 80, 80), 3), (7, 4, (2400, 100), 2),
+    (2, 12, (4095, 256), 2), (3, 8, (6560, 328), 2),
+    (97, 2, (9408, 147), 2), (3329, 1, (3328, 10), 1),
+    (9973, 1, (9972, 8), 1), (12289, 1, (12288, 12), 1),
+    (40961, 1, (40960, 16), 1), (65537, 1, (65536, 20), 1),
+]
+
+
+def test_split_rule_picks_for_benchmark_shapes():
+    picks = {(p, nu, limits): charsum._transform_terms(p, nu, limits)
+             for p, nu, limits, _ in BENCHMARK_SPLITS}
+    assert picks == {(p, nu, limits): m
+                     for p, nu, limits, m in BENCHMARK_SPLITS}
+
+
+def test_split_rule_trades_shifts_against_transforms():
+    # more trailing values move the split toward the transform
+    picks = [charsum._transform_terms(3329, 1, (3328, r))
+             for r in range(1, 200)]
+    assert picks == sorted(picks) and picks[0] == 1 and picks[-1] == 2
+    # over (Z/2)^12 a shift is about 130 slice adds: one beats three
+    # transforms (0.72 against 1.27 ms), two do not (2.29 against 1.15)
+    assert charsum._transform_terms(2, 12, (4095, 1)) == 1
+    assert charsum._transform_terms(2, 12, (4095, 2)) == 2
+    # an uncertifiable sub-box is never picked: its transform costs inf
+    assert charsum._transform_cost(7, 1, 2, 1 << 60) == math.inf
+    assert charsum._transform_terms(7, 1, (1 << 60, 2)) == 1
+    # the leading two walks' 10^12 points certify where the whole box's
+    # 10^15 do not, and shifting 10^6 + 10^3 values passes the work cap
+    assert charsum._transform_cost(9973, 1, 3, 10 ** 15) == math.inf
+    assert charsum._transform_terms(9973, 1, (10 ** 6, 10 ** 6, 1000)) == 2
 
 
 def test_exact_counts_slice_adds_match_roll():
-    # the nu = 1 slice adds against the roll path, weights above 1 too
+    # the 2^k slice adds of a shift against np.roll over every axis,
+    # weights above 1 and the zero shift too
     rng = np.random.default_rng(3)
-    for q in (2, 7, 131, 3329):
-        hists = [rng.integers(0, 4, q) for _ in range(3)]
-        want = hists[0]
+    for p, nu in [(2, 1), (7, 1), (131, 1), (3329, 1), (2, 3), (3, 2),
+                  (5, 2), (7, 2), (2, 5)]:
+        grid = (p,) * nu
+        hists = [rng.integers(0, 4, p ** nu) for _ in range(3)]
+        want = hists[0].reshape(grid)
         for h in hists[1:]:
-            want = sum(int(h[v]) * np.roll(want, v) for v in range(q))
-        got = charsum._exact_counts(hists, q, 1)
-        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            want = sum(int(h[v]) * np.roll(want, np.unravel_index(v, grid),
+                                           axis=tuple(range(nu)))
+                       for v in range(p ** nu))
+        got = charsum._exact_counts(hists, p, nu)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.reshape(-1).tolist()
 
 
 def test_single_term_counts_are_its_histogram(monkeypatch):
@@ -427,11 +491,12 @@ def test_single_term_counts_are_its_histogram(monkeypatch):
 
 def test_work_cap_keeps_the_transform(monkeypatch):
     # with the real constants: n = 4 over F_1048573, where 300 trailing
-    # values cost less than the transform but pass EXACT_WORK_CAP
+    # values cost less than the transform; 400 pass EXACT_WORK_CAP, so
+    # the split keeps shifting only the last two walks
     p = 1048573
-    assert charsum._shift_add_first(p, 1, (p - 1, 100, 50, 50))
-    assert not charsum._shift_add_first(p, 1, (p - 1, 200, 50, 50))
-    assert p * 300 > charsum.EXACT_WORK_CAP
+    assert charsum._transform_terms(p, 1, (p - 1, 100, 50, 50)) == 1
+    assert p * 400 > charsum.EXACT_WORK_CAP >= p * 100
+    assert charsum._transform_terms(p, 1, (p - 1, 300, 50, 50)) == 2
     # end to end: F_3329 with r = 10 takes shift-and-add, until its
     # 33 290 adds pass the cap; then the transform serves it, no raise
     eq, box = instance(3329, 1, [(1, 3), (5, 243)], 0, 10)

@@ -155,6 +155,39 @@ def test_narrow_rows_match_int64_reference(field, data, block):
         assert brute_count(eq, box) == (len(hits), want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(NARROW_FIELDS), data=st.data())
+def test_brute_count_on_shared_walks_matches_its_own(field, data):
+    # `count` walks the box once for both counts: brute_count negates the
+    # leading walks digit by digit (p - d, 0 staying 0), where walking on
+    # its own it would walk -a_j
+    spec = make_field(*field)
+    p, q = spec.p, spec.cardinality
+    rng = random.Random(data.draw(st.integers(0, 1 << 30)))
+    terms = [(spec.from_packed(rng.randrange(1, q)),
+              spec.from_packed(rng.randrange(1, q)) ** ((q - 1) // d))
+             for d in data.draw(st.lists(st.sampled_from(small_divisors(q)),
+                                         min_size=1, max_size=3))]
+    eq = make_equation(spec, terms, rng.randrange(q))
+    box = make_box(eq, data.draw(st.integers(1, min(eq.orders))))
+    walks = list(charsum.box_walks(eq, box))
+    kept = [walk.copy() for walk in walks]
+    for (a, g), limit, walk in zip(charsum.sorted_terms(eq, box),
+                                   box.limits(), walks):
+        negated = np.where(walk == 0, walk, p - walk)
+        assert negated.dtype == walk.dtype
+        assert negated.tolist() == fields._power_walk(-a, g, limit).tolist()
+    list_cap = data.draw(st.sampled_from([0, charsum.LIST_CAP]))
+    with mock.patch.object(charsum, "BRUTE_BLOCK",
+                           data.draw(st.sampled_from([1, 5, 1 << 16]))):
+        shared = brute_count(eq, box, list_cap=list_cap, walks=walks)
+        assert shared == brute_count(eq, box, list_cap=list_cap)
+    assert all(np.array_equal(w, k) for w, k in zip(walks, kept))
+    if q <= fields.DEFAULT_ENUM_CAP:
+        assert charsum.spectral_counts(eq, box, walks=walks)[
+            eq.b.packed()] == shared[0]
+
+
 def test_mul_matrix_rows_are_monomials_times_g():
     spec = make_field(3, 5)
     g = spec.from_packed(200)

@@ -5,13 +5,17 @@
         --workload sweep --seeds 8501-8510 --tag sweep
 
 Runs `perfbench/run.py --trace 0` in two checkouts of the repository, one
-seed at a time, for the run length perfbench itself fixes.  Even-numbered pairs run the parent first and odd ones the
-change first, so a drift of the host's speed during the session falls on
-both sides alike.  The JSON file holds, per seed, both sides' end-to-end
-metrics, `correct` flag and output digest; per metric, both medians, how
-many pairs the change won and the quartiles of the parent's runs, with
-whether the median gap is larger than the parent's interquartile range.
-Each run's `env` line (CPU, Python, numpy, commit) is kept with it.
+seed at a time, for the run length perfbench itself fixes.  Even-numbered
+pairs run the parent first and odd ones the change first, so a drift of
+the host's speed during the session falls on both sides alike.  The JSON
+file holds, per seed, both sides' end-to-end metrics, `correct` flag,
+output digest, number of passes and raw (unscaled) times; per metric,
+both medians, how many pairs the change won and the quartiles of the
+parent's runs, with whether the median gap is larger than the parent's
+interquartile range; and each side's median passes.  perfbench keeps
+every pass's facts, so an RSS move is read against the passes; a slow
+spell of the host shows in the raw times.  Each run's `env` line (CPU,
+Python, numpy, commit) is kept with it.
 
 Exits 1 when a run is not `correct`, exits non-zero, or when the two sides
 print different digests for the same seed (the change altered an output).
@@ -47,18 +51,38 @@ def run_side(checkout: Path, workload: str, seed: int) -> dict:
         cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
     lines = proc.stdout.splitlines()
-    digest = next((line.split("sha256=", 1)[1] for line in lines
-                   if line.startswith(f"digest {workload} ")), None)
+
+    def after(prefix):
+        return next((line[len(prefix):] for line in lines
+                     if line.startswith(prefix)), None)
+
+    digest = after(f"digest {workload} sha256=")
     env = next((line for line in lines if line.startswith("env ")), None)
     if proc.returncode != 0 or not lines:
         return {"exit": proc.returncode, "correct": False, "digest": digest,
                 "env": env, "stderr": proc.stderr[-2000:]}
     result = json.loads(lines[-1])
+    passes = after(f"{workload} passes=")
+    raw = after(f"{workload} raw, unscaled: ") or ""
     return {"exit": 0, "correct": result["correct"], "env": env,
             "attempted": result["attempted"], "failed": result["failed"],
             "digest": digest,
+            "passes": int(passes.split()[0]) if passes else None,
+            "raw": {name: float(value) for name, _, value
+                    in (item.partition("=") for item in raw.split())},
             "metrics": {name: m["value"]
                         for name, m in result["metrics"].items()}}
+
+
+def median_passes(pairs: list[dict]) -> dict:
+    """Each side's median number of passes, where the runs report it: an
+    RSS move is read against it, since a faster side runs more passes."""
+    out = {}
+    for side in SIDES:
+        counts = [pair[side]["passes"] for pair in pairs
+                  if pair[side].get("passes") is not None]
+        out[side] = statistics.median(counts) if counts else None
+    return out
 
 
 def directions(checkout: Path) -> dict:
@@ -121,13 +145,16 @@ def main(argv=None) -> int:
               f"{wall['parent']} change {wall['change']}", flush=True)
         pairs.append(pair)
     summary = summarize(pairs, directions(checkouts["change"]))
-    doc = {"workload": args.workload, "pairs": pairs, "summary": summary, "problems": problems}
+    passes = median_passes(pairs)
+    doc = {"workload": args.workload, "pairs": pairs, "summary": summary,
+           "passes_median": passes, "problems": problems}
     out = args.out or Path(f"BENCH_{args.tag}.json")
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, s in summary.items():
         print(f"{name}: {s['parent_median']:.6g} -> {s['change_median']:.6g} "
               f"wins {s['change_wins']}/{s['pairs']} parent IQR "
               f"{s['parent_iqr']:.3g}")
+    print(f"passes: {passes['parent']} -> {passes['change']} (medians)")
     for problem in problems:
         print(f"FAIL {problem}")
     return 1 if problems else 0
