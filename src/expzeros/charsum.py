@@ -271,7 +271,10 @@ def _smooth_length(m: int) -> int:
     while three < best:
         odd = three
         while odd < best:
-            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            # odd 2^i >= m first at 2^i >= ceil(m / odd) = (m - 1) // odd + 1
+            length = odd << ((m - 1) // odd).bit_length()
+            if length < best:
+                best = length
             odd *= 5
         three *= 3
     return best
@@ -389,21 +392,18 @@ def _transform_route(p: int, nu: int, n: int,
     return None
 
 
-def _fft_counts(hists: list[np.ndarray], p: int, nu: int,
-                card: int) -> np.ndarray | None:
+def _fft_counts(hists: list[np.ndarray], p: int, nu: int, card: int,
+                route: tuple[bool, tuple[int, ...]]) -> np.ndarray | None:
     """Counts by floating-point transform, or None unless certified exact.
 
-    The route is `_transform_route`'s: the character matrix transforms
-    complex data (`_matrix_convolve`); the FFTs transform the histograms,
-    being real, by rfftn and irfftn on half the spectrum.  The
-    certificate: the a-priori bound is below ROUND_SLACK, and after the
-    transform every real part lies within ROUND_SLACK of an integer,
-    every imaginary part (if the result has any) is below it, and the
-    rounded values sum to card.
+    `route` is `_transform_route(p, nu, len(hists), card)`, not None: the
+    character matrix transforms complex data (`_matrix_convolve`); the
+    FFTs transform the histograms, being real, by rfftn and irfftn on
+    half the spectrum.  The certificate: the route's a-priori bound is
+    below ROUND_SLACK, and after the transform every real part lies
+    within ROUND_SLACK of an integer, every imaginary part (if the result
+    has any) is below it, and the rounded values sum to card.
     """
-    route = _transform_route(p, nu, len(hists), card)
-    if route is None:
-        return None
     dense, shape = route
     if dense:
         raw = _matrix_convolve(hists, p, nu)
@@ -510,13 +510,10 @@ def _shift_cost(p: int, nu: int) -> float:
     return cost
 
 
-def _transform_cost(p: int, nu: int, m: int, card: int) -> float:
-    """Measured cost of `_fft_counts` on m histograms of a box of card
-    points: m forward transforms and one inverse on its route, or
-    infinite when no route certifies the box."""
-    route = _transform_route(p, nu, m, card)
-    if route is None:
-        return math.inf
+def _transform_cost(p: int, nu: int, m: int,
+                    route: tuple[bool, tuple[int, ...]]) -> float:
+    """Measured cost of `_fft_counts` on m histograms: m forward
+    transforms and one inverse on `route`."""
     dense, shape = route
     if dense:
         q = p ** nu
@@ -528,31 +525,39 @@ def _transform_cost(p: int, nu: int, m: int, card: int) -> float:
     return (m + 1) * per
 
 
-def _transform_terms(p: int, nu: int, limits: tuple[int, ...]) -> int:
-    """How many leading walks the transform convolves: the split m in
-    1..n of least measured cost.
+def _transform_terms(p: int, nu: int, limits: tuple[int, ...]
+                     ) -> tuple[int, tuple[bool, tuple[int, ...]] | None]:
+    """How many leading walks the transform convolves, and on which
+    route: the split m in 1..n of least measured cost, with
+    `_transform_route` for its sub-box (None for m = 1).
 
-    The leading m walks cost `_transform_cost` for their sub-box of
-    prod(limits[:m]) points (nothing for m = 1, whose counts are the
-    first walk's histogram).  The other walks are shifted and added
+    The leading m walks cost `_transform_cost` on the route that
+    certifies their sub-box of prod(limits[:m]) points; a sub-box no
+    route certifies is skipped, and m = 1 costs nothing (its counts are
+    the first walk's histogram).  The other walks are shifted and added
     exactly: a walk a g^x with x below the order of g takes distinct
     values, so walk l makes limits[l] shifts of `_shift_cost` each.  A
     split whose shifts pass EXACT_WORK_CAP is never picked, so a box the
-    transform serves never meets that cap; ties go to the larger m.
+    transform serves never meets that cap; ties go to the larger m.  With
+    no split left, (1, None): every walk is shifted (CapExceeded there).
     """
     n, q = len(limits), p ** nu
     shift = _shift_cost(p, nu)
-    best, pick = math.inf, n
+    best, pick = math.inf, (1, None)
     for m in range(n, 0, -1):
         shifts = sum(limits[m:])
         cost = shifts * shift
         # shifts only grow as m falls: no smaller m can do better
         if q * shifts > EXACT_WORK_CAP or cost >= best:
             break
+        route = None
         if m > 1:
-            cost += _transform_cost(p, nu, m, math.prod(limits[:m]))
+            route = _transform_route(p, nu, m, math.prod(limits[:m]))
+            if route is None:
+                continue
+            cost += _transform_cost(p, nu, m, route)
         if cost < best:
-            best, pick = cost, m
+            best, pick = cost, (m, route)
     return pick
 
 
@@ -585,10 +590,10 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
     if walks is None:
         walks = box_walks(eq, box)
     hists = [np.bincount(_pack(walk, p), minlength=q) for walk in walks]
-    m = _transform_terms(p, nu, limits)
+    m, route = _transform_terms(p, nu, limits)
     counts = None
     if m > 1:
-        counts = _fft_counts(hists[:m], p, nu, math.prod(limits[:m]))
+        counts = _fft_counts(hists[:m], p, nu, math.prod(limits[:m]), route)
     if counts is None:
         counts, m = hists[0], 1
     if m < len(hists):
@@ -623,6 +628,13 @@ def _grid_targets(target: np.ndarray, walks, limits: tuple[int, ...],
     return need
 
 
+def check_box_card(box: SearchBox, cap: int = DEFAULT_ENUM_CAP) -> None:
+    """Raise CapExceeded when the box has more than cap points.  Run it
+    before walking the box: each limit is at most its card."""
+    if box.card > cap:
+        raise CapExceeded(f"box cardinality {box.card} exceeds cap {cap}")
+
+
 def brute_count(eq: ExpEquation, box: SearchBox,
                 cap: int = DEFAULT_ENUM_CAP,
                 list_cap: int = LIST_CAP,
@@ -632,18 +644,16 @@ def brute_count(eq: ExpEquation, box: SearchBox,
 
     Evaluates f over the box in C order of the sorted coordinates, which
     is lexicographic order, in blocks of at most BRUTE_BLOCK points.  The
-    sums over the trailing coordinates whose sub-box fits in a block are
-    materialized once (digit rows added mod p); each block pairs them
-    with a run of leading-coordinate points, and a point solves f_b = 0
-    exactly when its trailing sum equals b minus its leading sum.
-    Given `walks` (`box_walks(eq, box)`, shared with `spectral_counts`),
-    the leading ones are negated digit by digit (p - d, 0 staying 0);
-    otherwise the leading coordinates walk -a_j themselves.
+    values b minus the sums over the trailing coordinates whose sub-box
+    fits in a block are materialized once (digit rows added mod p); each
+    block pairs them with a run of leading-coordinate points, and a point
+    solves f_b = 0 exactly when its leading sum equals b minus its
+    trailing sum.  `walks` are `box_walks(eq, box)` (shared with
+    `spectral_counts`), computed here when not given.
     Returns (N, solutions) with solution tuples in *original* term order,
     or (N, None) when box.card exceeds list_cap.
     """
-    if box.card > cap:
-        raise CapExceeded(f"box cardinality {box.card} exceeds cap {cap}")
+    check_box_card(box, cap)
     spec = eq.spec
     p, nu = spec.p, spec.nu
     dtype = _digit_dtype(p)
@@ -652,32 +662,28 @@ def brute_count(eq: ExpEquation, box: SearchBox,
     split = box.n
     while split > 0 and math.prod(limits[split - 1:]) <= BRUTE_BLOCK:
         split -= 1
-    # the leading sums are subtracted from b, the trailing ones added: by
-    # the walks of -a_j, or by negating the given walks digit by digit
-    if walks is None:
-        walks = [_power_walk(-a if k < split else a, g, limit)
-                 for k, ((a, g), limit)
-                 in enumerate(zip(sorted_terms(eq, box), limits))]
-    else:
-        walks = [np.where(walk == 0, walk, p - walk)
-                 for walk in walks[:split]] + walks[split:]
-    tail = np.zeros((1, nu), dtype=dtype)
+    walks = list(box_walks(eq, box)) if walks is None else walks
+    # b minus the trailing sums: b plus the trailing walks with their
+    # digits negated (p - d, 0 staying 0), short walks copied once each
+    rest = np.array(eq.b.coeffs, dtype=dtype)[None, :]
     for walk in walks[split:]:
-        tail = _add_mod(tail[:, None, :], walk[None, :, :], p).reshape(-1, nu)
-    tail = _pack(tail, p)
-    target = np.array(eq.b.coeffs, dtype=dtype)
+        rest = _add_mod(rest[:, None, :],
+                        np.where(walk == 0, walk, p - walk)[None, :, :],
+                        p).reshape(-1, nu)
+    rest = _pack(rest, p)
+    zero = np.zeros(nu, dtype=dtype)
     head_limits = limits[:split]
     head_card = math.prod(head_limits)
-    step = max(1, BRUTE_BLOCK // len(tail))
+    step = max(1, BRUTE_BLOCK // len(rest))
     count = 0
     hits = []
     for lo in range(0, head_card, step):
-        need = _grid_targets(target, walks, head_limits, lo,
+        head = _grid_targets(zero, walks, head_limits, lo,
                              min(lo + step, head_card), p)
-        found = np.flatnonzero(_pack(need, p)[:, None] == tail[None, :])
+        found = np.flatnonzero(_pack(head, p)[:, None] == rest[None, :])
         count += len(found)
         if keep_list:
-            hits.append(found + lo * len(tail))
+            hits.append(found + lo * len(rest))
     if not keep_list:
         return count, None
     coords = np.unravel_index(np.concatenate(hits), limits)

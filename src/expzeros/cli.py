@@ -28,8 +28,8 @@ import numpy as np
 from . import density as density_mod
 from . import errors
 from .arith import QueryCounter, factorize, multiplicative_order
-from .charsum import (box_walks, brute_count, count_via_charsum, make_box,
-                      make_equation)
+from .charsum import (box_walks, brute_count, check_box_card,
+                      count_via_charsum, make_box, make_equation)
 from .fields import make_field
 from .instances import random_equation, random_equation_with_orders
 from .qmodel import exponent_table, model_quantum_solve
@@ -353,6 +353,7 @@ def cmd_count(args) -> int:
     cfg = merge_config(args)
     eq, generated = resolve_equation(cfg)
     box = make_box(eq, _get_int(cfg, "r"))
+    check_box_card(box)  # before the walks, whose lengths it bounds
     walks = list(box_walks(eq, box))
     exact, solutions = brute_count(eq, box, walks=walks)
     approx = count_via_charsum(eq, box, walks=walks)

@@ -9,6 +9,7 @@ certificate case, the q=101 model example).
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,29 @@ def test_cardinality_cap_exits_2():
     rc, _, err = run(["count", "--p", "1009",
                       "--terms", "1,11;1,11;1,11", "--b", "0"])
     assert rc == 2 and "cap" in err
+
+
+def test_count_refuses_a_large_box_before_walking_it(monkeypatch):
+    # r defaults to the order 2^31 - 2 of 7 mod 2^31 - 1, whose walk is a
+    # 17 GB array: the box cap must refuse it first.  A walk past the cap
+    # fails here instead of being allocated.
+    real_walk = charsum._power_walk
+
+    def capped_walk(a, g, limit):
+        assert limit <= charsum.DEFAULT_ENUM_CAP, f"walk of {limit} rows"
+        return real_walk(a, g, limit)
+
+    monkeypatch.setattr(charsum, "_power_walk", capped_walk)
+    tracemalloc.start()
+    try:
+        rc, out, err = run(["count", "--p", "2147483647",
+                            "--terms", "1,7", "--b", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert "box cardinality 2147483646 exceeds cap 1048576" in err
+    assert peak < 1 << 24
 
 
 def test_exact_fallback_work_cap_exits_2(monkeypatch):

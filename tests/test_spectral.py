@@ -113,6 +113,13 @@ def histograms(eq, box):
                                    box.limits())]
 
 
+def fft_counts(hists, p, nu, card):
+    """_fft_counts on the route `_transform_route` gives the box, or None
+    when no route certifies it."""
+    route = charsum._transform_route(p, nu, len(hists), card)
+    return route and charsum._fft_counts(hists, p, nu, card, route)
+
+
 CORRUPTIONS = [
     lambda raw: raw + 0.4,                       # far from every integer
     lambda raw: raw + 0.3j,                      # imaginary part too big
@@ -129,12 +136,12 @@ def test_certificate_rejects_bad_transform_and_falls_back(monkeypatch,
     assert 257 > charsum.MATRIX_MAX_P
     hists = histograms(eq, box)
     want = spectral_counts(eq, box)
-    assert charsum._fft_counts(hists, 257, 1, box.card).tolist() \
+    assert fft_counts(hists, 257, 1, box.card).tolist() \
         == want.tolist()
     irfftn = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn",
                         lambda *args, **kw: corrupt(irfftn(*args, **kw)))
-    assert charsum._fft_counts(hists, 257, 1, box.card) is None
+    assert fft_counts(hists, 257, 1, box.card) is None
     assert spectral_counts(eq, box).tolist() == want.tolist()
 
 
@@ -149,12 +156,12 @@ def test_matrix_route_certificate_rejects_bad_transform(monkeypatch, corrupt,
     assert p <= charsum.MATRIX_MAX_P
     hists = histograms(eq, box)
     want = spectral_counts(eq, box)
-    assert charsum._fft_counts(hists, p, nu, box.card).tolist() \
+    assert fft_counts(hists, p, nu, box.card).tolist() \
         == want.tolist()
     convolve = charsum._matrix_convolve
     monkeypatch.setattr(charsum, "_matrix_convolve",
                         lambda *args: corrupt(convolve(*args)))
-    assert charsum._fft_counts(hists, p, nu, box.card) is None
+    assert fft_counts(hists, p, nu, box.card) is None
     assert spectral_counts(eq, box).tolist() == want.tolist()
 
 
@@ -178,7 +185,7 @@ def test_both_routes_match_exact_and_brute(data):
     box = make_box(eq, min(r, max(1, PROPERTY_CARD_CAP // (full.card
                                                            // full.r))))
     hists = histograms(eq, box)
-    counts = charsum._fft_counts(hists, p, nu, box.card)
+    counts = fft_counts(hists, p, nu, box.card)
     assert counts is not None  # the float route itself, not its fallback
     assert counts.tolist() == charsum._exact_counts(hists, p, nu).tolist()
     assert counts.tolist() == spectral_counts(eq, box).tolist()
@@ -193,7 +200,7 @@ def test_a_priori_bound_scales_with_card_and_size():
     assert charsum._fft_error_bound(10 ** 6, 3, (1 << 16,)) > small
     # a box this large never reaches the float path
     assert charsum._fft_error_bound(1 << 62, 2, (2,)) >= charsum.ROUND_SLACK
-    assert charsum._fft_counts([np.ones(7, dtype=np.int64)] * 2, 7, 1,
+    assert fft_counts([np.ones(7, dtype=np.int64)] * 2, 7, 1,
                                1 << 60) is None
 
 
@@ -205,7 +212,7 @@ def test_dense_error_bound_adds_axis_lengths():
     # length-2 axes: the dense sum counts fewer u than the FFT's stages
     assert charsum._fft_error_bound(10 ** 6, 2, (2,) * 12, dense=True) < \
         charsum._fft_error_bound(10 ** 6, 2, (2,) * 12)
-    assert charsum._fft_counts([np.ones(8, dtype=np.int64)] * 2, 2, 3,
+    assert fft_counts([np.ones(8, dtype=np.int64)] * 2, 2, 3,
                                1 << 60) is None
 
 
@@ -266,7 +273,7 @@ def test_float_route_certifies_boxes_past_the_first_grids_bound(
         assert charsum._fft_error_bound(
             card, n, charsum._transform_shape(p, nu, n)) >= slack
     assert charsum._fft_error_bound(card, n, (p,) * nu) < slack
-    counts = charsum._fft_counts(hists, p, nu, card)
+    counts = fft_counts(hists, p, nu, card)
     assert counts is not None and len(counts) == q
     assert counts.tolist() == charsum._exact_counts(hists, p, nu).tolist()
 
@@ -347,8 +354,13 @@ def forced_counts(eq, box, m, fallback=False):
         calls.append(len(hists))
         return exact_counts(hists, p, nu)
 
+    def forced(p, nu, limits):
+        card = math.prod(limits[:m])
+        return m, (charsum._transform_route(p, nu, m, card) if m > 1
+                   else None)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(charsum, "_transform_terms", lambda *args: m)
+        mp.setattr(charsum, "_transform_terms", forced)
         mp.setattr(charsum, "_exact_counts", counted)
         if fallback:
             mp.setattr(charsum, "_fft_counts", lambda *args: None)
@@ -433,7 +445,7 @@ BENCHMARK_SPLITS = [
 
 
 def test_split_rule_picks_for_benchmark_shapes():
-    picks = {(p, nu, limits): charsum._transform_terms(p, nu, limits)
+    picks = {(p, nu, limits): charsum._transform_terms(p, nu, limits)[0]
              for p, nu, limits, _ in BENCHMARK_SPLITS}
     assert picks == {(p, nu, limits): m
                      for p, nu, limits, m in BENCHMARK_SPLITS}
@@ -441,20 +453,21 @@ def test_split_rule_picks_for_benchmark_shapes():
 
 def test_split_rule_trades_shifts_against_transforms():
     # more trailing values move the split toward the transform
-    picks = [charsum._transform_terms(3329, 1, (3328, r))
+    picks = [charsum._transform_terms(3329, 1, (3328, r))[0]
              for r in range(1, 200)]
     assert picks == sorted(picks) and picks[0] == 1 and picks[-1] == 2
     # over (Z/2)^12 a shift is about 130 slice adds: one beats three
     # transforms (0.72 against 1.27 ms), two do not (2.29 against 1.15)
-    assert charsum._transform_terms(2, 12, (4095, 1)) == 1
-    assert charsum._transform_terms(2, 12, (4095, 2)) == 2
+    assert charsum._transform_terms(2, 12, (4095, 1))[0] == 1
+    assert charsum._transform_terms(2, 12, (4095, 2))[0] == 2
     # an uncertifiable sub-box is never picked: its transform costs inf
-    assert charsum._transform_cost(7, 1, 2, 1 << 60) == math.inf
-    assert charsum._transform_terms(7, 1, (1 << 60, 2)) == 1
+    assert charsum._transform_route(7, 1, 2, 1 << 60) is None
+    assert charsum._transform_terms(7, 1, (1 << 60, 2))[0] == 1
     # the leading two walks' 10^12 points certify where the whole box's
     # 10^15 do not, and shifting 10^6 + 10^3 values passes the work cap
-    assert charsum._transform_cost(9973, 1, 3, 10 ** 15) == math.inf
-    assert charsum._transform_terms(9973, 1, (10 ** 6, 10 ** 6, 1000)) == 2
+    assert charsum._transform_route(9973, 1, 3, 10 ** 15) is None
+    assert charsum._transform_terms(
+        9973, 1, (10 ** 6, 10 ** 6, 1000))[0] == 2
 
 
 def test_exact_counts_slice_adds_match_roll():
@@ -494,9 +507,9 @@ def test_work_cap_keeps_the_transform(monkeypatch):
     # values cost less than the transform; 400 pass EXACT_WORK_CAP, so
     # the split keeps shifting only the last two walks
     p = 1048573
-    assert charsum._transform_terms(p, 1, (p - 1, 100, 50, 50)) == 1
+    assert charsum._transform_terms(p, 1, (p - 1, 100, 50, 50))[0] == 1
     assert p * 400 > charsum.EXACT_WORK_CAP >= p * 100
-    assert charsum._transform_terms(p, 1, (p - 1, 300, 50, 50)) == 2
+    assert charsum._transform_terms(p, 1, (p - 1, 300, 50, 50))[0] == 2
     # end to end: F_3329 with r = 10 takes shift-and-add, until its
     # 33 290 adds pass the cap; then the transform serves it, no raise
     eq, box = instance(3329, 1, [(1, 3), (5, 243)], 0, 10)

@@ -158,11 +158,11 @@ def test_narrow_rows_match_int64_reference(field, data, block):
 @settings(max_examples=60, deadline=None)
 @given(field=st.sampled_from(NARROW_FIELDS), data=st.data())
 def test_brute_count_on_shared_walks_matches_its_own(field, data):
-    # `count` walks the box once for both counts: brute_count negates the
-    # leading walks digit by digit (p - d, 0 staying 0), where walking on
-    # its own it would walk -a_j
+    # `count` walks the box once for both counts: brute_count reads the
+    # shared walks of a_j as they are (it negates only the trailing sums
+    # it materializes) and leaves them unchanged
     spec = make_field(*field)
-    p, q = spec.p, spec.cardinality
+    q = spec.cardinality
     rng = random.Random(data.draw(st.integers(0, 1 << 30)))
     terms = [(spec.from_packed(rng.randrange(1, q)),
               spec.from_packed(rng.randrange(1, q)) ** ((q - 1) // d))
@@ -172,11 +172,6 @@ def test_brute_count_on_shared_walks_matches_its_own(field, data):
     box = make_box(eq, data.draw(st.integers(1, min(eq.orders))))
     walks = list(charsum.box_walks(eq, box))
     kept = [walk.copy() for walk in walks]
-    for (a, g), limit, walk in zip(charsum.sorted_terms(eq, box),
-                                   box.limits(), walks):
-        negated = np.where(walk == 0, walk, p - walk)
-        assert negated.dtype == walk.dtype
-        assert negated.tolist() == fields._power_walk(-a, g, limit).tolist()
     list_cap = data.draw(st.sampled_from([0, charsum.LIST_CAP]))
     with mock.patch.object(charsum, "BRUTE_BLOCK",
                            data.draw(st.sampled_from([1, 5, 1 << 16]))):
