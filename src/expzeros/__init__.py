@@ -13,6 +13,17 @@ Modules:
     reduction  -- grouping terms by order, mu <= d(q-1)
     instances  -- seeded random instance generation
     cli        -- command-line front end (expzeros ...)
+
+Caps are module constants, not parameters; a call past one raises a
+typed error (CapExceeded or MemoryCap), and changing one means editing
+the constant:
+    fields.DEFAULT_ENUM_CAP    2^20  field elements, and box points
+    charsum.TERM_CAP           16    terms of an equation
+    charsum.EXACT_WORK_CAP     2^28  int64 adds of the exact convolution
+    charsum.LIST_CAP           2^16  box points whose solutions are listed
+    solver.OUTER_GRID_CAP      2^22  outer grid points of one search
+    arith.BSGS_TABLE_CAP       2^24  baby steps of one BSGS table
+    qmodel.GROVER_SIM_CAP      2^14  items of a Grover simulation
 """
 
 from .fields import FieldElement, FieldSpec, enumerate_units, make_field
@@ -25,7 +36,7 @@ from .arith import (BsgsTable, Factorization, OrderInfo, QueryCounter,
 from .density import (CensusResult, DensityReport, corollary_min_r,
                       energy_bound_check, exceptional_census, sweep_b)
 from .solver import (SolutionReport, build_box, solve_classical,
-                     subroutine_S, verify_solution)
+                     verify_solution)
 from .qmodel import (ExponentRow, ExponentTable, QueryCostReport,
                      bbht_expected_queries, exponent_table, grover_simulate,
                      grover_success, model_quantum_solve)

@@ -35,9 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import factorize, multiplicative_order
-from .errors import (CapExceeded, FieldMismatch, InvariantViolated, Overflow,
-                     ZeroElement)
-from .fields import (DEFAULT_ENUM_CAP, FieldElement, FieldSpec, _add_mod,
+from .errors import CapExceeded, InvariantViolated, Overflow, ZeroElement
+from .fields import (FieldElement, FieldSpec, _add_mod, _check_enum,
                      _digit_dtype, _pack, _power_walk)
 
 TERM_CAP = 16
@@ -73,8 +72,7 @@ class ExpEquation:
         }
 
 
-def make_equation(spec: FieldSpec, terms, b, n_cap: int = TERM_CAP
-                  ) -> ExpEquation:
+def make_equation(spec: FieldSpec, terms, b) -> ExpEquation:
     """Build an ExpEquation, computing and verifying the orders s_i.
 
     Term entries and b may be FieldElements or packed integers.
@@ -88,23 +86,12 @@ def make_equation(spec: FieldSpec, terms, b, n_cap: int = TERM_CAP
         coerced.append((a, g))
     if not coerced:
         raise ValueError("need at least one term")
-    if len(coerced) > n_cap:
-        raise CapExceeded(f"n = {len(coerced)} terms exceeds cap {n_cap}")
+    if len(coerced) > TERM_CAP:
+        raise CapExceeded(f"n = {len(coerced)} terms exceeds cap {TERM_CAP}")
     b = spec.element(b)
-    if b.spec != spec:
-        raise FieldMismatch("b belongs to a different field")
     fact = factorize(spec.cardinality - 1)
     orders = tuple(multiplicative_order(g, fact).order for _, g in coerced)
     return ExpEquation(spec, tuple(coerced), b, orders)
-
-
-def equation_from_dict(doc: dict) -> ExpEquation:
-    from .fields import make_field
-    spec = make_field(doc["p"], doc["nu"])
-    eq = make_equation(spec, doc["terms"], doc["b"])
-    if "orders" in doc and tuple(doc["orders"]) != eq.orders:
-        raise ValueError("stored orders disagree with recomputation")
-    return eq
 
 
 @dataclass(frozen=True)
@@ -202,7 +189,7 @@ def psi(u: FieldElement) -> complex:
     return cmath.exp(2j * cmath.pi * u.trace() / u.spec.p)
 
 
-def delta_indicator(u: FieldElement, cap: int = DEFAULT_ENUM_CAP) -> float:
+def delta_indicator(u: FieldElement) -> float:
     """(1/q) sum_mu psi(u mu): 1.0 at u = 0, else 0.0 (to 1e-9).
 
     For mu with coefficients m, Tr(mu u) = m . (H u) mod p where H[k][j] =
@@ -211,8 +198,7 @@ def delta_indicator(u: FieldElement, cap: int = DEFAULT_ENUM_CAP) -> float:
     """
     spec = u.spec
     q, p, nu = spec.cardinality, spec.p, spec.nu
-    if q > cap:
-        raise CapExceeded(f"cardinality {q} exceeds cap {cap}")
+    _check_enum(q)
     taus = _monomial_traces(spec, 2 * nu - 1)
     hankel = np.array([[taus[k + j] for j in range(nu)] for k in range(nu)],
                       dtype=np.int64)
@@ -570,7 +556,6 @@ def box_walks(eq: ExpEquation, box: SearchBox) -> Iterator[np.ndarray]:
 
 
 def spectral_counts(eq: ExpEquation, box: SearchBox,
-                    cap: int = DEFAULT_ENUM_CAP,
                     walks: list[np.ndarray] | None = None) -> np.ndarray:
     """N_{f_b}(r) for every b, as int64 indexed by packed b (eq.b ignored).
 
@@ -584,8 +569,7 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
     """
     spec = eq.spec
     q, p, nu = spec.cardinality, spec.p, spec.nu
-    if q > cap:
-        raise CapExceeded(f"cardinality {q} exceeds cap {cap}")
+    _check_enum(q)
     limits = box.limits()
     if walks is None:
         walks = box_walks(eq, box)
@@ -606,11 +590,10 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
 
 
 def count_via_charsum(eq: ExpEquation, box: SearchBox,
-                      cap: int = DEFAULT_ENUM_CAP,
                       walks: list[np.ndarray] | None = None) -> float:
     """N_{f_b}(r) by the character-sum identity: one entry of
     spectral_counts, returned as a float (an exact integer value)."""
-    return float(spectral_counts(eq, box, cap, walks)[eq.b.packed()])
+    return float(spectral_counts(eq, box, walks)[eq.b.packed()])
 
 
 def _grid_targets(target: np.ndarray, walks, limits: tuple[int, ...],
@@ -628,15 +611,14 @@ def _grid_targets(target: np.ndarray, walks, limits: tuple[int, ...],
     return need
 
 
-def check_box_card(box: SearchBox, cap: int = DEFAULT_ENUM_CAP) -> None:
-    """Raise CapExceeded when the box has more than cap points.  Run it
-    before walking the box: each limit is at most its card."""
-    if box.card > cap:
-        raise CapExceeded(f"box cardinality {box.card} exceeds cap {cap}")
+def check_box_card(box: SearchBox) -> None:
+    """Raise CapExceeded when the box has more than DEFAULT_ENUM_CAP
+    points.  Run it before walking the box: each limit is at most its
+    card."""
+    _check_enum(box.card, "box cardinality")
 
 
 def brute_count(eq: ExpEquation, box: SearchBox,
-                cap: int = DEFAULT_ENUM_CAP,
                 list_cap: int = LIST_CAP,
                 walks: list[np.ndarray] | None = None
                 ) -> tuple[int, list[tuple[int, ...]] | None]:
@@ -653,7 +635,7 @@ def brute_count(eq: ExpEquation, box: SearchBox,
     Returns (N, solutions) with solution tuples in *original* term order,
     or (N, None) when box.card exceeds list_cap.
     """
-    check_box_card(box, cap)
+    check_box_card(box)
     spec = eq.spec
     p, nu = spec.p, spec.nu
     dtype = _digit_dtype(p)

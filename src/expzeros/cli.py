@@ -27,7 +27,7 @@ import numpy as np
 
 from . import density as density_mod
 from . import errors
-from .arith import QueryCounter, factorize, multiplicative_order
+from .arith import factorize, multiplicative_order
 from .charsum import (box_walks, brute_count, check_box_card,
                       count_via_charsum, make_box, make_equation)
 from .fields import make_field
@@ -485,15 +485,14 @@ def bench_cell(q: int, n: int, seed: int) -> dict:
     spec = make_field(q)
     rng = random.Random(seed * 1_000_003 + q * 1000 + n)
     eq = random_equation_with_orders(spec, [q - 1] * n, rng)
-    counter = QueryCounter()
-    classical = solve_classical(eq, counter=counter)
+    classical = solve_classical(eq)
+    mults = classical.queries.group_mults
     quantum = model_quantum_solve(eq, "thm2", rng_seed=seed, sim_trials=50)
     logq = math.log(q)
     return {
         "q": q, "n": n,
-        "classical_mults": counter.group_mults,
-        "classical_exponent_fit": round(
-            math.log(max(counter.group_mults, 1)) / logq, 4),
+        "classical_mults": mults,
+        "classical_exponent_fit": round(math.log(max(mults, 1)) / logq, 4),
         "quantum_modeled_queries": quantum.modeled_queries,
         "quantum_exponent_fit": round(
             math.log(max(quantum.modeled_queries, 1)) / logq, 4),

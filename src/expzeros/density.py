@@ -24,7 +24,6 @@ import numpy as np
 
 from .charsum import ExpEquation, SearchBox, box_radius, spectral_counts
 from .errors import BadDelta, InvariantViolated
-from .fields import DEFAULT_ENUM_CAP
 
 INT64_MAX = np.iinfo(np.int64).max
 INT64_MIN = np.iinfo(np.int64).min
@@ -59,11 +58,10 @@ class DensityReport:
         }
 
 
-def sweep_b(eq: ExpEquation, box: SearchBox,
-            cap: int = DEFAULT_ENUM_CAP) -> DensityReport:
+def sweep_b(eq: ExpEquation, box: SearchBox) -> DensityReport:
     """Count N_{f_b}(r) for every b with the spectral engine (eq.b is
     ignored).  Memory is O(n q), whatever the size of the box."""
-    counts = spectral_counts(eq, box, cap)
+    counts = spectral_counts(eq, box)
     q = eq.q
     main = Fraction(box.card, q)
     # sum c^2 <= max(c) * sum c = max(c) * card, so int64 is exact below

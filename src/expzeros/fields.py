@@ -17,6 +17,7 @@ multiplication per step.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,7 +32,14 @@ from .errors import (
 )
 
 MAX_CARDINALITY = 1 << 62
-DEFAULT_ENUM_CAP = 1 << 20
+DEFAULT_ENUM_CAP = 1 << 20  # field elements or box points one call may list
+
+
+def _check_enum(size: int, what: str = "cardinality") -> None:
+    """Raise CapExceeded when `what` counts more than DEFAULT_ENUM_CAP;
+    the one comparison with that cap, for fields and boxes alike."""
+    if size > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"{what} {size} exceeds cap {DEFAULT_ENUM_CAP}")
 
 
 def _is_prime(n: int) -> bool:
@@ -249,11 +257,9 @@ class FieldSpec:
             k //= self.p
         return FieldElement(self, tuple(coeffs))
 
-    def elements(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator["FieldElement"]:
+    def elements(self) -> Iterator["FieldElement"]:
         """All field elements in packed order, zero first."""
-        if self.cardinality > cap:
-            raise CapExceeded(
-                f"cardinality {self.cardinality} exceeds cap {cap}")
+        _check_enum(self.cardinality)
         for k in range(self.cardinality):
             yield self.from_packed(k)
 
@@ -270,14 +276,9 @@ def make_field(p: int, nu: int = 1) -> FieldSpec:
     return FieldSpec(p, nu)
 
 
-def enumerate_units(spec: FieldSpec,
-                    cap: int = DEFAULT_ENUM_CAP) -> Iterator["FieldElement"]:
+def enumerate_units(spec: FieldSpec) -> Iterator["FieldElement"]:
     """All nonzero elements in packed order."""
-    if spec.cardinality > cap:
-        raise CapExceeded(
-            f"cardinality {spec.cardinality} exceeds cap {cap}")
-    for k in range(1, spec.cardinality):
-        yield spec.from_packed(k)
+    return itertools.islice(spec.elements(), 1, None)
 
 
 class FieldElement:

@@ -32,7 +32,6 @@ import numpy as np
 from .charsum import ExpEquation, box_radius, brute_count, log_of, make_box
 from .errors import (BadCounts, CapExceeded, HypothesisFailed,
                      InvariantViolated)
-from .fields import DEFAULT_ENUM_CAP
 from .solver import build_box
 
 GROVER_SIM_CAP = 1 << 14
@@ -60,15 +59,14 @@ def grover_optimal_k(t: int, m: int) -> int:
     return int(math.pi / (4 * theta))
 
 
-def grover_simulate(t: int, marked, k: int, cap: int = GROVER_SIM_CAP,
-                    return_drift: bool = False):
+def grover_simulate(t: int, marked, k: int, return_drift: bool = False):
     """Exact state-vector run of k Grover iterations on t items.
 
     Returns the probability mass on the marked set; with return_drift,
     also the largest |norm - 1| observed after any iteration.
     """
-    if t > cap:
-        raise CapExceeded(f"t = {t} exceeds simulation cap {cap}")
+    if t > GROVER_SIM_CAP:
+        raise CapExceeded(f"t = {t} exceeds simulation cap {GROVER_SIM_CAP}")
     idx = sorted(set(int(i) for i in marked))
     if not idx or idx[0] < 0 or idx[-1] >= t:
         raise BadCounts("marked set must be a nonempty subset of [0, t)")
@@ -273,10 +271,21 @@ def grid_chain_check(orders_sorted, r_raw: int) -> tuple[str, bool]:
 
 
 def _count_in_box(eq: ExpEquation, box) -> int | None:
-    if box.card > DEFAULT_ENUM_CAP:
+    """The exact in-box count, or None past brute_count's box cap."""
+    try:
+        count, _ = brute_count(eq, box, list_cap=0)
+    except CapExceeded:
         return None
-    count, _ = brute_count(eq, box, list_cap=0)
     return count
+
+
+def _empirical_queries(t: int, m_exact: int | None, trials: int,
+                       rng_seed: int) -> float | None:
+    """bbht_expected_queries where a solution exists and t is within
+    GROVER_SIM_CAP, else None."""
+    if m_exact and t <= GROVER_SIM_CAP:
+        return bbht_expected_queries(t, m_exact, trials, rng_seed)
+    return None
 
 
 def model_quantum_solve(eq: ExpEquation, mode: str,
@@ -303,10 +312,7 @@ def model_quantum_solve(eq: ExpEquation, mode: str,
         modeled = math.isqrt(max(t - 1, 0)) + 1 if t > 1 else 1  # ceil(sqrt t)
         bound = float(q) ** float(quantum_exponent(n)) * slack
         case, holds = grid_chain_check(box.orders_sorted, r_raw)
-        empirical = None
-        if m_exact and t <= GROVER_SIM_CAP:
-            empirical = bbht_expected_queries(t, m_exact, sim_trials,
-                                              rng_seed)
+        empirical = _empirical_queries(t, m_exact, sim_trials, rng_seed)
         return QueryCostReport(
             mode="thm2", q=q, n=n, r=box.r, r_raw=r_raw,
             r_clamped=r_clamped, t=t, m_exact=m_exact, m_estimate=None,
@@ -349,9 +355,7 @@ def model_quantum_solve(eq: ExpEquation, mode: str,
              * float(hyp_lhs) ** (-1.0 / (2 * (2 * n - 1))) * slack)
     m_ratio = (m_exact / m_estimate
                if m_exact is not None and m_estimate > 0 else None)
-    empirical = None
-    if m_exact and t <= GROVER_SIM_CAP:
-        empirical = bbht_expected_queries(t, m_exact, sim_trials, rng_seed)
+    empirical = _empirical_queries(t, m_exact, sim_trials, rng_seed)
     return QueryCostReport(
         mode="thm3", q=q, n=n, r=r, r_raw=r_raw, r_clamped=r_raw < 1,
         t=t, m_exact=m_exact, m_estimate=m_estimate, m_ratio=m_ratio,

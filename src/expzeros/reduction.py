@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 from .arith import QueryCounter, bsgs_dlog, divisor_count, factorize
 from .charsum import ExpEquation
-from .errors import CapExceeded, InvariantViolated, OrderMismatch
+from .errors import InvariantViolated, OrderMismatch
 from .fields import FieldElement, FieldSpec
 from .instances import random_equation
-
-MU_REPORT_CAP = 1 << 62
 
 
 def _verify_order(g: FieldElement, s: int) -> bool:
@@ -120,8 +118,6 @@ def mu_bound_report(spec: FieldSpec, samples: int = 100, n: int = 4,
                     seed: int = 0) -> MuBoundReport:
     """Empirical mu over random equations versus the d(q-1) bound."""
     q = spec.cardinality
-    if q > MU_REPORT_CAP:
-        raise CapExceeded(f"cardinality {q} exceeds cap")
     rng = random.Random(seed)
     mus = []
     for _ in range(samples):

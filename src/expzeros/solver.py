@@ -82,90 +82,60 @@ def build_box(eq: ExpEquation, log_base: str = "natural"
     return make_box(eq, min(r_raw, orders_sorted[-1])), r_raw
 
 
-class _SearchContext:
-    """Per-equation state shared by every outer point of one solve."""
+def _first_hit(eq: ExpEquation, box: SearchBox, counter: QueryCounter
+               ) -> tuple[int, int] | None:
+    """(index, x_1) for the first outer point, by lexicographic index in
+    the outer grid (sorted coordinates 2..n), with a_1 g_1^{x_1} =
+    b - partial; or None.
 
-    def __init__(self, eq: ExpEquation, box: SearchBox,
-                 counter: QueryCounter):
-        spec = eq.spec
-        self.spec = spec
-        terms = sorted_terms(eq, box)
-        a1, g1 = terms[0]
-        self.s1 = box.orders_sorted[0]
-        self.membership_cost = pow_cost(self.s1)
-        self.a1_inv = np.array(_mul_matrix(a1.inverse()),
-                               dtype=_exact_dtype(spec.p, spec.nu))
-        counter.mults(1, "setup")  # inversion charged as one mult
-        self.b = np.array(eq.b.coeffs, dtype=_digit_dtype(spec.p))
-        self.table = BsgsTable(g1, self.s1, counter)
-        self.outer_limits = box.limits()[1:]
-        # walks of -a_l g_l^x: the block targets add them to b
-        self.walks = []
-        for (a, g), limit in zip(terms[1:], self.outer_limits):
-            self.walks.append(_power_walk(-a, g, limit))
-            counter.mults(limit - 1, "setup")
-
-    def first_hit(self, lo: int, hi: int, counter: QueryCounter
-                  ) -> tuple[int, int] | None:
-        """(index, x_1) for the first outer point, by lexicographic index
-        in lo..hi-1, with a_1 g_1^{x_1} = b - partial; or None.
-
-        The targets t = a_1^{-1}(b - partial) come a block at a time, as
-        matrix products; each point is then charged what the model
-        charges it: one multiplication, a membership test t^{s_1} = 1
-        when t != 0, and a table lookup when that passes.  The first
-        block holds at most FIRST_BLOCK points and each next one twice
-        as many, up to BRUTE_BLOCK, so an early hit computes few targets.
-        """
-        spec = self.spec
-        one = spec.one()
-        start, size = lo, FIRST_BLOCK
-        while start < hi:
-            stop = min(start + size, hi)
-            need = _grid_targets(self.b, self.walks, self.outer_limits,
-                                 start, stop, spec.p)
-            flat = (need @ self.a1_inv % spec.p).ravel().tolist()
-            # one coefficient tuple per point, made only for points visited
-            rows = zip(*[iter(flat)] * spec.nu)
-            for index, row in enumerate(rows, start):
-                counter.outer_points_visited += 1
-                counter.mults(1, "subroutine")
-                if not any(row):
-                    continue
-                counter.mults(self.membership_cost, "membership")
-                t = FieldElement(spec, row)
-                if t ** self.s1 != one:
-                    continue
-                counter.dlog_calls += 1
-                x1 = self.table.lookup(t, counter)
-                if x1 is None:
-                    raise InvariantViolated(
-                        "membership passed but dlog missed")
-                return index, x1
-            start, size = stop, min(2 * size, BRUTE_BLOCK)
-        return None
-
-
-def subroutine_S(eq: ExpEquation, outer: tuple[int, ...],
-                 counter: QueryCounter | None = None) -> int | None:
-    """Resolve x_1 for one outer point (x_2, ..., x_n) in sorted coords.
-
-    Standalone form of the solver's inner step; builds its setup tables
-    fresh on each call, so prefer solve_classical for sweeps.
+    The targets t = a_1^{-1}(b - partial) come a block at a time, as
+    matrix products; each point is then charged what the model charges
+    it: one multiplication, a membership test t^{s_1} = 1 when t != 0,
+    and a table lookup when that passes.  The first block holds at most
+    FIRST_BLOCK points and each next one twice as many, up to
+    BRUTE_BLOCK, so an early hit computes few targets.
     """
-    if counter is None:
-        counter = QueryCounter()
-    box = make_box(eq)
-    if len(outer) != box.n - 1:
-        raise IndexOutOfRange(f"outer point needs {box.n - 1} coordinates")
-    index = 0
-    for x, s in zip(outer, box.orders_sorted[1:]):
-        if not 0 <= x < s:
-            raise IndexOutOfRange(f"coordinate {x} outside [0, {s})")
-        index = index * s + x
-    hit = _SearchContext(eq, box, counter).first_hit(index, index + 1,
-                                                     counter)
-    return None if hit is None else hit[1]
+    spec = eq.spec
+    terms = sorted_terms(eq, box)
+    a1, g1 = terms[0]
+    s1 = box.orders_sorted[0]
+    membership_cost = pow_cost(s1)
+    a1_inv = np.array(_mul_matrix(a1.inverse()),
+                      dtype=_exact_dtype(spec.p, spec.nu))
+    counter.mults(1, "setup")  # inversion charged as one mult
+    b = np.array(eq.b.coeffs, dtype=_digit_dtype(spec.p))
+    table = BsgsTable(g1, s1, counter)
+    outer_limits = box.limits()[1:]
+    # walks of -a_l g_l^x: the block targets add them to b
+    walks = []
+    for (a, g), limit in zip(terms[1:], outer_limits):
+        walks.append(_power_walk(-a, g, limit))
+        counter.mults(limit - 1, "setup")
+    one = spec.one()
+    hi = math.prod(outer_limits)
+    start, size = 0, FIRST_BLOCK
+    while start < hi:
+        stop = min(start + size, hi)
+        need = _grid_targets(b, walks, outer_limits, start, stop, spec.p)
+        flat = (need @ a1_inv % spec.p).ravel().tolist()
+        # one coefficient tuple per point, made only for points visited
+        rows = zip(*[iter(flat)] * spec.nu)
+        for index, row in enumerate(rows, start):
+            counter.outer_points_visited += 1
+            counter.mults(1, "subroutine")
+            if not any(row):
+                continue
+            counter.mults(membership_cost, "membership")
+            t = FieldElement(spec, row)
+            if t ** s1 != one:
+                continue
+            counter.dlog_calls += 1
+            x1 = table.lookup(t, counter)
+            if x1 is None:
+                raise InvariantViolated("membership passed but dlog missed")
+            return index, x1
+        start, size = stop, min(2 * size, BRUTE_BLOCK)
+    return None
 
 
 def verify_solution(eq: ExpEquation, x: tuple[int, ...]) -> bool:
@@ -188,23 +158,21 @@ def _checked(eq: ExpEquation, x: tuple[int, ...]) -> tuple[int, ...]:
     return x
 
 
-def solve_classical(eq: ExpEquation, log_base: str = "natural",
-                    counter: QueryCounter | None = None,
-                    outer_cap: int = OUTER_GRID_CAP) -> SolutionReport:
+def solve_classical(eq: ExpEquation, log_base: str = "natural"
+                    ) -> SolutionReport:
     """Search the box, iterating the outer grid (sorted coordinates 2..n)
     in lexicographic order and resolving x_1 per point; returns the first
     hit, which is therefore deterministic, or a certificate/exhaustion
-    status.
+    status.  Refuses an outer grid past OUTER_GRID_CAP points.
     """
-    if counter is None:
-        counter = QueryCounter()
+    counter = QueryCounter()
     box, r_raw = build_box(eq, log_base)
     outer_limits = box.limits()[1:]
     outer_size = math.prod(outer_limits)
-    if outer_size > outer_cap:
+    if outer_size > OUTER_GRID_CAP:
         raise CapExceeded(f"outer grid of {outer_size} points exceeds cap")
     cost_model = math.sqrt(eq.q) * math.log(eq.q) ** 3
-    hit = _SearchContext(eq, box, counter).first_hit(0, outer_size, counter)
+    hit = _first_hit(eq, box, counter)
     if hit is None:
         status = (NO_SOLUTION_CERTIFIED if r_raw > box.orders_sorted[-1]
                   else BOX_EXHAUSTED)

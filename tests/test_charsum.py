@@ -8,20 +8,20 @@ import random
 
 import pytest
 
+from expzeros import fields
 from expzeros.arith import factorize, multiplicative_order
 from expzeros.charsum import (
     ExpEquation,
     brute_count,
     count_via_charsum,
     delta_indicator,
-    equation_from_dict,
     gauss_partial_sum,
     make_box,
     make_equation,
     psi,
     sorted_terms,
 )
-from expzeros.errors import CapExceeded, Overflow, ZeroElement
+from expzeros.errors import CapExceeded, FieldMismatch, Overflow, ZeroElement
 from expzeros.fields import enumerate_units, make_field
 from expzeros.instances import find_generator, random_equation
 
@@ -50,8 +50,21 @@ def test_make_equation_rejects_bad_input():
         make_equation(f7, [(1, 0)], 1)
     with pytest.raises(ValueError):
         make_equation(f7, [], 1)
+    assert make_equation(f7, [(1, 3)] * 16, 1).n == 16   # TERM_CAP
     with pytest.raises(CapExceeded):
         make_equation(f7, [(1, 3)] * 17, 1)
+    with pytest.raises(FieldMismatch):
+        make_equation(f7, [(1, 3)], make_field(11).element(3))
+
+
+def equation_from_dict(doc: dict) -> ExpEquation:
+    """The ExpEquation an `eq` document describes, with its orders
+    recomputed and checked."""
+    spec = make_field(doc["p"], doc["nu"])
+    eq = make_equation(spec, doc["terms"], doc["b"])
+    if "orders" in doc and tuple(doc["orders"]) != eq.orders:
+        raise ValueError("stored orders disagree with recomputation")
+    return eq
 
 
 def test_equation_dict_round_trip():
@@ -143,9 +156,10 @@ def test_delta_indicator_exhaustive():
             assert abs(delta_indicator(u) - want) <= 1e-9
 
 
-def test_delta_indicator_cap():
-    with pytest.raises(CapExceeded):
-        delta_indicator(make_field(7).element(1), cap=3)
+def test_delta_indicator_cap(monkeypatch):
+    monkeypatch.setattr(fields, "DEFAULT_ENUM_CAP", 6)
+    with pytest.raises(CapExceeded, match="cardinality 7 exceeds cap 6"):
+        delta_indicator(make_field(7).element(1))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +301,7 @@ def test_count_random_instances_match_brute():
     assert checked >= 40
 
 
-def test_brute_count_solution_order_and_caps():
+def test_brute_count_solution_order_and_caps(monkeypatch):
     eq = make_equation(make_field(13), [(1, 6), (1, 2)], 4)
     box = make_box(eq)
     n, sols = brute_count(eq, box)
@@ -301,10 +315,14 @@ def test_brute_count_solution_order_and_caps():
     # list suppressed when the box is larger than list_cap
     n2, sols2 = brute_count(eq, box, list_cap=0)
     assert n2 == n and sols2 is None
-    with pytest.raises(CapExceeded):
-        brute_count(eq, box, cap=box.card - 1)
-    with pytest.raises(CapExceeded):
-        count_via_charsum(eq, box, cap=3)
+
+    # both counts refuse one point past the cap: the box, the field
+    monkeypatch.setattr(fields, "DEFAULT_ENUM_CAP", box.card - 1)
+    with pytest.raises(CapExceeded, match="box cardinality"):
+        brute_count(eq, box)
+    monkeypatch.setattr(fields, "DEFAULT_ENUM_CAP", eq.q - 1)
+    with pytest.raises(CapExceeded, match="^cardinality 13 "):
+        count_via_charsum(eq, box)
 
 
 def test_charsum_independent_of_term_listing_order():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expzeros import charsum, cli
+from expzeros import charsum, cli, fields
 from expzeros import density as density_mod
 from expzeros.cli import ConfigError, main, parse_config_file, parse_terms
 from test_density import report_from_dict
@@ -423,7 +423,7 @@ def test_count_refuses_a_large_box_before_walking_it(monkeypatch):
     real_walk = charsum._power_walk
 
     def capped_walk(a, g, limit):
-        assert limit <= charsum.DEFAULT_ENUM_CAP, f"walk of {limit} rows"
+        assert limit <= fields.DEFAULT_ENUM_CAP, f"walk of {limit} rows"
         return real_walk(a, g, limit)
 
     monkeypatch.setattr(charsum, "_power_walk", capped_walk)

@@ -20,9 +20,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expzeros import charsum, cli, density
-from expzeros.charsum import (SearchBox, brute_count, equation_from_dict,
-                              make_box, make_equation)
+from expzeros import charsum, cli, density, fields
+from expzeros.charsum import SearchBox, brute_count, make_box, make_equation
 from expzeros.density import (
     CensusResult,
     DensityReport,
@@ -37,6 +36,7 @@ from expzeros.errors import BadDelta, CapExceeded, InvariantViolated, Overflow
 from expzeros.fields import make_field
 from expzeros.instances import (find_generator, random_equation,
                                  random_equation_with_orders)
+from test_charsum import equation_from_dict
 
 
 def sweep_fixture(p, nu, terms, r=None):
@@ -148,8 +148,10 @@ def test_sweep_caps(monkeypatch):
     spec = make_field(7)
     eq = make_equation(spec, [(1, 3), (1, 2)], 0)
     box = make_box(eq)
-    with pytest.raises(CapExceeded):
-        sweep_b(eq, box, cap=3)
+    monkeypatch.setattr(fields, "DEFAULT_ENUM_CAP", 6)
+    with pytest.raises(CapExceeded, match="cardinality 7 exceeds cap 6"):
+        sweep_b(eq, box)
+    monkeypatch.undo()
     # no cap on the box itself: memory is O(n q), so a box far above the
     # 2^22 points a materializing sweep could hold still sweeps exactly
     spec = make_field(7, 4)

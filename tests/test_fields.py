@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from expzeros import fields
 from expzeros.errors import (
     CapExceeded,
     DivisionByZero,
@@ -131,7 +132,7 @@ def test_packed_range_and_coeff_length_checks():
         spec.element([1, 2, 3])
 
 
-def test_enumeration_order_and_caps():
+def test_enumeration_order_and_caps(monkeypatch):
     f7 = make_field(7)
     assert [x.packed() for x in f7.elements()] == list(range(7))
     assert [x.packed() for x in enumerate_units(f7)] == list(range(1, 7))
@@ -144,8 +145,13 @@ def test_enumeration_order_and_caps():
         list(big.elements())
     with pytest.raises(CapExceeded):
         list(enumerate_units(big))
-    # an explicit larger cap lifts the limit
-    assert sum(1 for _ in make_field(2, 5).elements(cap=32)) == 32
+    # the cap is a constant, read at call time: a field of exactly the
+    # cap enumerates, one past it is refused
+    monkeypatch.setattr(fields, "DEFAULT_ENUM_CAP", 32)
+    assert sum(1 for _ in make_field(2, 5).elements()) == 32
+    assert sum(1 for _ in enumerate_units(make_field(31))) == 30
+    with pytest.raises(CapExceeded, match="cardinality 37 exceeds cap 32"):
+        list(enumerate_units(make_field(37)))
 
 
 def test_field_mismatch_rejected():

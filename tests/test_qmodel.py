@@ -3,13 +3,16 @@ guessing schedule, the exponent table, and the two query-cost models.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from expzeros import charsum, fields, qmodel
 from expzeros.charsum import brute_count, make_box, make_equation
 from expzeros.errors import BadCounts, CapExceeded, HypothesisFailed
 from expzeros.fields import make_field
+from expzeros.instances import random_equation_with_orders
 from expzeros.qmodel import (
     GROVER_SIM_CAP,
     bbht_expected_queries,
@@ -86,7 +89,10 @@ def test_simulation_invariant_under_marked_placement():
 
 
 def test_simulation_validation_and_cap():
-    with pytest.raises(CapExceeded):
+    # t = 2^14 items run, one more is refused
+    assert 0 < grover_simulate(GROVER_SIM_CAP, [0], 1) < 1
+    with pytest.raises(CapExceeded, match=f"exceeds simulation cap "
+                       f"{GROVER_SIM_CAP}"):
         grover_simulate(GROVER_SIM_CAP + 1, [0], 1)
     with pytest.raises(BadCounts):
         grover_simulate(8, [], 1)
@@ -189,12 +195,20 @@ def test_exponent_table_rendering():
 # cost model: thm2
 
 
-def test_thm2_model_f7_example():
+def test_thm2_model_f7_example(monkeypatch):
+    calls = []
+
+    def spy(eq, box, **kwargs):
+        calls.append(kwargs)
+        return brute_count(eq, box, **kwargs)
+
+    monkeypatch.setattr(qmodel, "brute_count", spy)
     eq = make_equation(make_field(7), [(1, 3), (1, 2)], 3)
     rep = model_quantum_solve(eq, "thm2")
     assert rep.mode == "thm2" and (rep.q, rep.n) == (7, 2)
     assert (rep.r, rep.r_raw, rep.t) == (3, 3, 3)
-    assert rep.m_exact == 3
+    # a box within the cap: counted by one brute_count call, no list
+    assert rep.m_exact == 3 and calls == [{"list_cap": 0}]
     assert rep.modeled_queries == 2           # ceil(sqrt(3))
     assert rep.shor_calls == 2 + 2
     assert rep.chain_case == "r<=s_n" and rep.chain_holds
@@ -205,6 +219,45 @@ def test_thm2_model_f7_example():
     doc = rep.to_dict()
     assert doc["schema"] == 1 and doc["kind"] == "query_cost_report"
     assert doc["mode"] == "thm2" and doc["t"] == 3
+
+
+def big_box_family():
+    # F_65537 with orders (32768, 32768): thm2's box holds 32768 * 45
+    # points and thm3's 32768 * 44, both past the 2^20 box cap
+    return random_equation_with_orders(make_field(65537), [32768, 32768],
+                                       random.Random(5))
+
+
+def refuse_walks(monkeypatch):
+    def walk(a, g, limit):
+        raise AssertionError(f"walked {limit} points past the box cap")
+
+    monkeypatch.setattr(charsum, "_power_walk", walk)
+
+
+def test_thm2_past_the_box_cap_leaves_the_count_out(monkeypatch):
+    eq = big_box_family()
+    refuse_walks(monkeypatch)
+    rep = model_quantum_solve(eq, "thm2")
+    assert rep.r_raw == rep.r == rep.t == 45 and not rep.r_clamped
+    assert 32768 * 45 > fields.DEFAULT_ENUM_CAP
+    assert rep.m_exact is None and rep.m_ratio is None
+    assert rep.b_exceptional is None and rep.empirical_queries is None
+    assert rep.modeled_queries == 7           # ceil(sqrt(45))
+
+
+def test_thm2_chain_when_the_radius_passes_s_n():
+    # orders (10, 5) over F_101: r_raw = ceil(101^2 / 10^2 ln 101) = 471
+    # > s_n = 5, so the box is the whole domain
+    eq = random_equation_with_orders(make_field(101), [10, 5],
+                                     random.Random(2))
+    rep = model_quantum_solve(eq, "thm2")
+    assert rep.r_raw == 471 and rep.r == 5 and rep.r_clamped
+    assert rep.chain_case == "r>s_n"
+    # s_2 <= ((s_1)^2 s_2)^(1/3), cubed: 5^3 against 10^2 * 5
+    lhs, rhs, power = Fraction(5), Fraction(10 ** 2 * 5), Fraction(1, 3)
+    assert rep.chain_holds == (lhs ** power.denominator
+                               <= rhs ** power.numerator)
 
 
 def test_thm2_found_iff_box_nonempty():
@@ -284,6 +337,20 @@ def test_thm3_radius_clamp():
     assert rep.r_raw == 0 and rep.r == 1 and rep.r_clamped
     assert rep.t == 100
     assert rep.hypothesis_ok
+
+
+def test_thm3_past_the_box_cap_takes_m_from_the_estimate(monkeypatch):
+    eq = big_box_family()
+    refuse_walks(monkeypatch)
+    rep = model_quantum_solve(eq, "thm3")
+    assert rep.r_raw == rep.r == rep.t == 44 and rep.hypothesis_ok
+    assert 32768 * 44 > fields.DEFAULT_ENUM_CAP
+    assert rep.m_exact is None and rep.m_ratio is None
+    assert rep.b_exceptional is None and rep.empirical_queries is None
+    assert rep.m_estimate == pytest.approx(44 * 32768 / 65537)
+    m_used = round(rep.m_estimate)
+    assert m_used == 22
+    assert rep.modeled_queries == math.ceil(math.sqrt(44 / m_used)) == 2
 
 
 def test_thm3_exceptional_zero_count_path():

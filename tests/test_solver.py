@@ -1,6 +1,6 @@
 """Tests for the classical box search: radius selection, the three exit
-statuses validated per-b against brute force, the standalone inner
-subroutine, and an exact replay of the multiplication accounting.
+statuses validated per-b against brute force, the block scan, and an
+exact replay of the multiplication accounting.
 """
 
 import math
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expzeros.arith import QueryCounter, pow_cost
+from expzeros.arith import pow_cost
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,6 @@ from expzeros.solver import (
     NO_SOLUTION_CERTIFIED,
     build_box,
     solve_classical,
-    subroutine_S,
     verify_solution,
 )
 
@@ -264,9 +263,6 @@ def test_status_and_ledger_agree_with_spectral_counts(case):
     assert ledger.dlog_calls == (rep.status == FOUND)
     assert buckets.get("membership", 0) % pow_cost(box.orders_sorted[0]) == 0
     assert buckets["setup"] == 1 + sum(lim - 1 for lim in box.limits()[1:])
-    if rep.status == FOUND:
-        sorted_x = [rep.x[i] for i in box.perm]
-        assert subroutine_S(eq, tuple(sorted_x[1:])) == sorted_x[0]
 
 
 def test_single_term_statuses():
@@ -337,10 +333,15 @@ def test_solver_report_serialization():
         math.sqrt(7) * math.log(7) ** 3)
 
 
-def test_outer_grid_cap():
+def test_outer_grid_cap(monkeypatch):
+    # orders (6, 3), r = 3: a 3-point outer grid, searched at a cap of 3
+    # and refused, before any work, one point past it
     eq = make_equation(make_field(7), [(1, 3), (1, 2)], 3)
-    with pytest.raises(CapExceeded):
-        solve_classical(eq, outer_cap=2)
+    monkeypatch.setattr(solver, "OUTER_GRID_CAP", 3)
+    assert solve_classical(eq).status == FOUND
+    monkeypatch.setattr(solver, "OUTER_GRID_CAP", 2)
+    with pytest.raises(CapExceeded, match="outer grid of 3 points"):
+        solve_classical(eq)
 
 
 # ---------------------------------------------------------------------------
@@ -408,72 +409,6 @@ def test_block_doubling_matches_one_block_scan(monkeypatch, first, most,
         assert got["queries"]["outer_points_visited"] == k + 1
         assert blocks[-1][0] <= k < blocks[-1][1]
         assert got == block_scan(monkeypatch, eq, size, size)[0]
-
-
-# ---------------------------------------------------------------------------
-# the standalone inner subroutine
-
-
-def test_subroutine_examples():
-    f7 = make_field(7)
-    eq = make_equation(f7, [(1, 3), (1, 2)], 3)
-    # outer point x_2 = 1: 3 - 2 = 1 = 3^0
-    assert subroutine_S(eq, (1,)) == 0
-    # outer point x_2 = 0: 3 - 1 = 2 = 3^2
-    assert subroutine_S(eq, (0,)) == 2
-    # t = 0 short-circuits
-    eq = make_equation(f7, [(1, 3), (1, 2)], 1)
-    assert subroutine_S(eq, (0,)) is None
-    # t outside <g_1>: orders (3, 2), outer x_2 = 1 gives t = 5 - 6 = 6,
-    # and 6 has order 2, not dividing 3
-    eq = make_equation(f7, [(1, 2), (1, 6)], 5)
-    assert subroutine_S(eq, (1,)) is None
-
-
-def test_subroutine_validates_outer_point():
-    eq = make_equation(make_field(7), [(1, 3), (1, 2)], 3)
-    with pytest.raises(IndexOutOfRange):
-        subroutine_S(eq, ())
-    with pytest.raises(IndexOutOfRange):
-        subroutine_S(eq, (3,))   # s_2 = 3 allows 0..2
-    with pytest.raises(IndexOutOfRange):
-        subroutine_S(eq, (-1,))
-
-
-def test_subroutine_agrees_with_direct_search():
-    rng = random.Random(8)
-    spec = make_field(101)
-    for _ in range(20):
-        eq = make_equation(
-            spec, [(rng.randrange(1, 101), 2), (rng.randrange(1, 101), 5)],
-            rng.randrange(101))
-        box = make_box(eq)
-        a1, g1 = eq.terms[0]
-        a2, g2 = eq.terms[1]
-        for x2 in rng.sample(range(box.orders_sorted[1]), 5):
-            counter = QueryCounter()
-            x1 = subroutine_S(eq, (x2,), counter)
-            want = next(
-                (k for k in range(100)
-                 if a1 * g1 ** k + a2 * g2 ** x2 == eq.b), None)
-            assert x1 == want
-            assert counter.group_mults == sum(counter.buckets.values())
-            if x1 is not None:
-                assert counter.dlog_calls == 1
-    # three terms, orders (100, 25, 10): the outer point (x_2, x_3) is the
-    # grid index x_2 * 10 + x_3
-    for _ in range(10):
-        terms = [(rng.randrange(1, 101), g) for g in (2, 5, 6)]
-        eq = make_equation(spec, terms, rng.randrange(101))
-        assert make_box(eq).orders_sorted == (100, 25, 10)
-        (a1, g1), (a2, g2), (a3, g3) = eq.terms
-        for _ in range(5):
-            x2, x3 = rng.randrange(25), rng.randrange(10)
-            want = next(
-                (k for k in range(100)
-                 if a1 * g1 ** k + a2 * g2 ** x2 + a3 * g3 ** x3 == eq.b),
-                None)
-            assert subroutine_S(eq, (x2, x3)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +502,28 @@ def test_accounting_replay_exhausted_case():
     assert rep.queries.group_mults == sum(tally.values())
 
 
+def test_accounting_replay_skips_zero_target():
+    # orders (6, 3) over F_7, b = 1: the outer point x_2 = 0 gives
+    # t = 1 - 2^0 = 0, charged one mult and no membership test; x_2 = 1
+    # gives t = 1 - 2 = 6 = 3^3
+    eq = make_equation(make_field(7), [(1, 3), (1, 2)], 1)
+    rep = solve_classical(eq)
+    assert rep.status == FOUND and rep.x == (3, 1)
+    m = math.isqrt(6 - 1) + 1
+    walk = [pow(2, x, 7) for x in range(rep.box.r)]
+    tally, points, dlogs, found = replay_accounting(7, 6, 3, 1, walk, 1, m)
+    assert found == rep.x and points == 2 and dlogs == 1
+    assert tally["subroutine"] == 2 and tally["membership"] == pow_cost(6)
+    assert rep.queries.outer_points_visited == points
+    assert rep.queries.dlog_calls == dlogs
+    assert rep.queries.buckets == tally
+
+
 def test_accounting_scales_like_sqrt_q_times_r():
     # sanity ceiling: mults <= setup + table + points * (1 + mem + lookup)
     spec = make_field(101)
     eq = make_equation(spec, [(1, 2), (1, 5)], 73)
-    counter = QueryCounter()
-    rep = solve_classical(eq, counter=counter)
+    rep = solve_classical(eq)
     s1 = 100
     m = math.isqrt(s1 - 1) + 1
     mem = bin(s1).count("1") + s1.bit_length() - 1
@@ -580,7 +531,7 @@ def test_accounting_scales_like_sqrt_q_times_r():
     ceiling = (1 + (rep.box.r - 1)
                + (m - 1) + (bin(m).count("1") + m.bit_length() - 1) + 1
                + rep.queries.outer_points_visited * (1 + mem + lookup_max))
-    assert counter.group_mults <= ceiling
+    assert rep.queries.group_mults <= ceiling
 
 
 # ---------------------------------------------------------------------------
