@@ -102,6 +102,25 @@ CASES = {
     "qmodel_f2e8_thm3": ["qmodel", "--p", "2", "--nu", "8", "--terms",
                          "1,3;2,5", "--b", "9", "--mode", "thm3",
                          "--trials", "40"],
+    # qmodel's other branches: thm2 with r_raw > s_n and with n = 1;
+    # thm3 with r_raw = 0 and with an empty box; both modes past the box
+    # cap, where m_exact is null and thm3 takes M from the estimate
+    "qmodel_f101_thm2_clamped": ["qmodel", "--p", "101", "--terms",
+                                 "8,17;95,87", "--b", "32", "--mode", "thm2",
+                                 "--trials", "40"],
+    "qmodel_f101_thm2_n1": ["qmodel", "--p", "101", "--terms", "1,2", "--b",
+                            "17", "--mode", "thm2", "--trials", "40"],
+    "qmodel_f101_thm3_r0": ["qmodel", "--p", "101", "--terms",
+                            "1,2;3,2;7,2", "--b", "55", "--mode", "thm3",
+                            "--trials", "20"],
+    "qmodel_f41_thm3_empty": ["qmodel", "--p", "41", "--terms", "2,36;3,36",
+                              "--b", "0", "--mode", "thm3"],
+    "qmodel_f65537_thm2_uncapped": ["qmodel", "--p", "65537", "--terms",
+                                    "33482,24798;46994,17726", "--b", "3801",
+                                    "--mode", "thm2"],
+    "qmodel_f65537_thm3_uncapped": ["qmodel", "--p", "65537", "--terms",
+                                    "33482,24798;46994,17726", "--b", "3801",
+                                    "--mode", "thm3"],
     # the other subcommands, a float-valued bench row and a long counts list
     "orders_f101_n3": ["orders", "--p", "101", "--n", "3", "--seed", "1"],
     "exponents_n4": ["exponents", "--n-max", "4"],
