@@ -266,7 +266,7 @@ class BsgsTable:
                  counter: QueryCounter | None = None):
         if s < 1:
             raise ValueError(f"order must be >= 1, got {s}")
-        m = math.isqrt(s - 1) + 1 if s > 1 else 1
+        m = math.isqrt(s - 1) + 1
         if m > BSGS_TABLE_CAP:
             raise MemoryCap(f"baby table of {m} entries exceeds cap")
         self.g = g
@@ -291,7 +291,8 @@ class BsgsTable:
 
     def lookup(self, target: FieldElement,
                counter: QueryCounter | None = None) -> int | None:
-        """x in [0, s) with g^x = target, or None if target not in <g>."""
+        """x in [0, s) with g^x = target, or None if target not in <g>;
+        counted as one dlog call."""
         cur = target
         n_mults = 0
         n_giant = (self.s + self.m - 1) // self.m
@@ -306,6 +307,7 @@ class BsgsTable:
             cur = cur * self.giant
             n_mults += 1
         if counter is not None:
+            counter.dlog_calls += 1
             counter.mults(n_mults, "bsgs_lookup")
         return found
 
@@ -313,6 +315,4 @@ class BsgsTable:
 def bsgs_dlog(g: FieldElement, s: int, target: FieldElement,
               counter: QueryCounter | None = None) -> int | None:
     """Discrete log of target to base g of order s; None when absent."""
-    if counter is not None:
-        counter.dlog_calls += 1
     return BsgsTable(g, s, counter).lookup(target, counter)

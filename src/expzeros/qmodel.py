@@ -42,21 +42,24 @@ BBHT_GROWTH = 6 / 5
 BBHT_MAX_ROUNDS = 1000
 
 
+def _theta(t: int, m: int) -> float:
+    """The Grover angle arcsin(sqrt(m/t)), for 1 <= m <= t."""
+    if t < 1 or not 1 <= m <= t:
+        raise BadCounts(f"need 1 <= m <= t, got t={t} m={m}")
+    return math.asin(math.sqrt(m / t))
+
+
 def grover_success(t: int, m: int, k: int) -> float:
     """Closed-form success probability sin^2((2k+1) theta) after k
     iterations, theta = arcsin(sqrt(m/t))."""
-    if t < 1 or not 1 <= m <= t or k < 0:
-        raise BadCounts(f"need 1 <= m <= t and k >= 0, got t={t} m={m} k={k}")
-    theta = math.asin(math.sqrt(m / t))
-    return math.sin((2 * k + 1) * theta) ** 2
+    if k < 0:
+        raise BadCounts(f"need k >= 0, got {k}")
+    return math.sin((2 * k + 1) * _theta(t, m)) ** 2
 
 
 def grover_optimal_k(t: int, m: int) -> int:
     """floor(pi / (4 theta)), the standard iteration count."""
-    if t < 1 or not 1 <= m <= t:
-        raise BadCounts(f"need 1 <= m <= t, got t={t} m={m}")
-    theta = math.asin(math.sqrt(m / t))
-    return int(math.pi / (4 * theta))
+    return int(math.pi / (4 * _theta(t, m)))
 
 
 def grover_simulate(t: int, marked, k: int, return_drift: bool = False):
@@ -95,11 +98,9 @@ def bbht_expected_queries(t: int, m: int, trials: int,
     grover_success(t, m, k).  Trial i uses seed rng_seed + i, so the mean
     is reproducible and trials can run in any order.
     """
-    if t < 1 or not 1 <= m <= t:
-        raise BadCounts(f"need 1 <= m <= t, got t={t} m={m}")
+    theta = _theta(t, m)
     if trials < 1:
         raise BadCounts(f"need trials >= 1, got {trials}")
-    theta = math.asin(math.sqrt(m / t))
     totals = []
     for trial in range(trials):
         rng = random.Random(rng_seed + trial)
@@ -160,12 +161,8 @@ def exponent_row(n: int) -> ExponentRow:
         raise BadCounts(f"exponent rows start at n = 2, got {n}")
     classical = classical_exponent(n)
     quantum = quantum_exponent(n)
-    ratio = Fraction(2 * n - 1, n - 1)
-    if ratio != classical / quantum:
-        raise InvariantViolated(
-            f"ratio {ratio} != {classical} / {quantum} at n = {n}")
     return ExponentRow(n, classical, classical_stated_exponent(n),
-                       quantum, ratio)
+                       quantum, classical / quantum)
 
 
 @dataclass(frozen=True)
@@ -230,7 +227,7 @@ class QueryCostReport:
     m_ratio: float | None  # m_exact / m_estimate
     b_exceptional: bool | None  # |Delta_b| >= sqrt(r q^(n-2)), delta = 1
     modeled_queries: int
-    empirical_queries: float | None  # guessing-schedule mean, small t only
+    empirical_queries: float | None  # guessing-schedule mean, m_exact > 0
     shor_calls: int  # n order findings + one dlog per query
     theoretical_bound: float
     within_bound: bool
@@ -247,27 +244,22 @@ class QueryCostReport:
 
 
 def grid_chain_check(orders_sorted, r_raw: int) -> tuple[str, bool]:
-    """The thm2 grid-bound chain, as exact integer comparisons.
+    """The thm2 grid-bound chain, as one exact integer comparison: with
+    r = min(r_raw, s_n),
 
-    case r<=s_n:  r prod_{l=2..n-1} s_l <= ((prod_{l<n} s_l)^2 r)^((n-1)/(2n-1))
-    case r>s_n :  prod_{l=2..n} s_l    <= ((prod_{l<n} s_l)^2 s_n)^((n-1)/(2n-1))
+        r prod_{l=2..n-1} s_l <= ((prod_{l<n} s_l)^2 r)^((n-1)/(2n-1)).
 
-    Neither is a theorem for every order profile; callers get the verdict.
+    The case, "r<=s_n" or "r>s_n", says which of the two set r.  Not a
+    theorem for every order profile; callers get the verdict.
     """
     n = len(orders_sorted)
     if n == 1:
         return "n=1", True  # no outer grid, nothing to bound
+    r = min(r_raw, orders_sorted[-1])
     prod_front = math.prod(orders_sorted[:-1])
-    if r_raw <= orders_sorted[-1]:
-        lhs = r_raw * math.prod(orders_sorted[1:-1])
-        rhs_base = prod_front * prod_front * r_raw
-        case = "r<=s_n"
-    else:
-        lhs = math.prod(orders_sorted[1:])
-        rhs_base = prod_front * prod_front * orders_sorted[-1]
-        case = "r>s_n"
-    holds = lhs ** (2 * n - 1) <= rhs_base ** (n - 1)
-    return case, holds
+    lhs = r * math.prod(orders_sorted[1:-1])
+    holds = lhs ** (2 * n - 1) <= (prod_front * prod_front * r) ** (n - 1)
+    return ("r<=s_n" if r_raw <= orders_sorted[-1] else "r>s_n"), holds
 
 
 def _count_in_box(eq: ExpEquation, box) -> int | None:
@@ -279,15 +271,6 @@ def _count_in_box(eq: ExpEquation, box) -> int | None:
     return count
 
 
-def _empirical_queries(t: int, m_exact: int | None, trials: int,
-                       rng_seed: int) -> float | None:
-    """bbht_expected_queries where a solution exists and t is within
-    GROVER_SIM_CAP, else None."""
-    if m_exact and t <= GROVER_SIM_CAP:
-        return bbht_expected_queries(t, m_exact, trials, rng_seed)
-    return None
-
-
 def model_quantum_solve(eq: ExpEquation, mode: str,
                         log_base: str = "natural",
                         slack_exponent: int = 3,
@@ -295,75 +278,61 @@ def model_quantum_solve(eq: ExpEquation, mode: str,
                         sim_trials: int = 300) -> QueryCostReport:
     """Model the quantum search cost for one instance.
 
-    thm2 needs no hypothesis and charges ceil(sqrt(t)) queries over the
-    outer grid; thm3 requires (prod_{l<n} s_l)^2 s_n > q^n log q, uses the
-    floor radius, and charges ceil(sqrt(t/M)).  The theoretical bound gets
-    a (log q)^slack_exponent factor standing in for the usual q^eps slack.
+    thm2 needs no hypothesis, takes the solver's ceiling box and charges
+    ceil(sqrt(t)) queries over the outer grid of t points; thm3 requires
+    (prod_{l<n} s_l)^2 s_n > q^n log q, takes the floor radius, and
+    charges ceil(sqrt(t/M)), M the exact count when it is positive and
+    the rounded estimate when the box is past the count's cap.  The
+    theoretical bound gets a (log q)^slack_exponent factor standing in
+    for the usual q^eps slack.
     """
     q, n = eq.q, eq.n
     logq = log_of(q, log_base)
     slack = logq ** slack_exponent
+    orders_sorted = sorted(eq.orders, reverse=True)
+    m_estimate = case = holds = hypothesis_ok = None
     if mode == "thm2":
         box, r_raw = build_box(eq, log_base)
-        r_clamped = r_raw > box.orders_sorted[-1]
-        limits = box.limits()
-        t = math.prod(limits[1:]) if n > 1 else 1
-        m_exact = _count_in_box(eq, box)
-        modeled = math.isqrt(max(t - 1, 0)) + 1 if t > 1 else 1  # ceil(sqrt t)
+        r_clamped = r_raw > orders_sorted[-1]
         bound = float(q) ** float(quantum_exponent(n)) * slack
-        case, holds = grid_chain_check(box.orders_sorted, r_raw)
-        empirical = _empirical_queries(t, m_exact, sim_trials, rng_seed)
-        return QueryCostReport(
-            mode="thm2", q=q, n=n, r=box.r, r_raw=r_raw,
-            r_clamped=r_clamped, t=t, m_exact=m_exact, m_estimate=None,
-            m_ratio=None, b_exceptional=_exceptional_at_delta1(eq, box,
-                                                               m_exact),
-            modeled_queries=modeled, empirical_queries=empirical,
-            shor_calls=n + modeled, theoretical_bound=bound,
-            within_bound=modeled <= bound, chain_case=case,
-            chain_holds=holds, hypothesis_ok=None, log_base=log_base,
-            slack_exponent=slack_exponent)
-    if mode != "thm3":
+        case, holds = grid_chain_check(orders_sorted, r_raw)
+    elif mode == "thm3":
+        # n >= 2 here: for n = 1, s_1 <= q - 1 < q log q
+        prod_front = math.prod(orders_sorted[:-1])
+        hyp_lhs = prod_front * prod_front * orders_sorted[-1]
+        if not hyp_lhs > q ** n * logq:  # exact: hyp_lhs may overflow a float
+            raise HypothesisFailed(
+                "hypothesis (∏s)²sₙ > qⁿ log q failed: "
+                f"{hyp_lhs} <= {q ** n * logq:.6g}")
+        r_raw = math.floor(box_radius(q, orders_sorted, log_base))
+        r_clamped, hypothesis_ok = r_raw < 1, True
+        box = make_box(eq, max(r_raw, 1))
+        bound = (math.sqrt(q)
+                 * float(hyp_lhs) ** (-1.0 / (2 * (2 * n - 1))) * slack)
+        m_estimate = float(Fraction(box.r * prod_front, q))
+    else:
         raise ValueError(f"unknown mode {mode!r}; use thm2 or thm3")
-
-    orders_sorted = sorted(eq.orders, reverse=True)
-    prod_front = math.prod(orders_sorted[:-1])
-    hyp_lhs = prod_front * prod_front * orders_sorted[-1]
-    if not hyp_lhs > q ** n * logq:  # exact: hyp_lhs may overflow a float
-        raise HypothesisFailed(
-            "hypothesis (∏s)²sₙ > qⁿ log q failed: "
-            f"{hyp_lhs} <= {q ** n * logq:.6g}")
-    r_raw = math.floor(box_radius(q, orders_sorted, log_base))
-    r = max(r_raw, 1)
-    box = make_box(eq, r)
-    limits = box.limits()
-    t = math.prod(limits[1:]) if n > 1 else r
+    t = math.prod(box.limits()[1:])
     m_exact = _count_in_box(eq, box)
-    m_estimate = float(Fraction(r * prod_front, q))
-    if m_exact is not None and m_exact > 0:
-        m_used = m_exact
-    elif m_exact == 0:
-        m_used = None  # nothing to find; schedule would run forever
-    else:
-        m_used = max(1, round(m_estimate))
-    if m_used is None:
-        modeled = math.isqrt(max(t - 1, 0)) + 1 if t > 1 else 1
-    else:
-        ratio = t / m_used
-        modeled = max(1, math.ceil(math.sqrt(ratio)))
-    bound = (math.sqrt(q)
-             * float(hyp_lhs) ** (-1.0 / (2 * (2 * n - 1))) * slack)
-    m_ratio = (m_exact / m_estimate
-               if m_exact is not None and m_estimate > 0 else None)
-    empirical = _empirical_queries(t, m_exact, sim_trials, rng_seed)
+    # M is 1 for thm2 and for an empty box; thm3 takes the count, or the
+    # rounded estimate past the count's cap
+    m = 1
+    if m_estimate is not None and m_exact != 0:
+        m = m_exact or max(1, round(m_estimate))
+    modeled = math.isqrt(-(-t // m) - 1) + 1  # ceil(sqrt(t/m)), exactly
     return QueryCostReport(
-        mode="thm3", q=q, n=n, r=r, r_raw=r_raw, r_clamped=r_raw < 1,
-        t=t, m_exact=m_exact, m_estimate=m_estimate, m_ratio=m_ratio,
+        mode=mode, q=q, n=n, r=box.r, r_raw=r_raw, r_clamped=r_clamped,
+        t=t, m_exact=m_exact, m_estimate=m_estimate,
+        m_ratio=(m_exact / m_estimate
+                 if m_exact is not None and m_estimate else None),
         b_exceptional=_exceptional_at_delta1(eq, box, m_exact),
-        modeled_queries=modeled, empirical_queries=empirical,
+        modeled_queries=modeled,
+        empirical_queries=(bbht_expected_queries(t, m_exact, sim_trials,
+                                                 rng_seed)
+                           if m_exact else None),
         shor_calls=n + modeled, theoretical_bound=bound,
-        within_bound=modeled <= bound, chain_case=None, chain_holds=None,
-        hypothesis_ok=True, log_base=log_base,
+        within_bound=modeled <= bound, chain_case=case, chain_holds=holds,
+        hypothesis_ok=hypothesis_ok, log_base=log_base,
         slack_exponent=slack_exponent)
 
 

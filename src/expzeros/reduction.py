@@ -14,25 +14,21 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arith import QueryCounter, bsgs_dlog, divisor_count, factorize
+from .arith import (QueryCounter, bsgs_dlog, divisor_count, factorize,
+                    multiplicative_order)
 from .charsum import ExpEquation
 from .errors import InvariantViolated, OrderMismatch
 from .fields import FieldElement, FieldSpec
 from .instances import random_equation
 
 
-def _verify_order(g: FieldElement, s: int) -> bool:
-    one = g.spec.one()
-    if g ** s != one:
-        return False
-    return all(g ** (s // p) != one for p, _ in factorize(s).prime_powers)
-
-
 def relate_same_order(g1: FieldElement, g2: FieldElement, s: int,
                       counter: QueryCounter | None = None) -> int:
     """l with g1^l = g2, gcd(l, s) = 1, for g1, g2 both of order s."""
+    fact = factorize(g1.spec.cardinality - 1)
     for g in (g1, g2):
-        if not _verify_order(g, s):
+        # zero is a mismatch here, not multiplicative_order's ZeroElement
+        if g.is_zero() or multiplicative_order(g, fact).order != s:
             raise OrderMismatch(f"{g!r} does not have order {s}")
     l = bsgs_dlog(g1, s, g2, counter)
     if l is None:

@@ -129,7 +129,6 @@ def _first_hit(eq: ExpEquation, box: SearchBox, counter: QueryCounter
             t = FieldElement(spec, row)
             if t ** s1 != one:
                 continue
-            counter.dlog_calls += 1
             x1 = table.lookup(t, counter)
             if x1 is None:
                 raise InvariantViolated("membership passed but dlog missed")

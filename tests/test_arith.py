@@ -406,6 +406,11 @@ def test_bsgs_table_reuse_matches_one_shot():
         target = g ** x
         assert table.lookup(target) == x
         assert bsgs_dlog(g, s, target) == x
+    # each lookup books itself as one dlog call, hit or miss
+    counter = QueryCounter()
+    table.lookup(g ** 5, counter)
+    table.lookup(f257.zero(), counter)
+    assert counter.dlog_calls == 2
 
 
 def test_bsgs_order_one_and_memory_cap():

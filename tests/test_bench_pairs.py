@@ -130,3 +130,29 @@ def test_summary_gives_each_sides_median_passes(checkouts, monkeypatch):
     rc, doc = run_tool(checkouts, monkeypatch, run_side, "1-3")
     assert doc["passes_median"] == {"parent": None, "change": None}
 
+
+def test_run_side_keeps_each_pass_wall_and_kernel_reading(monkeypatch,
+                                                          tmp_path):
+    def serve(stdout):
+        monkeypatch.setattr(
+            bench_pairs.subprocess, "run",
+            lambda argv, cwd, **kwargs: bench_pairs.subprocess
+            .CompletedProcess(argv, 0, stdout, ""))
+
+    # a slow spell shows per pass: the third wall and kernel reading rise
+    # together, which the scaled metrics hide
+    stdout = PERFBENCH_STDOUT.replace(
+        "0.150/812 0.149/810", "0.150/812 0.149/810 0.201/1093")
+    serve(stdout)
+    run = bench_pairs.run_side(tmp_path, "count", 7)
+    assert run["pass_walls"] == [[0.150, 812.0], [0.149, 810.0],
+                                 [0.201, 1093.0]]
+    # a run that prints no such line keeps no readings
+    serve(stdout.replace("pass walls", "pass times"))
+    assert bench_pairs.run_side(tmp_path, "count", 7)["pass_walls"] == []
+    # BENCH files keep each run's readings on one line
+    doc = {"pass_walls": run["pass_walls"], "raw": {"wall_s": 0.151}}
+    text = bench_pairs.json_text(doc)
+    assert json.loads(text) == doc
+    assert ('"pass_walls": [[0.15, 812.0], [0.149, 810.0], [0.201, 1093.0]],'
+            in text)

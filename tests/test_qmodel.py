@@ -337,6 +337,12 @@ def test_thm3_radius_clamp():
     assert rep.r_raw == 0 and rep.r == 1 and rep.r_clamped
     assert rep.t == 100
     assert rep.hypothesis_ok
+    # orders (100, 20, 4): r_raw = floor(101^3 / 2000^2 ln 101) = 1 is
+    # used as it stands
+    eq = make_equation(spec, [(1, 2), (1, 32), (1, 10)], 7)
+    rep = model_quantum_solve(eq, "thm3", sim_trials=20)
+    assert rep.r_raw == rep.r == 1 and not rep.r_clamped
+    assert rep.t == 20
 
 
 def test_thm3_past_the_box_cap_takes_m_from_the_estimate(monkeypatch):
@@ -362,3 +368,17 @@ def test_thm3_exceptional_zero_count_path():
     assert rep.b_exceptional is True
     assert rep.modeled_queries == math.ceil(math.sqrt(15))
     assert rep.empirical_queries is None
+
+
+def test_bbht_estimate_runs_past_the_simulation_cap():
+    # F_97, five terms of order 16, thm2's box of 10 * 16^4 points: the
+    # outer grid of 40960 points is past GROVER_SIM_CAP, yet the
+    # schedule runs no state vector, so every counted box gets its mean
+    eq = make_equation(make_field(97), [(31, 89), (17, 85), (78, 70),
+                                        (75, 8), (61, 79)], 70)
+    rep = model_quantum_solve(eq, "thm2")
+    assert (rep.t, rep.m_exact) == (40960, 6754) and rep.t > GROVER_SIM_CAP
+    assert rep.modeled_queries == 203          # ceil(sqrt(40960)), M = 1
+    assert rep.empirical_queries == bbht_expected_queries(40960, 6754, 300,
+                                                          rng_seed=1)
+    assert 1 <= rep.empirical_queries <= 4 * math.sqrt(40960 / 6754)

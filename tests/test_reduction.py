@@ -45,6 +45,13 @@ def test_relate_rejects_wrong_orders():
         relate_same_order(f7.element(2), f7.element(4), 6)  # both order 3
     with pytest.raises(OrderMismatch):
         relate_same_order(f7.element(3), f7.element(5), 3)
+    # zero has no order: a mismatch, in either place and in any field
+    for spec in (f7, make_field(3, 4)):
+        gen, s = find_generator(spec), spec.cardinality - 1
+        with pytest.raises(OrderMismatch):
+            relate_same_order(spec.zero(), gen, s)
+        with pytest.raises(OrderMismatch):
+            relate_same_order(gen, spec.zero(), s)
 
 
 def test_relate_round_trip_exhaustive():

@@ -9,13 +9,15 @@ seed at a time, for the run length perfbench itself fixes.  Even-numbered
 pairs run the parent first and odd ones the change first, so a drift of
 the host's speed during the session falls on both sides alike.  The JSON
 file holds, per seed, both sides' end-to-end metrics, `correct` flag,
-output digest, number of passes and raw (unscaled) times; per metric,
-both medians, how many pairs the change won and the quartiles of the
-parent's runs, with whether the median gap is larger than the parent's
-interquartile range; and each side's median passes.  perfbench keeps
-every pass's facts, so an RSS move is read against the passes; a slow
-spell of the host shows in the raw times.  Each run's `env` line (CPU,
-Python, numpy, commit) is kept with it.
+output digest, number of passes, raw (unscaled) times and each pass's
+[raw wall s, scaling-kernel us] reading; per metric, both medians, how
+many pairs the change won and the quartiles of the parent's runs, with
+whether the median gap is larger than the parent's interquartile range;
+and each side's median passes.  perfbench keeps every pass's facts, so
+an RSS move is read against the passes.  A slow spell of the host shows
+in the raw times, and in the per-pass readings as kernel times that
+rise with the walls.  Each run's `env` line (CPU, Python, numpy, commit)
+is kept with it.
 
 Exits 1 when a run is not `correct`, exits non-zero, or when the two sides
 print different digests for the same seed (the change altered an output).
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -64,14 +67,25 @@ def run_side(checkout: Path, workload: str, seed: int) -> dict:
     result = json.loads(lines[-1])
     passes = after(f"{workload} passes=")
     raw = after(f"{workload} raw, unscaled: ") or ""
+    walls = after(f"{workload} pass walls, raw s / kernel us: ") or ""
     return {"exit": 0, "correct": result["correct"], "env": env,
             "attempted": result["attempted"], "failed": result["failed"],
             "digest": digest,
             "passes": int(passes.split()[0]) if passes else None,
             "raw": {name: float(value) for name, _, value
                     in (item.partition("=") for item in raw.split())},
+            "pass_walls": [[float(x) for x in item.split("/")]
+                           for item in walls.split()],
             "metrics": {name: m["value"]
                         for name, m in result["metrics"].items()}}
+
+
+def json_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2), with each list of number lists (a run's
+    pass_walls) on one line instead of four lines a pass."""
+    return re.sub(r"\[(?:\s*\[[-+.\deE,\s]*\],?)+\s*\]",
+                  lambda m: json.dumps(json.loads(m.group())),
+                  json.dumps(doc, indent=2))
 
 
 def median_passes(pairs: list[dict]) -> dict:
@@ -149,7 +163,7 @@ def main(argv=None) -> int:
     doc = {"workload": args.workload, "pairs": pairs, "summary": summary,
            "passes_median": passes, "problems": problems}
     out = args.out or Path(f"BENCH_{args.tag}.json")
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    out.write_text(json_text(doc) + "\n")
     for name, s in summary.items():
         print(f"{name}: {s['parent_median']:.6g} -> {s['change_median']:.6g} "
               f"wins {s['change_wins']}/{s['pairs']} parent IQR "
