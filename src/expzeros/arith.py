@@ -1,5 +1,6 @@
 """Integer and group-theoretic subroutines: factorization, multiplicative
-orders, the divisor function, and baby-step giant-step discrete logarithms.
+orders, the divisor function, and discrete logarithms, by baby-step
+giant-step or from a field's log table.
 
 Group multiplications performed on behalf of a caller are charged to an
 explicit QueryCounter owned by that caller; no counts are kept at module
@@ -214,11 +215,17 @@ def _log_table(spec: FieldSpec, fact: Factorization) -> np.ndarray:
     return table
 
 
+def reads_log_table(spec: FieldSpec) -> bool:
+    """Whether orders and discrete logs in this field are read from its
+    log table: extension fields with q <= LOG_TABLE_MAX_Q."""
+    return spec.nu > 1 and spec.cardinality <= LOG_TABLE_MAX_Q
+
+
 def multiplicative_order(g: FieldElement, fact: Factorization) -> OrderInfo:
     """Order of the unit g given the factorization of q - 1.
 
-    An extension field with q <= LOG_TABLE_MAX_Q reads it from the field's
-    log table: g = gamma^x has order (q-1)/gcd(x, q-1).  Every other field
+    A field where reads_log_table holds reads it from the field's log
+    table: g = gamma^x has order (q-1)/gcd(x, q-1).  Every other field
     starts at s = q - 1 and strips every prime factor that keeps g^s = 1.
     """
     if g.is_zero():
@@ -228,7 +235,7 @@ def multiplicative_order(g: FieldElement, fact: Factorization) -> OrderInfo:
     if fact.value != q_minus_1:
         raise ValueError(
             f"factorization is of {fact.value}, need q-1 = {q_minus_1}")
-    if spec.nu > 1 and spec.cardinality <= LOG_TABLE_MAX_Q:
+    if reads_log_table(spec):
         x = int(_log_table(spec, fact)[g.packed()])
         return OrderInfo(g, q_minus_1 // math.gcd(x, q_minus_1))
     one = spec.one()
@@ -252,42 +259,46 @@ def subgroup_membership(g: FieldElement, s: int, target: FieldElement,
     return counted_pow(target, s, counter, "membership") == g.spec.one()
 
 
+def bsgs_table_cost(s: int) -> tuple[int, int]:
+    """(m, mults) of a baby-step table for an element of order s: m =
+    ceil(sqrt(s)) baby steps, and the m - 1 multiplications that walk
+    them, pow_cost(m) for g^m and one for its inverse.  The one cost rule
+    of BsgsTable, and the one place its MemoryCap is raised."""
+    if s < 1:
+        raise ValueError(f"order must be >= 1, got {s}")
+    m = math.isqrt(s - 1) + 1
+    if m > BSGS_TABLE_CAP:
+        raise MemoryCap(f"baby table of {m} entries exceeds cap")
+    return m, (m - 1) + pow_cost(m) + 1
+
+
 class BsgsTable:
     """Reusable baby-step table for discrete logs to a fixed base g.
 
-    Building costs about sqrt(s) multiplications once; each lookup costs
-    at most another sqrt(s).  Solvers that resolve many targets against
-    the same base share one table.
+    Building costs about sqrt(s) multiplications once (bsgs_table_cost);
+    a lookup of g^x costs x // m more.  Solvers that resolve many targets
+    against the same base share one table.
     """
 
     __slots__ = ("g", "s", "m", "table", "giant")
 
     def __init__(self, g: FieldElement, s: int,
                  counter: QueryCounter | None = None):
-        if s < 1:
-            raise ValueError(f"order must be >= 1, got {s}")
-        m = math.isqrt(s - 1) + 1
-        if m > BSGS_TABLE_CAP:
-            raise MemoryCap(f"baby table of {m} entries exceeds cap")
+        m, cost = bsgs_table_cost(s)
         self.g = g
         self.s = s
         self.m = m
         table = {}
         cur = g.spec.one()
-        n_mults = 0
         for j in range(m):
             table.setdefault(cur.packed(), j)
             if j + 1 < m:
                 cur = cur * g
-                n_mults += 1
-        if counter is not None:
-            counter.mults(n_mults, "bsgs_table")
         self.table = table
-        # giant stride g^(-m); the inversion is charged as one mult
-        gm = counted_pow(g, m, counter, "bsgs_table")
-        self.giant = gm.inverse()
+        # giant stride g^(-m)
+        self.giant = (g ** m).inverse()
         if counter is not None:
-            counter.mults(1, "bsgs_table")
+            counter.mults(cost, "bsgs_table")
 
     def lookup(self, target: FieldElement,
                counter: QueryCounter | None = None) -> int | None:
@@ -316,3 +327,30 @@ def bsgs_dlog(g: FieldElement, s: int, target: FieldElement,
               counter: QueryCounter | None = None) -> int | None:
     """Discrete log of target to base g of order s; None when absent."""
     return BsgsTable(g, s, counter).lookup(target, counter)
+
+
+def table_dlog(g: FieldElement, s: int, target: FieldElement
+               ) -> int | None:
+    """Discrete log of target to base g of order s, None when absent, from
+    the field's log table (reads_log_table must hold): one modular
+    division.  With step = (q-1)/s, log g = u step for a u prime to s,
+    and target lies in <g> iff step divides its log; then
+    x = (log target / step) u^{-1} mod s."""
+    spec = g.spec
+    q_minus_1 = spec.cardinality - 1
+    log = _log_table(spec, factorize(q_minus_1))
+    step = q_minus_1 // s
+    lt = int(log[target.packed()])
+    if lt < 0 or lt % step:
+        return None
+    return lt // step * pow(int(log[g.packed()]) // step, -1, s) % s
+
+
+def discrete_log(g: FieldElement, s: int, target: FieldElement
+                 ) -> int | None:
+    """Discrete log of target to base g of order s, None when absent,
+    charged to no ledger: table_dlog where reads_log_table holds, an
+    uncharged BsgsTable everywhere else."""
+    if reads_log_table(g.spec):
+        return table_dlog(g, s, target)
+    return BsgsTable(g, s).lookup(target)

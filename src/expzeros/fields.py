@@ -111,18 +111,28 @@ def _ppowmod(a, e, mod, p):
 
 
 def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b with b made monic on the fly
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(a) >= len(b) and a:
-            c = a[-1] * inv_lead % p
-            shift = len(a) - len(b)
-            for j in range(len(b)):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-            _ptrim(a)
-        a, b = b, a
-    return _ptrim(a)
+    """(g, u): g = gcd(a, b) over F_p, monic, and u with u a = g mod b,
+    by extended Euclid; b must be monic."""
+    r0, r1 = _ptrim(list(a)), list(b)
+    u0, u1 = [1], []
+    while r1:
+        # r0 mod r1 with r1 made monic on the fly; quot collects r0 div r1
+        inv_lead = pow(r1[-1], p - 2, p)
+        quot = [0] * max(len(r0) - len(r1) + 1, 0)
+        while len(r0) >= len(r1) and r0:
+            c = r0[-1] * inv_lead % p
+            shift = len(r0) - len(r1)
+            quot[shift] = c
+            for j in range(len(r1)):
+                r0[shift + j] = (r0[shift + j] - c * r1[j]) % p
+            _ptrim(r0)
+        qu = _pmulmod(_ptrim(quot), u1, b, p)
+        r0, r1 = r1, r0
+        u0, u1 = u1, _ptrim([(x - y) % p for x, y in
+                             itertools.zip_longest(u0, qu, fillvalue=0)])
+    inv_lead = pow(r0[-1], p - 2, p)
+    return ([c * inv_lead % p for c in r0],
+            [c * inv_lead % p for c in u0])
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -156,7 +166,7 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
             xq = _ppowmod(xq, p, mod, p)
         diff = _ptrim([(c - d) % p for c, d in
                        zip(xq + [0] * 2, [0, 1] + [0] * len(xq))])
-        g = _pgcd(diff, mod, p)
+        g, _ = _pgcd(diff, mod, p)
         if len(g) != 1:
             return False
     return True
@@ -356,8 +366,9 @@ class FieldElement:
         if spec.nu == 1:
             return FieldElement(spec, (pow(self.coeffs[0], spec.p - 2,
                                            spec.p),))
-        # x^(q-2) = x^(-1); fine at these sizes, no extended gcd needed
-        return self ** (spec.cardinality - 2)
+        # u x = 1 mod the modulus, which is irreducible and monic
+        _, u = _pgcd(self.coeffs, spec.modulus, spec.p)
+        return FieldElement(spec, tuple(u) + (0,) * (spec.nu - len(u)))
 
     def __truediv__(self, other):
         other = self._check(other)

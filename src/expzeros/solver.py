@@ -13,10 +13,12 @@ clamped to r = min(r_raw, s_n).  Two regimes follow:
                  means b is exceptional for this box (solutions may lie
                  outside), reported as box_exhausted, never as a negative.
 
-Every group multiplication in the search phase is charged to the report's
-QueryCounter.  The cost of factoring q-1 and finding the orders is the
-usual sqrt(q) polylog and is reported as a separate modeled line item,
-not folded into the counted search multiplications.
+Every group multiplication the search model spends is charged to the
+report's QueryCounter, in closed form from the scan's outcome: the scan
+itself only computes what the membership test and the one discrete log
+need.  The cost of factoring q-1 and finding the orders is the usual
+sqrt(q) polylog and is reported as a separate modeled line item, not
+folded into the counted search multiplications.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import BsgsTable, QueryCounter, pow_cost
+from .arith import QueryCounter, bsgs_table_cost, discrete_log, pow_cost
 from .charsum import (BRUTE_BLOCK, ExpEquation, SearchBox, _grid_targets,
                       box_radius, log_of, make_box, sorted_terms)
 from .errors import CapExceeded, IndexOutOfRange, InvariantViolated, Overflow
@@ -89,22 +91,26 @@ def _first_hit(eq: ExpEquation, box: SearchBox, counter: QueryCounter
     b - partial; or None.
 
     The targets t = a_1^{-1}(b - partial) come a block at a time, as
-    matrix products; each point is then charged what the model charges
-    it: one multiplication, a membership test t^{s_1} = 1 when t != 0,
-    and a table lookup when that passes.  The first block holds at most
-    FIRST_BLOCK points and each next one twice as many, up to
-    BRUTE_BLOCK, so an early hit computes few targets.
+    matrix products.  The first block holds at most FIRST_BLOCK points
+    and each next one twice as many, up to BRUTE_BLOCK, so an early hit
+    computes few targets.  Per point the scan only tests t^{s_1} = 1
+    (t != 0), and the hit's x_1 is one uncharged discrete_log.  The
+    ledger is then what the model charges that outcome: one
+    multiplication per visited point, a membership test per nonzero
+    target, a baby-step table built up front (bsgs_table_cost, whose
+    MemoryCap comes before any point) and x_1 // m giant steps for the
+    hit's lookup.
     """
     spec = eq.spec
     terms = sorted_terms(eq, box)
     a1, g1 = terms[0]
     s1 = box.orders_sorted[0]
-    membership_cost = pow_cost(s1)
+    m, table_cost = bsgs_table_cost(s1)
     a1_inv = np.array(_mul_matrix(a1.inverse()),
                       dtype=_exact_dtype(spec.p, spec.nu))
     counter.mults(1, "setup")  # inversion charged as one mult
+    counter.mults(table_cost, "bsgs_table")
     b = np.array(eq.b.coeffs, dtype=_digit_dtype(spec.p))
-    table = BsgsTable(g1, s1, counter)
     outer_limits = box.limits()[1:]
     # walks of -a_l g_l^x: the block targets add them to b
     walks = []
@@ -113,28 +119,36 @@ def _first_hit(eq: ExpEquation, box: SearchBox, counter: QueryCounter
         counter.mults(limit - 1, "setup")
     one = spec.one()
     hi = math.prod(outer_limits)
+    hit = None
+    nonzero = 0
     start, size = 0, FIRST_BLOCK
-    while start < hi:
+    while start < hi and hit is None:
         stop = min(start + size, hi)
         need = _grid_targets(b, walks, outer_limits, start, stop, spec.p)
         flat = (need @ a1_inv % spec.p).ravel().tolist()
         # one coefficient tuple per point, made only for points visited
         rows = zip(*[iter(flat)] * spec.nu)
         for index, row in enumerate(rows, start):
-            counter.outer_points_visited += 1
-            counter.mults(1, "subroutine")
             if not any(row):
                 continue
-            counter.mults(membership_cost, "membership")
+            nonzero += 1
             t = FieldElement(spec, row)
-            if t ** s1 != one:
-                continue
-            x1 = table.lookup(t, counter)
-            if x1 is None:
-                raise InvariantViolated("membership passed but dlog missed")
-            return index, x1
+            if t ** s1 == one:
+                x1 = discrete_log(g1, s1, t)
+                if x1 is None:
+                    raise InvariantViolated(
+                        "membership passed but dlog missed")
+                hit = index, x1
+                break
         start, size = stop, min(2 * size, BRUTE_BLOCK)
-    return None
+    counter.outer_points_visited = hi if hit is None else hit[0] + 1
+    counter.mults(counter.outer_points_visited, "subroutine")
+    if nonzero:
+        counter.mults(pow_cost(s1) * nonzero, "membership")
+    if hit is not None:
+        counter.dlog_calls += 1
+        counter.mults(hit[1] // m, "bsgs_lookup")
+    return hit
 
 
 def verify_solution(eq: ExpEquation, x: tuple[int, ...]) -> bool:

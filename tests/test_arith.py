@@ -9,19 +9,23 @@ import time
 import numpy as np
 import pytest
 
-from expzeros import arith
+from expzeros import arith, cli, solver
 from expzeros.arith import (
     BsgsTable,
     QueryCounter,
     bsgs_dlog,
+    bsgs_table_cost,
     counted_pow,
     divisor_count,
     divisors,
     factorize,
     is_prime,
     multiplicative_order,
+    pow_cost,
     subgroup_membership,
+    table_dlog,
 )
+from expzeros.charsum import make_equation
 from expzeros.errors import MemoryCap, ZeroElement
 from expzeros.fields import enumerate_units, make_field
 
@@ -422,3 +426,85 @@ def test_bsgs_order_one_and_memory_cap():
         BsgsTable(f7.element(3), 2 ** 50)
     with pytest.raises(ValueError):
         BsgsTable(f7.element(3), 0)
+
+
+def element_of_order(s):
+    """A unit of order s, in the first prime field F_p with s | p - 1."""
+    p = next(k * s + 1 for k in range(1, 10 ** 4) if is_prime(k * s + 1))
+    spec = make_field(p)
+    fact = factorize(p - 1)
+    return arith._first_generator(spec, fact) ** ((p - 1) // s)
+
+
+def test_bsgs_cost_rule_is_what_the_table_books(monkeypatch):
+    # the rule against the multiplications the table really makes: the
+    # baby steps' products, square-and-multiply for g^m, one inversion
+    mul = arith.FieldElement.__mul__
+    products = []
+
+    def counted_mul(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(arith.FieldElement, "__mul__", counted_mul)
+    for s in range(1, 301):
+        g = element_of_order(s)
+        m, cost = bsgs_table_cost(s)
+        counter = QueryCounter()
+        products.clear()
+        table = BsgsTable(g, s, counter)
+        assert table.m == m == math.isqrt(s - 1) + 1
+        assert cost == len(products) + pow_cost(m) + 1
+        assert pow_cost(m) == bin(m).count("1") + m.bit_length() - 1
+        assert counter.to_dict() == {
+            "group_mults": cost, "dlog_calls": 0, "outer_points_visited": 0,
+            "buckets": {"bsgs_table": cost}}
+        # a lookup of g^x takes x // m giant steps
+        target = g.spec.one()
+        for x in range(s):
+            counter = QueryCounter()
+            assert table.lookup(target, counter) == x
+            assert counter.buckets == {"bsgs_lookup": x // m}
+            target = target * g
+
+
+def test_bsgs_cost_rule_refuses_where_the_table_does(monkeypatch):
+    monkeypatch.setattr(arith, "BSGS_TABLE_CAP", 10)
+    g = make_field(257).element(3)
+    assert bsgs_table_cost(100)[0] == 10
+    BsgsTable(g, 100)
+    for build in (bsgs_table_cost, lambda s: BsgsTable(g, s)):
+        with pytest.raises(MemoryCap, match="baby table of 11 entries"):
+            build(101)
+    with pytest.raises(ValueError):
+        bsgs_table_cost(0)
+    # s_1 = 128 needs m = 12: the solver refuses before any outer point
+
+    def no_scan(*args):
+        raise AssertionError("an outer point was visited")
+
+    monkeypatch.setattr(solver, "_grid_targets", no_scan)
+    eq = make_equation(make_field(257), [(1, 9), (1, 136)], 217)
+    with pytest.raises(MemoryCap):
+        solver.solve_classical(eq)
+    assert cli.main(["solve", "--p", "257", "--terms", "1,9;1,136",
+                     "--b", "217"]) == 2
+
+
+@pytest.mark.parametrize("p, nu", [(2, 6), (3, 4), (5, 2)])
+def test_table_dlog_matches_bsgs_for_every_base_and_target(p, nu):
+    # every unit g is a base, so every s | q - 1 occurs as its order
+    spec = make_field(p, nu)
+    assert arith.reads_log_table(spec)
+    fact = factorize(spec.cardinality - 1)
+    units = list(enumerate_units(spec))
+    orders = set()
+    for g in units:
+        s = multiplicative_order(g, fact).order
+        orders.add(s)
+        table = BsgsTable(g, s)
+        logs = [table_dlog(g, s, t) for t in units]
+        assert logs == [table.lookup(t) for t in units]
+        assert logs.count(None) == len(units) - s
+        assert table_dlog(g, s, spec.zero()) is None
+    assert orders == set(divisors(spec.cardinality - 1))

@@ -37,13 +37,21 @@ def fake_run(walls, digests=None, correct=True, passes=None):
     return run_side, calls
 
 
+METRICS_JSON = {
+    "wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+    "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+}
+METRICS = {name: {"better": m["better"], "bound": m["bound"]}
+           for name, m in METRICS_JSON.items()}
+
+
 @pytest.fixture
 def checkouts(tmp_path):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
-            {"end_to_end": [{"name": "wall_s", "better": "lower"},
-                            {"name": "peak_rss_mb", "better": "lower"}]}))
+            {"end_to_end": [METRICS_JSON["wall_s"],
+                            METRICS_JSON["peak_rss_mb"]]}))
     return tmp_path
 
 
@@ -156,3 +164,56 @@ def test_run_side_keeps_each_pass_wall_and_kernel_reading(monkeypatch,
     assert json.loads(text) == doc
     assert ('"pass_walls": [[0.15, 812.0], [0.149, 810.0], [0.201, 1093.0]],'
             in text)
+
+
+def synthetic_pairs(parent, change, name="wall_s"):
+    return [{"parent": {"metrics": {name: p}},
+             "change": {"metrics": {name: c}}}
+            for p, c in zip(parent, change)]
+
+
+def test_verdict_on_a_clean_win():
+    parent = [1.70, 1.72, 1.68, 1.71, 1.69, 1.73, 1.70, 1.74, 1.67, 1.71]
+    change = [1.10, 1.12, 1.09, 1.11, 1.13, 1.10, 1.08, 1.12, 1.11, 1.75]
+    s = bench_pairs.summarize(synthetic_pairs(parent, change),
+                              METRICS)["wall_s"]
+    assert s["change_wins"] == 9 and s["bound"] == 0.25
+    assert s["claim_met"] and not s["worse_than_bound"]
+    assert not s["unresolved"]
+    # 8 wins of 10 do not make a claim, however large the gain
+    change[0] = 1.80
+    s = bench_pairs.summarize(synthetic_pairs(parent, change),
+                              METRICS)["wall_s"]
+    assert s["change_wins"] == 8 and not s["claim_met"]
+
+
+def test_verdict_on_a_regression():
+    parent = [0.10, 0.11, 0.10, 0.10, 0.11]
+    change = [0.14, 0.15, 0.14, 0.13, 0.14]
+    s = bench_pairs.summarize(synthetic_pairs(parent, change),
+                              METRICS)["wall_s"]
+    assert s["worse_than_bound"] and not s["claim_met"]
+    assert not s["unresolved"] and s["change_wins"] == 0
+    # +20 % is within the 25 % bound
+    s = bench_pairs.summarize(synthetic_pairs(parent, [0.12] * 5),
+                              METRICS)["wall_s"]
+    assert not s["worse_than_bound"]
+
+
+def test_verdict_on_a_bimodal_rss_spread():
+    # the heap-trim lottery: runs fall near 55 MB or near 63 MB, so the
+    # change's IQR (8 MB) exceeds 10 % of the parent median (6.2 MB)
+    parent = [61.1, 62.0, 63.2, 61.8, 62.6, 61.5, 63.9, 62.2, 61.9, 62.4]
+    change = [55.2, 63.1, 56.0, 64.2, 55.8, 63.8, 55.4, 64.5, 62.9, 56.4]
+    s = bench_pairs.summarize(
+        synthetic_pairs(parent, change, "peak_rss_mb"),
+        METRICS)["peak_rss_mb"]
+    assert s["change_iqr"] > 0.1 * s["parent_median"]
+    assert s["unresolved"]
+    assert not s["claim_met"] and not s["worse_than_bound"]
+    # a spread as wide, with every change run below every parent run,
+    # is resolved
+    s = bench_pairs.summarize(
+        synthetic_pairs(parent, [v - 10 for v in change], "peak_rss_mb"),
+        METRICS)["peak_rss_mb"]
+    assert not s["unresolved"]

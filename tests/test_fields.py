@@ -225,6 +225,24 @@ def test_inverse_all_units_small_fields():
         make_field(2, 3).element(5) / make_field(2, 3).zero()
 
 
+def test_euclid_inverse_of_every_unit():
+    for p, nu in [(2, 6), (3, 4), (7, 2)]:
+        spec = make_field(p, nu)
+        for u in enumerate_units(spec):
+            assert u * u.inverse() == spec.one()
+
+
+@pytest.mark.parametrize("p, nu", [(2, 31), (3, 20)])
+def test_euclid_inverse_equals_the_fermat_power(p, nu):
+    spec = make_field(p, nu)
+    rng = random.Random(p * 100 + nu)
+    for _ in range(200):
+        x = spec.from_packed(rng.randrange(1, spec.cardinality))
+        assert x.inverse() == x ** (spec.cardinality - 2)
+    with pytest.raises(DivisionByZero):
+        spec.zero().inverse()
+
+
 def test_field_axioms_random_triples():
     rng = random.Random(20260825)
     for p, nu in [(97, 1), (2, 2), (2, 3), (3, 3), (7, 2)]:

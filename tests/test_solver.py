@@ -3,6 +3,7 @@ statuses validated per-b against brute force, the block scan, and an
 exact replay of the multiplication accounting.
 """
 
+import itertools
 import math
 import os
 import random
@@ -10,17 +11,18 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from expzeros.arith import pow_cost
-from hypothesis import example, given, settings
+from expzeros.arith import BsgsTable, pow_cost
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from expzeros import solver
 from expzeros.charsum import (brute_count, box_radius, log_of, make_box,
-                              make_equation, spectral_counts)
+                              make_equation, sorted_terms, spectral_counts)
 from expzeros.density import corollary_min_r
 from expzeros.errors import (CapExceeded, HypothesisFailed, IndexOutOfRange,
                              Overflow)
@@ -535,6 +537,111 @@ def test_accounting_scales_like_sqrt_q_times_r():
 
 
 # ---------------------------------------------------------------------------
+# the closed-form ledger against the counted scan
+
+
+def reference_first_hit(eq, box, counter):
+    """The counted scan, in scalar field arithmetic: every charge booked
+    as the model spends it, point by point, with a charged BsgsTable built
+    before the scan and one charged lookup at the hit.  solver._first_hit
+    must return the same hit and fill the same ledger."""
+    spec = eq.spec
+    terms = sorted_terms(eq, box)
+    a1, g1 = terms[0]
+    s1 = box.orders_sorted[0]
+    a1_inv = a1.inverse()
+    counter.mults(1, "setup")
+    table = BsgsTable(g1, s1, counter)
+    walks = []
+    for (a, g), limit in zip(terms[1:], box.limits()[1:]):
+        walks.append([a * g ** x for x in range(limit)])
+        counter.mults(limit - 1, "setup")
+    for index, point in enumerate(itertools.product(*walks)):
+        counter.outer_points_visited += 1
+        counter.mults(1, "subroutine")
+        t = (eq.b - sum(point, spec.zero())) * a1_inv
+        if t.is_zero():
+            continue
+        counter.mults(pow_cost(s1), "membership")
+        if t ** s1 != spec.one():
+            continue
+        return index, table.lookup(t, counter)
+    return None
+
+
+# prime fields and F_{3^9} (q > LOG_TABLE_MAX_Q) take the BSGS route,
+# the other extension fields the log-table route
+ORACLE_FIELDS = [(7, 1), (101, 1), (257, 1), (2, 6), (3, 4), (97, 2),
+                 (3, 9)]
+ORACLE_GRID = 1 << 10   # outer points, so that a miss scans quickly
+
+
+@st.composite
+def oracle_instances(draw):
+    """An equation with at most ORACLE_GRID outer points, and a b that is
+    drawn at random, or puts t = 0 at a drawn outer point, or is missed
+    by the box."""
+    p, nu = draw(st.sampled_from(ORACLE_FIELDS))
+    q = p ** nu
+    spec = make_field(p, nu)
+    n = draw(st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(st.integers(1, q - 1),
+                                    st.integers(1, q - 1)),
+                          min_size=n, max_size=n))
+    eq = make_equation(spec, terms, 0)
+    box = build_box(eq)[0]
+    assume(math.prod(box.limits()[1:]) <= ORACLE_GRID)
+    kind = draw(st.sampled_from(["random", "zero target", "miss"]))
+    if kind == "zero target":
+        b = sum((a * g ** draw(st.integers(0, limit - 1))
+                 for (a, g), limit in zip(sorted_terms(eq, box)[1:],
+                                          box.limits()[1:])), spec.zero())
+    elif kind == "miss":
+        misses = np.flatnonzero(spectral_counts(eq, box) == 0).tolist()
+        b = draw(st.sampled_from(misses) if misses
+                 else st.integers(0, q - 1))
+    else:
+        b = draw(st.integers(0, q - 1))
+    return make_equation(spec, terms, b)
+
+
+# one example per status on each route, and a t = 0 point
+EXHAUSTED_ON_TABLE = make_equation(make_field(3, 4), [(2, 9), (3, 9)], 0)
+EXHAUSTED_ON_BSGS = make_equation(make_field(41), [(2, 36), (3, 36)], 0)
+CERTIFIED_ON_BSGS = make_equation(make_field(101), [(1, 5)], 3)
+ZERO_TARGET_FIRST = make_equation(make_field(7), [(1, 3), (1, 2)], 1)
+FOUND_PAST_TABLE = make_equation(make_field(3, 9), [(1, 2), (5, 3)], 7)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(oracle_instances())
+@example(EXHAUSTED_ON_TABLE)
+@example(EXHAUSTED_ON_BSGS)
+@example(CERTIFIED_ON_BSGS)
+@example(ZERO_TARGET_FIRST)
+@example(FOUND_PAST_TABLE)
+def test_closed_form_ledger_matches_the_counted_scan(eq):
+    got = solve_classical(eq)
+    with mock.patch.object(solver, "_first_hit", reference_first_hit):
+        ref = solve_classical(eq)
+    assert got.status == ref.status and got.x == ref.x
+    assert got.queries.to_dict() == ref.queries.to_dict()
+
+
+def test_oracle_examples_cover_every_status_and_a_zero_target():
+    assert solve_classical(EXHAUSTED_ON_TABLE).status == BOX_EXHAUSTED
+    assert solve_classical(EXHAUSTED_ON_BSGS).status == BOX_EXHAUSTED
+    assert solve_classical(CERTIFIED_ON_BSGS).status == NO_SOLUTION_CERTIFIED
+    assert solve_classical(FOUND_PAST_TABLE).status == FOUND
+    # t = 1 - 2^0 = 0 at the first of the two points visited: one test
+    rep = solve_classical(ZERO_TARGET_FIRST)
+    assert rep.queries.outer_points_visited == 2
+    assert rep.queries.buckets["membership"] == pow_cost(6)
+
+
+# ---------------------------------------------------------------------------
 # invariants under python -O
 
 
@@ -553,9 +660,14 @@ solver._power_walk = lambda a, g, limit: np.roll(walk(a, g, limit), 1, 0)
 print("walk", cli.main(FOUND_ARGS))
 solver._power_walk = walk
 
-# membership passes, but the discrete log is not in the table
-arith.BsgsTable.lookup = lambda self, t, counter: None
+# membership passes, but the discrete log is not in the baby-step table
+arith.BsgsTable.lookup = lambda self, t, counter=None: None
 print("lookup", cli.main(FOUND_ARGS))
+
+# membership passes, but the log-table route finds no discrete log
+arith.table_dlog = lambda *args: None
+print("table", cli.main(["solve", "--p", "3", "--nu", "4", "--terms",
+                         "2,9;3,9", "--b", "1"]))
 
 # a guessing schedule whose rounds never succeed must stop
 random.Random.random = lambda self: 1.0
@@ -579,8 +691,8 @@ def test_solver_invariants_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", INVARIANT_SCRIPT],
                           capture_output=True, text=True, env=env,
                           timeout=120)
-    assert proc.stdout.splitlines() == ["walk 3", "lookup 3", "bbht held",
-                                        "reduce 3"], proc.stderr
+    assert proc.stdout.splitlines() == ["walk 3", "lookup 3", "table 3",
+                                        "bbht held", "reduce 3"], proc.stderr
     assert "which is no zero" in proc.stderr
-    assert "membership passed but dlog missed" in proc.stderr
+    assert proc.stderr.count("membership passed but dlog missed") == 2
     assert "no l with g1^l = g2, though both have order 100" in proc.stderr

@@ -11,10 +11,10 @@ the host's speed during the session falls on both sides alike.  The JSON
 file holds, per seed, both sides' end-to-end metrics, `correct` flag,
 output digest, number of passes, raw (unscaled) times and each pass's
 [raw wall s, scaling-kernel us] reading; per metric, both medians, how
-many pairs the change won and the quartiles of the parent's runs, with
-whether the median gap is larger than the parent's interquartile range;
-and each side's median passes.  perfbench keeps every pass's facts, so
-an RSS move is read against the passes.  A slow spell of the host shows
+many pairs the change won, the quartiles of both sides' runs and three
+verdicts read against the metric's bound in BENCHMARK.json (see
+`summarize`); and each side's median passes.  perfbench keeps every
+pass's facts, so an RSS move is read against the passes.  A slow spell of the host shows
 in the raw times, and in the per-pass readings as kernel times that
 rise with the walls.  Each run's `env` line (CPU, Python, numpy, commit)
 is kept with it.
@@ -99,13 +99,29 @@ def median_passes(pairs: list[dict]) -> dict:
     return out
 
 
-def directions(checkout: Path) -> dict:
-    """Metric name -> "lower" or "higher", from BENCHMARK.json."""
+def end_to_end(checkout: Path) -> dict:
+    """Metric name -> {"better": "lower" or "higher", "bound": relative
+    bound}, from BENCHMARK.json."""
     doc = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in doc["end_to_end"]}
+    return {m["name"]: {"better": m["better"], "bound": m["bound"]}
+            for m in doc["end_to_end"]}
 
 
-def summarize(pairs: list[dict], better: dict) -> dict:
+def quartiles(values: list[float]) -> tuple[float, float]:
+    q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                 else (values[0],) * 3)
+    return q1, q3
+
+
+def summarize(pairs: list[dict], metrics: dict) -> dict:
+    """Per metric: medians, wins, quartiles and three verdicts.
+
+    claim_met: the change won at least 9 of 10 pairs and its median gain
+    exceeds the parent's IQR.  worse_than_bound: the change's median is
+    worse than the parent's by more than bound x the parent median.
+    unresolved: either side's IQR is wider than bound x the parent
+    median (a bimodal metric), unless every change run beats every
+    parent run; neither a pass nor a fail can then be read."""
     out = {}
     names = [name for name in pairs[0]["parent"].get("metrics", {})
              if all("metrics" in pair[side]
@@ -113,17 +129,25 @@ def summarize(pairs: list[dict], better: dict) -> dict:
     for name in names:
         parent = [pair["parent"]["metrics"][name] for pair in pairs]
         change = [pair["change"]["metrics"][name] for pair in pairs]
-        sign = -1 if better.get(name, "lower") == "lower" else 1
+        better, bound = metrics[name]["better"], metrics[name]["bound"]
+        sign = -1 if better == "lower" else 1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        q1, _, q3 = (statistics.quantiles(parent, n=4) if len(parent) > 1
-                     else (parent[0],) * 3)
+        q1, q3 = quartiles(parent)
+        c1, c3 = quartiles(change)
         med_p, med_c = statistics.median(parent), statistics.median(change)
+        gain = sign * (med_c - med_p)
+        width = bound * abs(med_p)
+        separated = all(sign * (c - p) > 0 for c in change for p in parent)
         out[name] = {
-            "better": better.get(name, "lower"),
+            "better": better, "bound": bound,
             "parent_median": med_p, "change_median": med_c,
             "change_wins": wins, "pairs": len(pairs),
             "parent_q1": q1, "parent_q3": q3, "parent_iqr": q3 - q1,
-            "gain_exceeds_parent_iqr": sign * (med_c - med_p) > q3 - q1,
+            "change_q1": c1, "change_q3": c3, "change_iqr": c3 - c1,
+            "gain_exceeds_parent_iqr": gain > q3 - q1,
+            "claim_met": 10 * wins >= 9 * len(pairs) and gain > q3 - q1,
+            "worse_than_bound": -gain > width,
+            "unresolved": max(q3 - q1, c3 - c1) > width and not separated,
         }
     return out
 
@@ -158,16 +182,19 @@ def main(argv=None) -> int:
         print(f"seed {seed} ({pair['first']} first): wall_s parent "
               f"{wall['parent']} change {wall['change']}", flush=True)
         pairs.append(pair)
-    summary = summarize(pairs, directions(checkouts["change"]))
+    summary = summarize(pairs, end_to_end(checkouts["change"]))
     passes = median_passes(pairs)
     doc = {"workload": args.workload, "pairs": pairs, "summary": summary,
            "passes_median": passes, "problems": problems}
     out = args.out or Path(f"BENCH_{args.tag}.json")
     out.write_text(json_text(doc) + "\n")
     for name, s in summary.items():
+        flags = [flag for flag in ("claim_met", "worse_than_bound",
+                                   "unresolved") if s[flag]]
         print(f"{name}: {s['parent_median']:.6g} -> {s['change_median']:.6g} "
-              f"wins {s['change_wins']}/{s['pairs']} parent IQR "
-              f"{s['parent_iqr']:.3g}")
+              f"wins {s['change_wins']}/{s['pairs']} IQR parent "
+              f"{s['parent_iqr']:.3g} change {s['change_iqr']:.3g}"
+              f"{''.join(' ' + flag for flag in flags)}")
     print(f"passes: {passes['parent']} -> {passes['change']} (medians)")
     for problem in problems:
         print(f"FAIL {problem}")
