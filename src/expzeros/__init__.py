@@ -32,7 +32,7 @@ from .charsum import (ExpEquation, SearchBox, brute_count,
                       make_box, make_equation, psi)
 from .arith import (BsgsTable, Factorization, OrderInfo, QueryCounter,
                     bsgs_dlog, divisor_count, factorize, is_prime,
-                    multiplicative_order, subgroup_membership)
+                    multiplicative_order)
 from .density import (CensusResult, DensityReport, corollary_min_r,
                       energy_bound_check, exceptional_census, sweep_b)
 from .solver import (SolutionReport, build_box, solve_classical,

@@ -5,7 +5,9 @@ giant-step or from a field's log table.
 Group multiplications performed on behalf of a caller are charged to an
 explicit QueryCounter owned by that caller; no counts are kept at module
 level.  The one module-level state is the cache of per-field log tables, which
-only ever holds values derived from the field itself.
+only ever holds values derived from the field itself: the log table and its
+antilog, two int32 arrays under one entry budget.  Orders and discrete logs
+build a field's tables; FieldElement products read them where they exist.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ BSGS_TABLE_CAP = 1 << 24
 # F_{2^20} 0.44 s: 15 and 110 orders' worth, more than a command that
 # asks for a few orders ever spends.
 LOG_TABLE_MAX_Q = 1 << 14
-LOG_CACHE_ENTRIES = 1 << 18  # int32 log entries kept over all fields: 1 MiB
+LOG_CACHE_ENTRIES = 1 << 18  # int32 log and antilog entries kept: 1 MiB
 
 is_prime = _is_prime
 
@@ -157,16 +159,6 @@ def pow_cost(k: int) -> int:
     return k.bit_count() + k.bit_length() - 1 if k else 0
 
 
-def counted_pow(x: FieldElement, k: int, counter: QueryCounter | None,
-                bucket: str = "pow") -> FieldElement:
-    """x^k, charging the pow_cost(k) multiplications of square-and-multiply."""
-    if k < 0:
-        raise ValueError("counted_pow needs k >= 0")
-    if counter is not None:
-        counter.mults(pow_cost(k), bucket)
-    return x ** k
-
-
 def _first_generator(spec: FieldSpec, fact: Factorization) -> FieldElement:
     """The first unit gamma, in packed order, with gamma^((q-1)/l) != 1
     for every prime l | q-1: a generator of F_q^x.
@@ -183,7 +175,9 @@ def _first_generator(spec: FieldSpec, fact: Factorization) -> FieldElement:
     raise InvariantViolated(f"no generator of the units of {spec}")
 
 
-# FieldSpec -> int32 log table, least recently used first
+# FieldSpec -> (log, antilog) int32 arrays, least recently used first.
+# The spec object that keys an entry holds memoryviews of both in its
+# `_zech` slot, which FieldElement.__mul__ reads; eviction clears it.
 _log_tables: OrderedDict = OrderedDict()
 
 
@@ -191,28 +185,49 @@ def _log_table(spec: FieldSpec, fact: Factorization) -> np.ndarray:
     """log[packed(gamma^x)] = x for x in [0, q-1), gamma the first
     generator; entry 0 (the zero element) is -1.
 
-    One walk of gamma's powers fills it.  Tables are cached per field and
-    evicted least recently used once they would hold more than
+    One walk of gamma's powers fills it, and the walk itself is kept as
+    the antilog, antilog[x] = packed(gamma^x), which products read.
+    Tables are cached per field and evicted least recently used once the
+    two arrays of every cached field would hold more than
     LOG_CACHE_ENTRIES entries in all (1 MiB of int32), so any working set
-    of fields smaller than that never rebuilds one.  This is
+    of fields smaller than that never rebuilds one; a field whose arrays
+    alone exceed it is kept alone.  This is
     Zech-logarithm arithmetic (Huber, "Some comments on Zech's
     logarithms", IEEE-IT 36, 1990).
     """
-    table = _log_tables.get(spec)
-    if table is not None:
-        _log_tables.move_to_end(spec)
-        return table
+    tables = _log_tables.get(spec)
+    if tables is not None:
+        if spec._zech is None:
+            # an equal spec keys the entry (make_field evicted the field
+            # and built it again): hand the entry over to this one
+            next(k for k in _log_tables if k == spec)._zech = None
+            del _log_tables[spec]
+            _own(spec, tables)
+        else:
+            _log_tables.move_to_end(spec)
+        return tables[0]
     gamma = _first_generator(spec, fact)
     table = np.full(spec.cardinality, -1, dtype=np.int32)
     rows = _power_walk(spec.one(), gamma, spec.cardinality - 1)
-    table[_pack(rows, spec.p)] = np.arange(len(rows), dtype=np.int32)
+    antilog = _pack(rows, spec.p).astype(np.int32)
+    table[antilog] = np.arange(len(rows), dtype=np.int32)
     if table[0] != -1 or table[1:].min() < 0:
         raise InvariantViolated(f"the powers of {gamma!r} miss units")
-    held = sum(len(t) for t in _log_tables.values())
-    while held + len(table) > LOG_CACHE_ENTRIES:
-        held -= len(_log_tables.popitem(last=False)[1])
-    _log_tables[spec] = table
+    held = sum(len(log) + len(anti) for log, anti in _log_tables.values())
+    while _log_tables and (held + len(table) + len(antilog)
+                           > LOG_CACHE_ENTRIES):
+        old, (log, anti) = _log_tables.popitem(last=False)
+        old._zech = None
+        held -= len(log) + len(anti)
+    _own(spec, (table, antilog))
     return table
+
+
+def _own(spec: FieldSpec, tables: tuple) -> None:
+    """Key `tables` under `spec`, most recently used, and let its
+    products read them."""
+    _log_tables[spec] = tables
+    spec._zech = tuple(memoryview(t) for t in tables)
 
 
 def reads_log_table(spec: FieldSpec) -> bool:
@@ -247,16 +262,6 @@ def multiplicative_order(g: FieldElement, fact: Factorization) -> OrderInfo:
             else:
                 break
     return OrderInfo(g, s)
-
-
-def subgroup_membership(g: FieldElement, s: int, target: FieldElement,
-                        counter: QueryCounter | None = None) -> bool:
-    """Whether target lies in <g>, for g of order s.
-
-    F_q^x is cyclic, so <g> is exactly the set of units whose order
-    divides s; the test is target^s = 1.
-    """
-    return counted_pow(target, s, counter, "membership") == g.spec.one()
 
 
 def bsgs_table_cost(s: int) -> tuple[int, int]:

@@ -12,6 +12,13 @@ CLI and by the fast table-based routines in charsum/density.  Those get
 their runs of powers a g^x from `_power_walk`, which computes them as
 coefficient rows with numpy matrix products instead of one FieldElement
 multiplication per step.
+
+A scalar product in an extension field is a polynomial product reduced
+mod the modulus, O(nu^2) Python steps, unless the field's log table is
+already cached (arith builds it where orders and discrete logs repay it,
+q <= 2^14).  Then the product is a Zech-logarithm lookup,
+antilog[(log a + log b) mod (q-1)]: two packings, three int32 reads and
+one unpacking.  A product never builds a table itself.
 """
 
 from __future__ import annotations
@@ -196,9 +203,15 @@ class FieldSpec:
 
     Use make_field(p, nu) rather than calling this constructor directly;
     make_field caches specs so elements of the same field share one spec.
+
+    `_zech` is None, or memoryviews (log, antilog) of the field's cached
+    int32 log table and its inverse, the packed powers of the generator.
+    arith's table cache sets it on the spec that keys the entry and clears
+    it on eviction; FieldElement.__mul__ only reads it.
     """
 
-    __slots__ = ("p", "nu", "cardinality", "modulus", "_zero", "_one")
+    __slots__ = ("p", "nu", "cardinality", "modulus", "_zero", "_one",
+                 "_zech")
 
     def __init__(self, p: int, nu: int, modulus: Sequence[int] | None = None):
         if not _is_prime(p):
@@ -220,6 +233,7 @@ class FieldSpec:
             if not _is_irreducible(list(modulus), p):
                 raise ValueError("modulus is reducible")
         self.modulus = tuple(modulus)
+        self._zech = None
         self._zero = FieldElement(self, (0,) * nu)
         self._one = FieldElement(self, (1,) + (0,) * (nu - 1))
 
@@ -325,6 +339,8 @@ class FieldElement:
         return hash((self.spec.p, self.spec.nu, self.coeffs))
 
     def _check(self, other) -> "FieldElement":
+        if type(other) is FieldElement and other.spec is self.spec:
+            return other
         if not isinstance(other, FieldElement):
             raise FieldMismatch(f"cannot combine with {type(other).__name__}")
         if other.spec != self.spec:
@@ -352,12 +368,31 @@ class FieldElement:
     def __mul__(self, other):
         other = self._check(other)
         spec = self.spec
+        p = spec.p
         if spec.nu == 1:
-            return FieldElement(
-                spec, (self.coeffs[0] * other.coeffs[0] % spec.p,))
-        prod = _pmulmod(list(self.coeffs), list(other.coeffs),
-                        list(spec.modulus), spec.p)
-        return FieldElement(spec, tuple(prod) + (0,) * (spec.nu - len(prod)))
+            return FieldElement(spec, (self.coeffs[0] * other.coeffs[0] % p,))
+        zech = spec._zech
+        if zech is None:
+            prod = _pmulmod(list(self.coeffs), list(other.coeffs),
+                            list(spec.modulus), p)
+            return FieldElement(spec,
+                                tuple(prod) + (0,) * (spec.nu - len(prod)))
+        # packed() and from_packed() written out, to spare a product of
+        # about 1 µs three calls and a range check
+        a = b = 0
+        for c in reversed(self.coeffs):
+            a = a * p + c
+        for c in reversed(other.coeffs):
+            b = b * p + c
+        if not a or not b:
+            return spec._zero
+        log, antilog = zech
+        k = antilog[(log[a] + log[b]) % (spec.cardinality - 1)]
+        coeffs = []
+        for _ in range(spec.nu):
+            coeffs.append(k % p)
+            k //= p
+        return FieldElement(spec, tuple(coeffs))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():

@@ -8,26 +8,26 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expzeros import arith, cli, solver
+from expzeros import arith, cli, fields, solver
 from expzeros.arith import (
     BsgsTable,
     QueryCounter,
     bsgs_dlog,
     bsgs_table_cost,
-    counted_pow,
     divisor_count,
     divisors,
     factorize,
     is_prime,
     multiplicative_order,
     pow_cost,
-    subgroup_membership,
     table_dlog,
 )
 from expzeros.charsum import make_equation
 from expzeros.errors import MemoryCap, ZeroElement
-from expzeros.fields import enumerate_units, make_field
+from expzeros.fields import FieldSpec, enumerate_units, make_field
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +106,23 @@ def test_divisors_listing():
 # counted exponentiation
 
 
+def counted_pow(x, k, counter, bucket="pow"):
+    """x^k by right-to-left square-and-multiply, as fields._ppowmod runs
+    it, charging `counter` one multiplication per product it performs:
+    the oracle of pow_cost."""
+    if k < 0:
+        raise ValueError("counted_pow needs k >= 0")
+    result, base, mults = x.spec.one(), x, 0
+    while k:
+        if k & 1:
+            result, mults = result * base, mults + 1
+        k >>= 1
+        if k:
+            base, mults = base * base, mults + 1
+    counter.mults(mults, bucket)
+    return result
+
+
 def test_counted_pow_charges_exact_multiplications():
     f101 = make_field(101)
     g = f101.element(2)
@@ -114,7 +131,7 @@ def test_counted_pow_charges_exact_multiplications():
         result = counted_pow(g, k, counter)
         assert result == g ** k
         expected = bin(k).count("1") + k.bit_length() - 1
-        assert counter.group_mults == expected
+        assert counter.group_mults == expected == pow_cost(k)
         assert counter.buckets == {"pow": expected}
     counter = QueryCounter()
     assert counted_pow(g, 0, counter) == f101.one()
@@ -243,7 +260,8 @@ def test_planted_wrong_log_entry_is_caught(monkeypatch):
     bad = arith._log_table(spec, fact).copy()
     gamma = int(np.flatnonzero(bad == 1)[0])
     bad[gamma] = 3    # gamma now reads as gamma^3, of order 85
-    monkeypatch.setitem(arith._log_tables, spec, bad)
+    monkeypatch.setitem(arith._log_tables, spec,
+                        (bad, arith._log_tables[spec][1]))
     wrong = [g.packed() for g in enumerate_units(spec)
              if multiplicative_order(g, fact).order != brute_order(g)]
     assert wrong == [gamma]
@@ -307,26 +325,146 @@ def test_evicted_field_still_finds_its_log_table():
         for k in (2, 77, 1023)]
 
 
-def test_log_cache_is_bounded_by_entries(monkeypatch):
-    monkeypatch.setattr(arith, "_log_tables", arith.OrderedDict())
-    monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 1000)
+@pytest.fixture
+def log_cache(monkeypatch):
+    """An empty log-table cache for one test.  Afterwards the specs that
+    key its entries let go of their table views."""
+    cache = arith.OrderedDict()
+    monkeypatch.setattr(arith, "_log_tables", cache)
+    yield cache
+    for spec in cache:
+        spec._zech = None
+
+
+def held_entries():
+    """(p, nu) -> log and antilog entries of each cached field."""
+    return {(spec.p, spec.nu): len(log) + len(antilog)
+            for spec, (log, antilog) in arith._log_tables.items()}
+
+
+def test_log_cache_is_bounded_by_entries(log_cache, monkeypatch):
+    # a field of q elements holds q log and q - 1 antilog entries
+    monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 2000)
     for p, nu in [(2, 8), (3, 5), (5, 3), (2, 8), (31, 2)]:
-        spec = make_field(p, nu)
+        spec = FieldSpec(p, nu)
         arith._log_table(spec, factorize(spec.cardinality - 1))
-    held = {(spec.p, spec.nu): len(t)
-            for spec, t in arith._log_tables.items()}
-    # F_{31^2}'s 961 entries leave no room for any other table
-    assert held == {(31, 2): 961}
+    # F_{31^2}'s 1921 entries leave no room for any other table
+    assert held_entries() == {(31, 2): 1921}
+    monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 1200)
+    specs = [FieldSpec(p, nu) for p, nu in [(2, 8), (3, 5), (5, 3)]]
+    for spec in specs[:2] + specs[:1] + specs[2:]:
+        arith._log_table(spec, factorize(spec.cardinality - 1))
+    # F_{3^5} was used least recently, so it makes room for F_{5^3};
+    # eviction drops both of its arrays and the views its products read
+    assert held_entries() == {(2, 8): 511, (5, 3): 249}
+    assert sum(held_entries().values()) <= 1200
+    assert specs[1]._zech is None
+    assert specs[0]._zech is not None and specs[2]._zech is not None
+    # a field past the whole budget evicts every other and stays alone
+    monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 1000)
+    arith._log_table(FieldSpec(31, 2), factorize(960))
+    assert held_entries() == {(31, 2): 1921}
+
+
+# ---------------------------------------------------------------------------
+# products on the log table
+
+
+def schoolbook(x, y):
+    """x * y by the polynomial product mod the modulus, the route a field
+    without a cached table takes."""
+    spec = x.spec
+    return spec.element(fields._pmulmod(list(x.coeffs), list(y.coeffs),
+                                        list(spec.modulus), spec.p))
+
+
+TABLE_FIELDS = [(2, 3), (3, 2), (5, 2), (2, 6), (3, 4), (7, 4), (2, 12),
+                (3, 8), (97, 2)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(TABLE_FIELDS), st.data())
+def test_table_product_equals_the_polynomial_product(field, data):
+    spec = make_field(*field)
+    arith._log_table(spec, factorize(spec.cardinality - 1))
+    assert spec._zech is not None
+    x, y = (spec.from_packed(data.draw(st.integers(0, spec.cardinality - 1)))
+            for _ in range(2))
+    zero, one = spec.zero(), spec.one()
+    for u, v in [(x, y), (y, x), (x, zero), (zero, y), (zero, zero),
+                 (x, one), (one, y)]:
+        assert (u * v).coeffs == schoolbook(u, v).coeffs
+    assert x * one == x and one * y == y
+    assert x * zero == zero * y == zero
+
+
+def test_field_past_the_table_cap_multiplies_without_a_table(monkeypatch):
+    spec = make_field(3, 9)
+    assert spec.cardinality > arith.LOG_TABLE_MAX_Q
+
+    def no_table(*args):
+        raise AssertionError("log table built above LOG_TABLE_MAX_Q")
+
+    monkeypatch.setattr(arith, "_log_table", no_table)
+    fact = factorize(spec.cardinality - 1)
+    rng = random.Random(39)
+    for _ in range(40):
+        x, y = (spec.from_packed(rng.randrange(1, spec.cardinality))
+                for _ in range(2))
+        multiplicative_order(x, fact)
+        assert (x * y).coeffs == schoolbook(x, y).coeffs
+    assert spec._zech is None and spec not in arith._log_tables
+
+
+def test_products_never_build_a_table(log_cache, monkeypatch):
+    # a modulus other than the canonical one, so no cached spec equals it
+    spec = FieldSpec(2, 6, modulus=(1, 0, 0, 1, 0, 0, 1))
+
+    def no_table(*args):
+        raise AssertionError("a product built a log table")
+
+    x, y = spec.from_packed(37), spec.from_packed(50)
+    walk = [x]
+    with monkeypatch.context() as m:
+        m.setattr(arith, "_log_table", no_table)
+        m.setattr(arith, "_first_generator", no_table)
+        for _ in range(70):
+            walk.append(walk[-1] * y)
+    assert spec._zech is None and not log_cache
+    # once an order builds the table, products read it and agree
+    multiplicative_order(y, factorize(63))
+    assert spec._zech is not None and spec in log_cache
+    assert [u * y for u in walk[:-1]] == walk[1:]
+    assert all((u * y).coeffs == schoolbook(u, y).coeffs for u in walk)
+
+
+def test_product_after_its_table_is_evicted(log_cache, monkeypatch):
     monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 600)
-    arith._log_tables.clear()
-    for p, nu in [(2, 8), (3, 5), (2, 8), (5, 3)]:
-        spec = make_field(p, nu)
-        arith._log_table(spec, factorize(spec.cardinality - 1))
-    held = {(spec.p, spec.nu): len(t)
-            for spec, t in arith._log_tables.items()}
-    # F_{3^5} was used least recently, so it makes room for F_{5^3}
-    assert held == {(2, 8): 256, (5, 3): 125}
-    assert sum(held.values()) <= 600
+    spec = FieldSpec(2, 8)
+    arith._log_table(spec, factorize(255))
+    assert spec._zech is not None
+    pairs = [(spec.from_packed(a), spec.from_packed(b))
+             for a, b in [(77, 200), (1, 255), (128, 3), (0, 9)]]
+    on_table = [x * y for x, y in pairs]
+    other = FieldSpec(3, 5)   # its 485 entries push F_{2^8}'s 511 out
+    arith._log_table(other, factorize(242))
+    assert spec._zech is None and list(log_cache) == [other]
+    assert [x * y for x, y in pairs] == on_table == [
+        schoolbook(x, y) for x, y in pairs]
+
+
+def test_an_equal_spec_takes_over_the_table(log_cache):
+    first, second = FieldSpec(3, 4), FieldSpec(3, 4)
+    fact = factorize(80)
+    table = arith._log_table(first, fact)
+    assert first._zech is not None and second._zech is None
+    assert arith._log_table(second, fact) is table
+    # one spec object keys the entry and holds its views
+    assert first._zech is None and second._zech is not None
+    assert [k for k in log_cache] == [second]
+    assert next(iter(log_cache)) is second
+    x, y = second.from_packed(40), second.from_packed(79)
+    assert (x * y).coeffs == schoolbook(x, y).coeffs
 
 
 def test_multiplicative_order_errors():
@@ -336,18 +474,6 @@ def test_multiplicative_order_errors():
     with pytest.raises(ValueError):
         multiplicative_order(f7.element(3), factorize(5))
     assert multiplicative_order(f7.one(), factorize(6)).order == 1
-
-
-def test_subgroup_membership_examples():
-    f7 = make_field(7)
-    two = f7.element(2)   # order 3: {1, 2, 4}
-    assert subgroup_membership(two, 3, f7.element(4))
-    assert not subgroup_membership(two, 3, f7.element(3))
-    assert subgroup_membership(two, 3, f7.one())
-    counter = QueryCounter()
-    subgroup_membership(two, 3, f7.element(4), counter)
-    assert counter.group_mults == bin(3).count("1") + 3 .bit_length() - 1
-    assert set(counter.buckets) == {"membership"}
 
 
 # ---------------------------------------------------------------------------

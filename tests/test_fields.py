@@ -169,6 +169,34 @@ def test_field_mismatch_rejected():
         make_field(2, 3).element(1) + other.element(1)
 
 
+def test_same_spec_operands_take_the_fast_check():
+    spec = make_field(3, 4)
+    a, b = spec.element(5), spec.element(7)
+    assert a._check(b) is b
+    assert (a * b).spec is spec and (a + b).spec is spec
+
+
+def test_equal_but_distinct_specs_still_combine():
+    for p, nu in [(13, 1), (3, 4)]:
+        mine, theirs = FieldSpec(p, nu), make_field(p, nu)
+        assert mine is not theirs and mine == theirs
+        a, b = mine.element(5), theirs.element(7)
+        assert a._check(b) is b
+        assert a * b == theirs.element(5) * b
+        assert (a + b) == b + theirs.element(5)
+        assert (a - b) / b == (theirs.element(5) - b) / b
+
+
+def test_other_operands_are_still_rejected():
+    a = make_field(3, 4).element(5)
+    for other in [5, (5,), None, make_field(3, 2).element(5),
+                  make_field(5).element(1)]:
+        with pytest.raises(FieldMismatch):
+            a * other
+        with pytest.raises(FieldMismatch):
+            a + other
+
+
 # ---------------------------------------------------------------------------
 # arithmetic examples
 
