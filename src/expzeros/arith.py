@@ -4,16 +4,14 @@ giant-step or from a field's log table.
 
 Group multiplications performed on behalf of a caller are charged to an
 explicit QueryCounter owned by that caller; no counts are kept at module
-level.  The one module-level state is the cache of per-field log tables, which
-only ever holds values derived from the field itself: the log table and its
-antilog, two int32 arrays under one entry budget.  Orders and discrete logs
-build a field's tables; FieldElement products read them where they exist.
+level, and no state at all: a field's log table and its antilog, two int32
+arrays, live on its FieldSpec.  Orders and discrete logs build them on first
+use; FieldElement products read them where they exist.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +27,6 @@ BSGS_TABLE_CAP = 1 << 24
 # F_{2^20} 0.44 s: 15 and 110 orders' worth, more than a command that
 # asks for a few orders ever spends.
 LOG_TABLE_MAX_Q = 1 << 14
-LOG_CACHE_ENTRIES = 1 << 18  # int32 log and antilog entries kept: 1 MiB
 
 is_prime = _is_prime
 
@@ -175,59 +172,27 @@ def _first_generator(spec: FieldSpec, fact: Factorization) -> FieldElement:
     raise InvariantViolated(f"no generator of the units of {spec}")
 
 
-# FieldSpec -> (log, antilog) int32 arrays, least recently used first.
-# The spec object that keys an entry holds memoryviews of both in its
-# `_zech` slot, which FieldElement.__mul__ reads; eviction clears it.
-_log_tables: OrderedDict = OrderedDict()
-
-
-def _log_table(spec: FieldSpec, fact: Factorization) -> np.ndarray:
+def _log_table(spec: FieldSpec) -> memoryview:
     """log[packed(gamma^x)] = x for x in [0, q-1), gamma the first
     generator; entry 0 (the zero element) is -1.
 
     One walk of gamma's powers fills it, and the walk itself is kept as
-    the antilog, antilog[x] = packed(gamma^x), which products read.
-    Tables are cached per field and evicted least recently used once the
-    two arrays of every cached field would hold more than
-    LOG_CACHE_ENTRIES entries in all (1 MiB of int32), so any working set
-    of fields smaller than that never rebuilds one; a field whose arrays
-    alone exceed it is kept alone.  This is
-    Zech-logarithm arithmetic (Huber, "Some comments on Zech's
-    logarithms", IEEE-IT 36, 1990).
+    the antilog, antilog[x] = packed(gamma^x), which products read.  The
+    first call builds both int32 arrays and leaves views of them in
+    `spec._zech`, where every later call, and every product, finds them;
+    only that build factors q - 1.  This is Zech-logarithm arithmetic
+    (Huber, "Some comments on Zech's logarithms", IEEE-IT 36, 1990).
     """
-    tables = _log_tables.get(spec)
-    if tables is not None:
-        if spec._zech is None:
-            # an equal spec keys the entry (make_field evicted the field
-            # and built it again): hand the entry over to this one
-            next(k for k in _log_tables if k == spec)._zech = None
-            del _log_tables[spec]
-            _own(spec, tables)
-        else:
-            _log_tables.move_to_end(spec)
-        return tables[0]
-    gamma = _first_generator(spec, fact)
-    table = np.full(spec.cardinality, -1, dtype=np.int32)
-    rows = _power_walk(spec.one(), gamma, spec.cardinality - 1)
-    antilog = _pack(rows, spec.p).astype(np.int32)
-    table[antilog] = np.arange(len(rows), dtype=np.int32)
-    if table[0] != -1 or table[1:].min() < 0:
-        raise InvariantViolated(f"the powers of {gamma!r} miss units")
-    held = sum(len(log) + len(anti) for log, anti in _log_tables.values())
-    while _log_tables and (held + len(table) + len(antilog)
-                           > LOG_CACHE_ENTRIES):
-        old, (log, anti) = _log_tables.popitem(last=False)
-        old._zech = None
-        held -= len(log) + len(anti)
-    _own(spec, (table, antilog))
-    return table
-
-
-def _own(spec: FieldSpec, tables: tuple) -> None:
-    """Key `tables` under `spec`, most recently used, and let its
-    products read them."""
-    _log_tables[spec] = tables
-    spec._zech = tuple(memoryview(t) for t in tables)
+    if spec._zech is None:
+        gamma = _first_generator(spec, factorize(spec.cardinality - 1))
+        log = np.full(spec.cardinality, -1, dtype=np.int32)
+        rows = _power_walk(spec.one(), gamma, spec.cardinality - 1)
+        antilog = _pack(rows, spec.p).astype(np.int32)
+        log[antilog] = np.arange(len(rows), dtype=np.int32)
+        if log[0] != -1 or log[1:].min() < 0:
+            raise InvariantViolated(f"the powers of {gamma!r} miss units")
+        spec._zech = (memoryview(log), memoryview(antilog))
+    return spec._zech[0]
 
 
 def reads_log_table(spec: FieldSpec) -> bool:
@@ -251,7 +216,7 @@ def multiplicative_order(g: FieldElement, fact: Factorization) -> OrderInfo:
         raise ValueError(
             f"factorization is of {fact.value}, need q-1 = {q_minus_1}")
     if reads_log_table(spec):
-        x = int(_log_table(spec, fact)[g.packed()])
+        x = _log_table(spec)[g.packed()]
         return OrderInfo(g, q_minus_1 // math.gcd(x, q_minus_1))
     one = spec.one()
     s = q_minus_1
@@ -343,12 +308,12 @@ def table_dlog(g: FieldElement, s: int, target: FieldElement
     x = (log target / step) u^{-1} mod s."""
     spec = g.spec
     q_minus_1 = spec.cardinality - 1
-    log = _log_table(spec, factorize(q_minus_1))
+    log = _log_table(spec)
     step = q_minus_1 // s
-    lt = int(log[target.packed()])
+    lt = log[target.packed()]
     if lt < 0 or lt % step:
         return None
-    return lt // step * pow(int(log[g.packed()]) // step, -1, s) % s
+    return lt // step * pow(log[g.packed()] // step, -1, s) % s
 
 
 def discrete_log(g: FieldElement, s: int, target: FieldElement

@@ -116,8 +116,8 @@ def exceptional_census(report: DensityReport, delta) -> CensusResult:
     deterministically.  Postcondition: census size <= q / delta^2.
     """
     q, n, r = report.q, report.box.n, report.box.r
-    if delta <= 0:
-        raise BadDelta(f"need delta > 0, got {delta}")
+    if not 0 < delta < math.inf:   # False for nan too
+        raise BadDelta(f"need a finite delta > 0, got {delta}")
     delta_sq = Fraction(delta) ** 2
     if delta_sq > q:
         raise BadDelta(f"need delta <= sqrt(q), got delta^2 = {delta_sq}")

@@ -14,8 +14,8 @@ coefficient rows with numpy matrix products instead of one FieldElement
 multiplication per step.
 
 A scalar product in an extension field is a polynomial product reduced
-mod the modulus, O(nu^2) Python steps, unless the field's log table is
-already cached (arith builds it where orders and discrete logs repay it,
+mod the modulus, O(nu^2) Python steps, unless the field already holds
+its log table (arith builds it where orders and discrete logs repay it,
 q <= 2^14).  Then the product is a Zech-logarithm lookup,
 antilog[(log a + log b) mod (q-1)]: two packings, three int32 reads and
 one unpacking.  A product never builds a table itself.
@@ -204,10 +204,11 @@ class FieldSpec:
     Use make_field(p, nu) rather than calling this constructor directly;
     make_field caches specs so elements of the same field share one spec.
 
-    `_zech` is None, or memoryviews (log, antilog) of the field's cached
-    int32 log table and its inverse, the packed powers of the generator.
-    arith's table cache sets it on the spec that keys the entry and clears
-    it on eviction; FieldElement.__mul__ only reads it.
+    `_zech` is None, or memoryviews (log, antilog) of the field's int32
+    log table and its inverse, the packed powers of the generator: the
+    only place the table is kept.  arith's _log_table sets it once, on
+    the first order or discrete log that needs it; FieldElement.__mul__
+    only reads it.
     """
 
     __slots__ = ("p", "nu", "cardinality", "modulus", "_zero", "_one",
@@ -294,8 +295,8 @@ def make_field(p: int, nu: int = 1) -> FieldSpec:
 
     The cache keeps the 256 fields used last.  A field evicted and built
     again is a new FieldSpec equal to the old one (specs compare by
-    value), so its elements and the per-field tables keyed by spec still
-    match it.
+    value), so its elements still match it; it builds its own log table
+    again when an order or discrete log first needs one.
     """
     return FieldSpec(p, nu)
 

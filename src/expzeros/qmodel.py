@@ -31,7 +31,7 @@ import numpy as np
 
 from .charsum import ExpEquation, box_radius, brute_count, log_of, make_box
 from .errors import (BadCounts, CapExceeded, HypothesisFailed,
-                     InvariantViolated)
+                     InvariantViolated, Overflow)
 from .solver import build_box
 
 GROVER_SIM_CAP = 1 << 14
@@ -288,7 +288,11 @@ def model_quantum_solve(eq: ExpEquation, mode: str,
     """
     q, n = eq.q, eq.n
     logq = log_of(q, log_base)
-    slack = logq ** slack_exponent
+    try:
+        slack = logq ** slack_exponent
+    except OverflowError:
+        raise Overflow(f"slack (log q)^{slack_exponent} overflows a float"
+                       ) from None
     orders_sorted = sorted(eq.orders, reverse=True)
     m_estimate = case = holds = hypothesis_ok = None
     if mode == "thm2":

@@ -113,6 +113,8 @@ class MuBoundReport:
 def mu_bound_report(spec: FieldSpec, samples: int = 100, n: int = 4,
                     seed: int = 0) -> MuBoundReport:
     """Empirical mu over random equations versus the d(q-1) bound."""
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     q = spec.cardinality
     rng = random.Random(seed)
     mus = []

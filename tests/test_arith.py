@@ -209,7 +209,7 @@ def test_log_table_orders_match_the_pow_loop(monkeypatch):
 def test_log_table_is_the_walk_of_the_first_generator():
     spec = make_field(3, 5)
     fact = factorize(242)
-    table = arith._log_table(spec, fact)
+    table = np.asarray(arith._log_table(spec))
     assert table.dtype == np.int32 and table[0] == -1
     assert sorted(table[1:].tolist()) == list(range(242))
     gamma = spec.from_packed(int(np.flatnonzero(table == 1)[0]))
@@ -257,13 +257,16 @@ def test_first_generator_of_large_extension_fields_is_quick():
 def test_planted_wrong_log_entry_is_caught(monkeypatch):
     spec = make_field(2, 8)
     fact = factorize(255)
-    bad = arith._log_table(spec, fact).copy()
+    arith._log_table(spec)
+    # products read the planted table too, so take the true orders first
+    orders = {g.packed(): brute_order(g) for g in enumerate_units(spec)}
+    log, antilog = spec._zech
+    bad = np.array(log)
     gamma = int(np.flatnonzero(bad == 1)[0])
     bad[gamma] = 3    # gamma now reads as gamma^3, of order 85
-    monkeypatch.setitem(arith._log_tables, spec,
-                        (bad, arith._log_tables[spec][1]))
-    wrong = [g.packed() for g in enumerate_units(spec)
-             if multiplicative_order(g, fact).order != brute_order(g)]
+    monkeypatch.setattr(spec, "_zech", (memoryview(bad), antilog))
+    wrong = [k for k, s in orders.items()
+             if multiplicative_order(spec.from_packed(k), fact).order != s]
     assert wrong == [gamma]
 
 
@@ -298,18 +301,18 @@ def test_largest_table_field_reads_orders_from_its_table(monkeypatch):
     units = [spec.from_packed(rng.randrange(1, spec.cardinality))
              for _ in range(40)]
     table = [multiplicative_order(g, fact).order for g in units]
-    assert spec in arith._log_tables
+    assert spec._zech is not None
     monkeypatch.setattr(arith, "LOG_TABLE_MAX_Q", 0)   # force the pow loop
     assert table == [multiplicative_order(g, fact).order for g in units]
 
 
 def test_evicted_field_still_finds_its_log_table():
     # make_field keeps the 256 fields used last.  A field evicted from it
-    # and built again is a new FieldSpec equal to the old one, so the log
-    # table cached under the old spec serves the new one
+    # and built again is a new FieldSpec equal to the old one, which
+    # builds its own table and reads the same orders and products
     spec = make_field(2, 10)
     fact = factorize(spec.cardinality - 1)
-    table = arith._log_table(spec, fact)
+    table = arith._log_table(spec)
     assert make_field.cache_info().maxsize == 256
     primes = [p for p in range(1009, 4000) if is_prime(p)][:300]
     assert len(primes) == 300
@@ -318,52 +321,33 @@ def test_evicted_field_still_finds_its_log_table():
     again = make_field(2, 10)
     assert again is not spec
     assert again == spec and hash(again) == hash(spec)
-    assert arith._log_table(again, fact) is table
+    assert again._zech is None
+    rebuilt = arith._log_table(again)
+    assert again._zech is not None and rebuilt is not table
+    assert rebuilt == table and spec._zech[1] == again._zech[1]
+    units = (2, 77, 1023)
     assert [multiplicative_order(again.from_packed(k), fact).order
-            for k in (2, 77, 1023)] == [
+            for k in units] == [
         multiplicative_order(spec.from_packed(k), fact).order
-        for k in (2, 77, 1023)]
+        for k in units]
+    pairs = [(77, 1023), (2, 500), (0, 9)]
+    assert [(again.from_packed(a) * again.from_packed(b)).packed()
+            for a, b in pairs] == [
+        (spec.from_packed(a) * spec.from_packed(b)).packed()
+        for a, b in pairs]
 
 
-@pytest.fixture
-def log_cache(monkeypatch):
-    """An empty log-table cache for one test.  Afterwards the specs that
-    key its entries let go of their table views."""
-    cache = arith.OrderedDict()
-    monkeypatch.setattr(arith, "_log_tables", cache)
-    yield cache
-    for spec in cache:
-        spec._zech = None
-
-
-def held_entries():
-    """(p, nu) -> log and antilog entries of each cached field."""
-    return {(spec.p, spec.nu): len(log) + len(antilog)
-            for spec, (log, antilog) in arith._log_tables.items()}
-
-
-def test_log_cache_is_bounded_by_entries(log_cache, monkeypatch):
-    # a field of q elements holds q log and q - 1 antilog entries
-    monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 2000)
-    for p, nu in [(2, 8), (3, 5), (5, 3), (2, 8), (31, 2)]:
-        spec = FieldSpec(p, nu)
-        arith._log_table(spec, factorize(spec.cardinality - 1))
-    # F_{31^2}'s 1921 entries leave no room for any other table
-    assert held_entries() == {(31, 2): 1921}
-    monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 1200)
-    specs = [FieldSpec(p, nu) for p, nu in [(2, 8), (3, 5), (5, 3)]]
-    for spec in specs[:2] + specs[:1] + specs[2:]:
-        arith._log_table(spec, factorize(spec.cardinality - 1))
-    # F_{3^5} was used least recently, so it makes room for F_{5^3};
-    # eviction drops both of its arrays and the views its products read
-    assert held_entries() == {(2, 8): 511, (5, 3): 249}
-    assert sum(held_entries().values()) <= 1200
-    assert specs[1]._zech is None
-    assert specs[0]._zech is not None and specs[2]._zech is not None
-    # a field past the whole budget evicts every other and stays alone
-    monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 1000)
-    arith._log_table(FieldSpec(31, 2), factorize(960))
-    assert held_entries() == {(31, 2): 1921}
+def test_every_admitted_log_table_fits_in_two_mib():
+    # no cache budget bounds the tables: reads_log_table admits fields
+    # with nu > 1 and q <= LOG_TABLE_MAX_Q, each holding q log and q - 1
+    # antilog int32 entries, 491 487 (1.87 MiB) over all 61 of them.
+    # Raising the limit breaks this, and the memory argument with it
+    sizes = [p ** nu for p in range(2, arith.LOG_TABLE_MAX_Q + 1)
+             if is_prime(p)
+             for nu in range(2, arith.LOG_TABLE_MAX_Q.bit_length())
+             if p ** nu <= arith.LOG_TABLE_MAX_Q]
+    assert len(sizes) == 61
+    assert sum(2 * q - 1 for q in sizes) <= 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +370,7 @@ TABLE_FIELDS = [(2, 3), (3, 2), (5, 2), (2, 6), (3, 4), (7, 4), (2, 12),
 @given(st.sampled_from(TABLE_FIELDS), st.data())
 def test_table_product_equals_the_polynomial_product(field, data):
     spec = make_field(*field)
-    arith._log_table(spec, factorize(spec.cardinality - 1))
+    arith._log_table(spec)
     assert spec._zech is not None
     x, y = (spec.from_packed(data.draw(st.integers(0, spec.cardinality - 1)))
             for _ in range(2))
@@ -413,11 +397,11 @@ def test_field_past_the_table_cap_multiplies_without_a_table(monkeypatch):
                 for _ in range(2))
         multiplicative_order(x, fact)
         assert (x * y).coeffs == schoolbook(x, y).coeffs
-    assert spec._zech is None and spec not in arith._log_tables
+    assert spec._zech is None
 
 
-def test_products_never_build_a_table(log_cache, monkeypatch):
-    # a modulus other than the canonical one, so no cached spec equals it
+def test_products_never_build_a_table(monkeypatch):
+    # a fresh spec, with a modulus other than the canonical one
     spec = FieldSpec(2, 6, modulus=(1, 0, 0, 1, 0, 0, 1))
 
     def no_table(*args):
@@ -430,41 +414,12 @@ def test_products_never_build_a_table(log_cache, monkeypatch):
         m.setattr(arith, "_first_generator", no_table)
         for _ in range(70):
             walk.append(walk[-1] * y)
-    assert spec._zech is None and not log_cache
+    assert spec._zech is None
     # once an order builds the table, products read it and agree
     multiplicative_order(y, factorize(63))
-    assert spec._zech is not None and spec in log_cache
+    assert spec._zech is not None
     assert [u * y for u in walk[:-1]] == walk[1:]
     assert all((u * y).coeffs == schoolbook(u, y).coeffs for u in walk)
-
-
-def test_product_after_its_table_is_evicted(log_cache, monkeypatch):
-    monkeypatch.setattr(arith, "LOG_CACHE_ENTRIES", 600)
-    spec = FieldSpec(2, 8)
-    arith._log_table(spec, factorize(255))
-    assert spec._zech is not None
-    pairs = [(spec.from_packed(a), spec.from_packed(b))
-             for a, b in [(77, 200), (1, 255), (128, 3), (0, 9)]]
-    on_table = [x * y for x, y in pairs]
-    other = FieldSpec(3, 5)   # its 485 entries push F_{2^8}'s 511 out
-    arith._log_table(other, factorize(242))
-    assert spec._zech is None and list(log_cache) == [other]
-    assert [x * y for x, y in pairs] == on_table == [
-        schoolbook(x, y) for x, y in pairs]
-
-
-def test_an_equal_spec_takes_over_the_table(log_cache):
-    first, second = FieldSpec(3, 4), FieldSpec(3, 4)
-    fact = factorize(80)
-    table = arith._log_table(first, fact)
-    assert first._zech is not None and second._zech is None
-    assert arith._log_table(second, fact) is table
-    # one spec object keys the entry and holds its views
-    assert first._zech is None and second._zech is not None
-    assert [k for k in log_cache] == [second]
-    assert next(iter(log_cache)) is second
-    x, y = second.from_packed(40), second.from_packed(79)
-    assert (x * y).coeffs == schoolbook(x, y).coeffs
 
 
 def test_multiplicative_order_errors():

@@ -410,6 +410,22 @@ def test_missing_inputs_exit_1():
     assert rc == 1 and "not prime" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--delta", "inf"],
+    ["density", "--delta", "1e400"],
+    ["density", "--delta", "nan"],
+    ["qmodel", "--slack-exponent", "10000"],
+    ["qmodel", "--slack-exponent", "10000", "--mode", "thm3"],
+    ["reduce", "--samples", "-1"],
+])
+def test_bad_parameter_exits_1_with_one_error_line(argv):
+    rc, out, err = run([argv[0], "--p", "7", "--terms", "1,3", "--b", "1",
+                        *argv[1:]])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cardinality_cap_exits_2():
     rc, _, err = run(["count", "--p", "1009",
                       "--terms", "1,11;1,11;1,11", "--b", "0"])

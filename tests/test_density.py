@@ -288,7 +288,8 @@ def test_census_matches_loop_oracle(field, n, k, data):
 
 def test_census_delta_validation():
     _, _, rep = sweep_fixture(7, 1, [(1, 3), (1, 2)])
-    for bad in (0, -1, Fraction(-1, 2)):
+    for bad in (0, -1, Fraction(-1, 2), float("nan"), float("inf"),
+                float("1e400")):
         with pytest.raises(BadDelta):
             exceptional_census(rep, bad)
     with pytest.raises(BadDelta):

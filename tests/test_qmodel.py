@@ -10,7 +10,8 @@ import pytest
 
 from expzeros import charsum, fields, qmodel
 from expzeros.charsum import brute_count, make_box, make_equation
-from expzeros.errors import BadCounts, CapExceeded, HypothesisFailed
+from expzeros.errors import (BadCounts, CapExceeded, HypothesisFailed,
+                             Overflow)
 from expzeros.fields import make_field
 from expzeros.instances import random_equation_with_orders
 from expzeros.qmodel import (
@@ -280,6 +281,14 @@ def test_thm2_single_term():
     assert rep.m_exact == 1
     with pytest.raises(ValueError):
         model_quantum_solve(eq, "thm5")
+
+
+@pytest.mark.parametrize("mode", ["thm2", "thm3"])
+def test_slack_past_a_float_raises_overflow(mode):
+    # (ln 7)^10000 is past a float in either mode
+    eq = make_equation(make_field(7), [(1, 3)], 1)
+    with pytest.raises(Overflow, match="slack"):
+        model_quantum_solve(eq, mode, slack_exponent=10000)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,12 @@ def test_mu_bound_reports():
     assert rep2.max_mu == 1 and rep2.d_bound == 1
 
 
+def test_mu_bound_needs_a_sample():
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=r"need samples >= 1"):
+            mu_bound_report(make_field(7), samples=samples)
+
+
 def test_mu_bound_matches_direct_order_sets():
     spec = make_field(257)
     rep = mu_bound_report(spec, samples=40, n=5, seed=9)
