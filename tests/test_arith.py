@@ -324,6 +324,8 @@ def test_evicted_field_still_finds_its_log_table():
     assert again._zech is None
     rebuilt = arith._log_table(again)
     assert again._zech is not None and rebuilt is not table
+    assert arith._log_table(again) is rebuilt
+    assert arith._log_table(spec) is table
     assert rebuilt == table and spec._zech[1] == again._zech[1]
     units = (2, 77, 1023)
     assert [multiplicative_order(again.from_packed(k), fact).order
@@ -338,10 +340,11 @@ def test_evicted_field_still_finds_its_log_table():
 
 
 def test_every_admitted_log_table_fits_in_two_mib():
-    # no cache budget bounds the tables: reads_log_table admits fields
-    # with nu > 1 and q <= LOG_TABLE_MAX_Q, each holding q log and q - 1
-    # antilog int32 entries, 491 487 (1.87 MiB) over all 61 of them.
-    # Raising the limit breaks this, and the memory argument with it
+    # the admission rule is the only bound on the tables' memory:
+    # reads_log_table admits fields with nu > 1 and q <= LOG_TABLE_MAX_Q,
+    # each holding q log and q - 1 antilog int32 entries, 491 487
+    # (1.87 MiB) over all 61 of them.  Raising the limit breaks this, and
+    # the memory argument has to be made again
     sizes = [p ** nu for p in range(2, arith.LOG_TABLE_MAX_Q + 1)
              if is_prime(p)
              for nu in range(2, arith.LOG_TABLE_MAX_Q.bit_length())
