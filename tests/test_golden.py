@@ -126,6 +126,10 @@ CASES = {
     "exponents_n4": ["exponents", "--n-max", "4"],
     "reduce_f101_samples": ["reduce", "--p", "101", "--n", "4", "--seed",
                             "2", "--samples", "3"],
+    # an order-80 group over F_{3^4}: its relations [1, 37, 37] are
+    # discrete logs in an extension field
+    "reduce_f3e4_n5": ["reduce", "--p", "3", "--nu", "4", "--n", "5",
+                       "--seed", "2"],
     "bench_f101_n2": ["bench", "--qs", "101", "--ns", "2"],
     "density_f1031_r3": ["density", "--p", "1031", "--n", "2", "--seed", "1",
                          "--r", "3", "--delta", "0.5"],
