@@ -44,7 +44,7 @@ def main():
     mu = spec49.from_packed(5)
     # walk limits up to the order of g; the full sum is Weil-bounded
     from expzeros.arith import factorize, multiplicative_order
-    s = multiplicative_order(g, factorize(48)).order
+    s = multiplicative_order(g, factorize(48))
     for limit in (1, s // 4, s // 2, s):
         val = gauss_partial_sum(a, mu, g, limit)
         print(f"  limit {limit:2d}: |S| = {abs(val):7.3f}"

@@ -5,7 +5,7 @@ grid-search solver with query accounting, and quantum query-cost models.
 
 Modules:
     fields     -- F_{p^nu} arithmetic (polynomial basis, packed encoding)
-    arith      -- factorization, orders, divisor counts, BSGS dlogs
+    arith      -- factorization, orders, divisor counts, discrete logs
     charsum    -- additive characters, counting identity, Gauss sums
     density    -- per-b deviations, energy E(r), exceptional-b census
     solver     -- the classical search with three-valued outcome
@@ -30,13 +30,12 @@ from .fields import FieldElement, FieldSpec, enumerate_units, make_field
 from .charsum import (ExpEquation, SearchBox, brute_count,
                       count_via_charsum, delta_indicator, gauss_partial_sum,
                       make_box, make_equation, psi)
-from .arith import (BsgsTable, Factorization, OrderInfo, QueryCounter,
-                    bsgs_dlog, divisor_count, factorize, is_prime,
-                    multiplicative_order)
+from .arith import (BsgsTable, Factorization, divisor_count, factorize,
+                    is_prime, multiplicative_order)
 from .density import (CensusResult, DensityReport, corollary_min_r,
                       energy_bound_check, exceptional_census, sweep_b)
-from .solver import (SolutionReport, build_box, solve_classical,
-                     verify_solution)
+from .solver import (QueryCounter, SolutionReport, build_box,
+                     solve_classical, verify_solution)
 from .qmodel import (ExponentRow, ExponentTable, QueryCostReport,
                      bbht_expected_queries, exponent_table, grover_simulate,
                      grover_success, model_quantum_solve)

@@ -2,17 +2,17 @@
 orders, the divisor function, and discrete logarithms, by baby-step
 giant-step or from a field's log table.
 
-Group multiplications performed on behalf of a caller are charged to an
-explicit QueryCounter owned by that caller; no counts are kept at module
-level, and no state at all: a field's log table and its antilog, two int32
-arrays, live on its FieldSpec.  Orders and discrete logs build them on first
-use; FieldElement products read them where they exist.
+This module computes; it charges no ledger.  pow_cost and bsgs_table_cost
+are the cost rules the solver writes its own ledger from.  It keeps no
+state either: a field's log table and its antilog, two int32 arrays, live
+on its FieldSpec.  Orders and discrete logs build them on first use; FieldElement
+products read them where they exist.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,39 +117,6 @@ def divisors(m: int) -> list[int]:
     return sorted(divs)
 
 
-@dataclass(frozen=True)
-class OrderInfo:
-    element: FieldElement
-    order: int
-
-
-@dataclass
-class QueryCounter:
-    """Accumulator for classical query accounting.
-
-    group_mults counts field multiplications in the unit group (inversions
-    are charged as one multiplication).  Buckets break the same total down
-    by phase; they always sum to group_mults.
-    """
-
-    group_mults: int = 0
-    dlog_calls: int = 0
-    outer_points_visited: int = 0
-    buckets: dict = field(default_factory=dict)
-
-    def mults(self, k: int, bucket: str = "misc"):
-        self.group_mults += k
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + k
-
-    def to_dict(self) -> dict:
-        return {
-            "group_mults": self.group_mults,
-            "dlog_calls": self.dlog_calls,
-            "outer_points_visited": self.outer_points_visited,
-            "buckets": dict(sorted(self.buckets.items())),
-        }
-
-
 def pow_cost(k: int) -> int:
     """Multiplications square-and-multiply spends on x^k (k >= 0): one per
     set bit and one squaring per bit after the lowest, none at k = 0."""
@@ -201,7 +168,7 @@ def reads_log_table(spec: FieldSpec) -> bool:
     return spec.nu > 1 and spec.cardinality <= LOG_TABLE_MAX_Q
 
 
-def multiplicative_order(g: FieldElement, fact: Factorization) -> OrderInfo:
+def multiplicative_order(g: FieldElement, fact: Factorization) -> int:
     """Order of the unit g given the factorization of q - 1.
 
     A field where reads_log_table holds reads it from the field's log
@@ -217,7 +184,7 @@ def multiplicative_order(g: FieldElement, fact: Factorization) -> OrderInfo:
             f"factorization is of {fact.value}, need q-1 = {q_minus_1}")
     if reads_log_table(spec):
         x = _log_table(spec)[g.packed()]
-        return OrderInfo(g, q_minus_1 // math.gcd(x, q_minus_1))
+        return q_minus_1 // math.gcd(x, q_minus_1)
     one = spec.one()
     s = q_minus_1
     for p, e in fact.prime_powers:
@@ -226,7 +193,7 @@ def multiplicative_order(g: FieldElement, fact: Factorization) -> OrderInfo:
                 s //= p
             else:
                 break
-    return OrderInfo(g, s)
+    return s
 
 
 def bsgs_table_cost(s: int) -> tuple[int, int]:
@@ -245,16 +212,14 @@ def bsgs_table_cost(s: int) -> tuple[int, int]:
 class BsgsTable:
     """Reusable baby-step table for discrete logs to a fixed base g.
 
-    Building costs about sqrt(s) multiplications once (bsgs_table_cost);
-    a lookup of g^x costs x // m more.  Solvers that resolve many targets
-    against the same base share one table.
+    Building makes the m - 1 baby-step products, g^m and its inverse
+    (bsgs_table_cost); a lookup of g^x makes x // m giant steps more.
     """
 
     __slots__ = ("g", "s", "m", "table", "giant")
 
-    def __init__(self, g: FieldElement, s: int,
-                 counter: QueryCounter | None = None):
-        m, cost = bsgs_table_cost(s)
+    def __init__(self, g: FieldElement, s: int):
+        m, _ = bsgs_table_cost(s)
         self.g = g
         self.s = s
         self.m = m
@@ -267,60 +232,34 @@ class BsgsTable:
         self.table = table
         # giant stride g^(-m)
         self.giant = (g ** m).inverse()
-        if counter is not None:
-            counter.mults(cost, "bsgs_table")
 
-    def lookup(self, target: FieldElement,
-               counter: QueryCounter | None = None) -> int | None:
-        """x in [0, s) with g^x = target, or None if target not in <g>;
-        counted as one dlog call."""
+    def lookup(self, target: FieldElement) -> int | None:
+        """x in [0, s) with g^x = target, or None if target not in <g>."""
         cur = target
-        n_mults = 0
-        n_giant = (self.s + self.m - 1) // self.m
-        found = None
-        for i in range(n_giant):
+        for i in range((self.s + self.m - 1) // self.m):
             j = self.table.get(cur.packed())
-            if j is not None:
-                x = i * self.m + j
-                if x < self.s:
-                    found = x
-                    break
+            if j is not None and i * self.m + j < self.s:
+                return i * self.m + j
             cur = cur * self.giant
-            n_mults += 1
-        if counter is not None:
-            counter.dlog_calls += 1
-            counter.mults(n_mults, "bsgs_lookup")
-        return found
-
-
-def bsgs_dlog(g: FieldElement, s: int, target: FieldElement,
-              counter: QueryCounter | None = None) -> int | None:
-    """Discrete log of target to base g of order s; None when absent."""
-    return BsgsTable(g, s, counter).lookup(target, counter)
-
-
-def table_dlog(g: FieldElement, s: int, target: FieldElement
-               ) -> int | None:
-    """Discrete log of target to base g of order s, None when absent, from
-    the field's log table (reads_log_table must hold): one modular
-    division.  With step = (q-1)/s, log g = u step for a u prime to s,
-    and target lies in <g> iff step divides its log; then
-    x = (log target / step) u^{-1} mod s."""
-    spec = g.spec
-    q_minus_1 = spec.cardinality - 1
-    log = _log_table(spec)
-    step = q_minus_1 // s
-    lt = log[target.packed()]
-    if lt < 0 or lt % step:
         return None
-    return lt // step * pow(log[g.packed()] // step, -1, s) % s
 
 
 def discrete_log(g: FieldElement, s: int, target: FieldElement
                  ) -> int | None:
-    """Discrete log of target to base g of order s, None when absent,
-    charged to no ledger: table_dlog where reads_log_table holds, an
-    uncharged BsgsTable everywhere else."""
-    if reads_log_table(g.spec):
-        return table_dlog(g, s, target)
-    return BsgsTable(g, s).lookup(target)
+    """Discrete log of target to base g of order s, None when absent.
+
+    Where reads_log_table holds it is one modular division on the field's
+    log table: with step = (q-1)/s, log g = u step for a u prime to s, and
+    target lies in <g> iff step divides its log; then
+    x = (log target / step) u^{-1} mod s.  Everywhere else a BsgsTable
+    answers it.
+    """
+    spec = g.spec
+    if not reads_log_table(spec):
+        return BsgsTable(g, s).lookup(target)
+    log = _log_table(spec)
+    step = (spec.cardinality - 1) // s
+    lt = log[target.packed()]
+    if lt < 0 or lt % step:
+        return None
+    return lt // step * pow(log[g.packed()] // step, -1, s) % s

@@ -90,7 +90,7 @@ def make_equation(spec: FieldSpec, terms, b) -> ExpEquation:
         raise CapExceeded(f"n = {len(coerced)} terms exceeds cap {TERM_CAP}")
     b = spec.element(b)
     fact = factorize(spec.cardinality - 1)
-    orders = tuple(multiplicative_order(g, fact).order for _, g in coerced)
+    orders = tuple(multiplicative_order(g, fact) for _, g in coerced)
     return ExpEquation(spec, tuple(coerced), b, orders)
 
 

@@ -340,9 +340,8 @@ def cmd_orders(args) -> int:
     lines = describe_instance(eq, generated)
     lines.append(f"{'i':>3} {'a':>8} {'g':>8} {'order':>10}")
     for i, (a, g) in enumerate(eq.terms):
-        info = multiplicative_order(g, fact)
         lines.append(f"{i:>3} {a.packed():>8} {g.packed():>8} "
-                     f"{info.order:>10}")
+                     f"{multiplicative_order(g, fact):>10}")
     doc = {"schema": 1, "kind": "orders", "eq": eq.to_dict(),
            "q_minus_1_factorization": list(fact.prime_powers)}
     emit(cfg, lines, doc)

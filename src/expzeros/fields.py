@@ -145,7 +145,7 @@ def _pgcd(a, b, p):
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Rabin irreducibility test for a monic polynomial over F_p."""
     nu = len(poly) - 1
-    if nu == 1:
+    if nu == 1:  # a polynomial of degree 1 has no proper factor
         return True
     mod = list(poly)
     x = [0, 1]
@@ -181,7 +181,7 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
 
 def _first_irreducible(p: int, nu: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of degree nu over F_p."""
-    if nu == 1:
+    if nu == 1:  # X; the loop skips polys with poly[0] = 0, which X divides
         return (0, 1)
     for k in range(p ** nu):
         tail = []
@@ -327,7 +327,7 @@ class FieldElement:
         return all(c == 0 for c in self.coeffs)
 
     def __repr__(self):
-        if self.spec.nu == 1:
+        if self.spec.nu == 1:  # a residue mod p, not a coefficient list
             return f"FF({self.coeffs[0]} mod {self.spec.p})"
         return f"FF({list(self.coeffs)} over p={self.spec.p})"
 
@@ -370,7 +370,7 @@ class FieldElement:
         other = self._check(other)
         spec = self.spec
         p = spec.p
-        if spec.nu == 1:
+        if spec.nu == 1:  # F_p: one integer product, no polynomial reduction
             return FieldElement(spec, (self.coeffs[0] * other.coeffs[0] % p,))
         zech = spec._zech
         if zech is None:
@@ -399,7 +399,7 @@ class FieldElement:
         if self.is_zero():
             raise DivisionByZero("zero has no inverse")
         spec = self.spec
-        if spec.nu == 1:
+        if spec.nu == 1:  # Fermat: x^(p-2), no polynomial gcd
             return FieldElement(spec, (pow(self.coeffs[0], spec.p - 2,
                                            spec.p),))
         # u x = 1 mod the modulus, which is irreducible and monic
@@ -414,7 +414,7 @@ class FieldElement:
         if k < 0:
             return self.inverse() ** (-k)
         spec = self.spec
-        if spec.nu == 1:
+        if spec.nu == 1:  # the built-in modular pow on the residue
             return FieldElement(spec, (pow(self.coeffs[0], k, spec.p),))
         prod = _ppowmod(self.coeffs, k, spec.modulus, spec.p)
         return FieldElement(spec, tuple(prod) + (0,) * (spec.nu - len(prod)))
@@ -422,8 +422,6 @@ class FieldElement:
     def trace(self) -> int:
         """Absolute trace to F_p: x + x^p + ... + x^(p^(nu-1))."""
         spec = self.spec
-        if spec.nu == 1:
-            return self.coeffs[0]
         acc = self
         y = self
         for _ in range(spec.nu - 1):

@@ -316,6 +316,9 @@ def model_quantum_solve(eq: ExpEquation, mode: str,
         m_estimate = float(Fraction(box.r * prod_front, q))
     else:
         raise ValueError(f"unknown mode {mode!r}; use thm2 or thm3")
+    if not math.isfinite(bound):
+        raise Overflow(f"bound with slack (log q)^{slack_exponent} "
+                       "overflows a float")
     t = math.prod(box.limits()[1:])
     m_exact = _count_in_box(eq, box)
     # M is 1 for thm2 and for an empty box; thm3 takes the count, or the

@@ -14,23 +14,21 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arith import (QueryCounter, bsgs_dlog, divisor_count, factorize,
-                    multiplicative_order)
+from .arith import discrete_log, divisor_count, factorize, multiplicative_order
 from .charsum import ExpEquation
 from .errors import InvariantViolated, OrderMismatch
 from .fields import FieldElement, FieldSpec
 from .instances import random_equation
 
 
-def relate_same_order(g1: FieldElement, g2: FieldElement, s: int,
-                      counter: QueryCounter | None = None) -> int:
+def relate_same_order(g1: FieldElement, g2: FieldElement, s: int) -> int:
     """l with g1^l = g2, gcd(l, s) = 1, for g1, g2 both of order s."""
     fact = factorize(g1.spec.cardinality - 1)
     for g in (g1, g2):
         # zero is a mismatch here, not multiplicative_order's ZeroElement
-        if g.is_zero() or multiplicative_order(g, fact).order != s:
+        if g.is_zero() or multiplicative_order(g, fact) != s:
             raise OrderMismatch(f"{g!r} does not have order {s}")
-    l = bsgs_dlog(g1, s, g2, counter)
+    l = discrete_log(g1, s, g2)
     if l is None:
         raise InvariantViolated(
             f"no l with g1^l = g2, though both have order {s}")
@@ -69,8 +67,7 @@ class ReducedEquation:
                 "mu": self.mu, "d_bound": self.d_bound}
 
 
-def reduce_equation(eq: ExpEquation,
-                    counter: QueryCounter | None = None) -> ReducedEquation:
+def reduce_equation(eq: ExpEquation) -> ReducedEquation:
     """Group terms by order and verify the base-power relations."""
     by_order: dict[int, list[int]] = {}
     for i, s in enumerate(eq.orders):
@@ -81,8 +78,7 @@ def reduce_equation(eq: ExpEquation,
         rep = members[0]
         g_rep = eq.terms[rep][1]
         relations = tuple(
-            1 if i == rep else relate_same_order(g_rep, eq.terms[i][1], s,
-                                                 counter)
+            1 if i == rep else relate_same_order(g_rep, eq.terms[i][1], s)
             for i in members)
         groups.append(OrderGroup(s, rep, members, relations))
     mu = len(groups)

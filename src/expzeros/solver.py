@@ -16,20 +16,21 @@ clamped to r = min(r_raw, s_n).  Two regimes follow:
 Every group multiplication the search model spends is charged to the
 report's QueryCounter, in closed form from the scan's outcome: the scan
 itself only computes what the membership test and the one discrete log
-need.  The cost of factoring q-1 and finding the orders is the usual
-sqrt(q) polylog and is reported as a separate modeled line item, not
-folded into the counted search multiplications.
+need.  QueryCounter is defined here: no other layer keeps a ledger.  The
+cost of factoring q-1 and finding the orders is the usual sqrt(q)
+polylog and is reported as a separate modeled line item, not folded
+into the counted search multiplications.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import QueryCounter, bsgs_table_cost, discrete_log, pow_cost
+from .arith import bsgs_table_cost, discrete_log, pow_cost
 from .charsum import (BRUTE_BLOCK, ExpEquation, SearchBox, _grid_targets,
                       box_radius, log_of, make_box, sorted_terms)
 from .errors import CapExceeded, IndexOutOfRange, InvariantViolated, Overflow
@@ -42,6 +43,33 @@ BOX_EXHAUSTED = "box_exhausted"
 
 OUTER_GRID_CAP = 1 << 22
 FIRST_BLOCK = 1 << 10  # outer points in the first block of a scan
+
+
+@dataclass
+class QueryCounter:
+    """Accumulator for classical query accounting.
+
+    group_mults counts field multiplications in the unit group (inversions
+    are charged as one multiplication).  Buckets break the same total down
+    by phase; they always sum to group_mults.
+    """
+
+    group_mults: int = 0
+    dlog_calls: int = 0
+    outer_points_visited: int = 0
+    buckets: dict = field(default_factory=dict)
+
+    def mults(self, k: int, bucket: str = "misc"):
+        self.group_mults += k
+        self.buckets[bucket] = self.buckets.get(bucket, 0) + k
+
+    def to_dict(self) -> dict:
+        return {
+            "group_mults": self.group_mults,
+            "dlog_calls": self.dlog_calls,
+            "outer_points_visited": self.outer_points_visited,
+            "buckets": dict(sorted(self.buckets.items())),
+        }
 
 
 @dataclass(frozen=True)
@@ -94,7 +122,7 @@ def _first_hit(eq: ExpEquation, box: SearchBox, counter: QueryCounter
     matrix products.  The first block holds at most FIRST_BLOCK points
     and each next one twice as many, up to BRUTE_BLOCK, so an early hit
     computes few targets.  Per point the scan only tests t^{s_1} = 1
-    (t != 0), and the hit's x_1 is one uncharged discrete_log.  The
+    (t != 0), and the hit's x_1 is one discrete_log.  The
     ledger is then what the model charges that outcome: one
     multiplication per visited point, a membership test per nonzero
     target, a baby-step table built up front (bsgs_table_cost, whose

@@ -1,4 +1,5 @@
-"""The package's signatures: caps are module constants, not parameters.
+"""The package's signatures: caps are module constants, not parameters,
+and the solver keeps its own ledger: no public callable takes a counter.
 
 A cap that only tests set is a constant (fields.DEFAULT_ENUM_CAP,
 charsum.TERM_CAP, solver.OUTER_GRID_CAP, qmodel.GROVER_SIM_CAP, ...);
@@ -54,6 +55,8 @@ def test_no_cap_parameters():
 
 
 def test_solve_classical_owns_its_ledger():
-    # the report's QueryCounter is the ledger; callers read rep.queries
-    params = inspect.signature(expzeros.solver.solve_classical).parameters
-    assert "counter" not in params
+    # the report's QueryCounter is the ledger; callers read rep.queries,
+    # and no public callable takes a counter to charge
+    found = [name for name, fn in public_callables()
+             if "counter" in inspect.signature(fn).parameters]
+    assert found == []

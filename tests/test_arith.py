@@ -14,20 +14,19 @@ from hypothesis import strategies as st
 from expzeros import arith, cli, fields, solver
 from expzeros.arith import (
     BsgsTable,
-    QueryCounter,
-    bsgs_dlog,
     bsgs_table_cost,
+    discrete_log,
     divisor_count,
     divisors,
     factorize,
     is_prime,
     multiplicative_order,
     pow_cost,
-    table_dlog,
 )
 from expzeros.charsum import make_equation
 from expzeros.errors import MemoryCap, ZeroElement
 from expzeros.fields import FieldSpec, enumerate_units, make_field
+from expzeros.solver import QueryCounter
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +139,39 @@ def test_counted_pow_charges_exact_multiplications():
         counted_pow(g, -1, QueryCounter())
 
 
+def counted_bsgs(g, s, counter):
+    """Baby-step giant-step to the base g of order s, charging `counter`
+    every product it makes: the m - 1 baby steps, g^m by counted_pow and
+    one for its inverse as it builds the table, then one per giant step
+    of each lookup.  Returns the lookup, t -> x in [0, s) with g^x = t or
+    None.  The oracle of bsgs_table_cost and of the x // m lookup charge.
+    """
+    m = math.isqrt(s - 1) + 1
+    table = {}
+    cur = g.spec.one()
+    for j in range(m):
+        table.setdefault(cur.packed(), j)
+        if j + 1 < m:
+            cur = cur * g
+            counter.mults(1, "bsgs_table")
+    giant = counted_pow(g, m, counter, "bsgs_table").inverse()
+    counter.mults(1, "bsgs_table")   # inversion charged as one mult
+
+    def lookup(target):
+        cur, found, steps = target, None, 0
+        for i in range(-(-s // m)):
+            j = table.get(cur.packed())
+            if j is not None and i * m + j < s:
+                found = i * m + j
+                break
+            cur, steps = cur * giant, steps + 1
+        counter.dlog_calls += 1
+        counter.mults(steps, "bsgs_lookup")
+        return found
+
+    return lookup
+
+
 def test_query_counter_dict():
     a = QueryCounter()
     a.mults(3, "setup")
@@ -176,17 +208,16 @@ def test_multiplicative_order_exhaustive_small_fields():
         spec = make_field(p, nu)
         fact = factorize(spec.cardinality - 1)
         for g in enumerate_units(spec):
-            info = multiplicative_order(g, fact)
-            assert info.order == brute_order(g)
-            assert (spec.cardinality - 1) % info.order == 0
-            assert info.element == g
+            s = multiplicative_order(g, fact)
+            assert s == brute_order(g)
+            assert (spec.cardinality - 1) % s == 0
 
 
 def test_multiplicative_order_divisibility_certificate():
     spec = make_field(257)
     fact = factorize(256)
     for g in enumerate_units(spec):
-        s = multiplicative_order(g, fact).order
+        s = multiplicative_order(g, fact)
         assert g ** s == spec.one()
         for p, _ in factorize(s).prime_powers:
             assert g ** (s // p) != spec.one()
@@ -196,11 +227,11 @@ def test_log_table_orders_match_the_pow_loop(monkeypatch):
     fields = [make_field(2, 6), make_field(3, 4), make_field(7, 2),
               make_field(17, 2)]
     facts = [factorize(spec.cardinality - 1) for spec in fields]
-    table = [[multiplicative_order(g, fact).order
+    table = [[multiplicative_order(g, fact)
               for g in enumerate_units(spec)]
              for spec, fact in zip(fields, facts)]
     monkeypatch.setattr(arith, "LOG_TABLE_MAX_Q", 0)   # force the pow loop
-    loop = [[multiplicative_order(g, fact).order
+    loop = [[multiplicative_order(g, fact)
              for g in enumerate_units(spec)]
             for spec, fact in zip(fields, facts)]
     assert table == loop
@@ -213,7 +244,7 @@ def test_log_table_is_the_walk_of_the_first_generator():
     assert table.dtype == np.int32 and table[0] == -1
     assert sorted(table[1:].tolist()) == list(range(242))
     gamma = spec.from_packed(int(np.flatnonzero(table == 1)[0]))
-    assert multiplicative_order(gamma, fact).order == 242
+    assert multiplicative_order(gamma, fact) == 242
     assert all(brute_order(spec.from_packed(k)) < 242
                for k in range(1, gamma.packed()))
     for k in (1, 2, 17, 100, 242):
@@ -248,7 +279,7 @@ def test_first_generator_of_large_extension_fields_is_quick():
     fact = factorize(spec.cardinality - 1)
     gamma = arith._first_generator(spec, fact)
     assert gamma.packed() >= spec.p
-    assert multiplicative_order(gamma, fact).order == spec.cardinality - 1
+    assert multiplicative_order(gamma, fact) == spec.cardinality - 1
     # the scan from packed 1 took seconds on the first field and did not
     # end in 20 s on the second
     assert time.perf_counter() - start < 2
@@ -266,7 +297,7 @@ def test_planted_wrong_log_entry_is_caught(monkeypatch):
     bad[gamma] = 3    # gamma now reads as gamma^3, of order 85
     monkeypatch.setattr(spec, "_zech", (memoryview(bad), antilog))
     wrong = [k for k, s in orders.items()
-             if multiplicative_order(spec.from_packed(k), fact).order != s]
+             if multiplicative_order(spec.from_packed(k), fact) != s]
     assert wrong == [gamma]
 
 
@@ -286,7 +317,7 @@ def test_extension_field_above_table_cap_takes_the_pow_loop(monkeypatch, p,
     for g in [spec.element([0, 1]), spec.element([1, 1, 1])] + [
             spec.from_packed(rng.randrange(2, spec.cardinality))
             for _ in range(3)]:
-        s = multiplicative_order(g, fact).order
+        s = multiplicative_order(g, fact)
         assert (spec.cardinality - 1) % s == 0
         assert g ** s == spec.one()
         for ell, _ in factorize(s).prime_powers:
@@ -300,10 +331,10 @@ def test_largest_table_field_reads_orders_from_its_table(monkeypatch):
     rng = random.Random(14)
     units = [spec.from_packed(rng.randrange(1, spec.cardinality))
              for _ in range(40)]
-    table = [multiplicative_order(g, fact).order for g in units]
+    table = [multiplicative_order(g, fact) for g in units]
     assert spec._zech is not None
     monkeypatch.setattr(arith, "LOG_TABLE_MAX_Q", 0)   # force the pow loop
-    assert table == [multiplicative_order(g, fact).order for g in units]
+    assert table == [multiplicative_order(g, fact) for g in units]
 
 
 def test_evicted_field_still_finds_its_log_table():
@@ -328,9 +359,9 @@ def test_evicted_field_still_finds_its_log_table():
     assert arith._log_table(spec) is table
     assert rebuilt == table and spec._zech[1] == again._zech[1]
     units = (2, 77, 1023)
-    assert [multiplicative_order(again.from_packed(k), fact).order
+    assert [multiplicative_order(again.from_packed(k), fact)
             for k in units] == [
-        multiplicative_order(spec.from_packed(k), fact).order
+        multiplicative_order(spec.from_packed(k), fact)
         for k in units]
     pairs = [(77, 1023), (2, 500), (0, 9)]
     assert [(again.from_packed(a) * again.from_packed(b)).packed()
@@ -431,7 +462,7 @@ def test_multiplicative_order_errors():
         multiplicative_order(f7.zero(), factorize(6))
     with pytest.raises(ValueError):
         multiplicative_order(f7.element(3), factorize(5))
-    assert multiplicative_order(f7.one(), factorize(6)).order == 1
+    assert multiplicative_order(f7.one(), factorize(6)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +470,18 @@ def test_multiplicative_order_errors():
 
 
 def test_bsgs_exhaustive_against_power_walk():
+    # F_{2^6} reads its discrete logs from the log table, so this is the
+    # direct coverage of the baby-step table there
     for p, nu in [(11, 1), (2, 6), (101, 1)]:
         spec = make_field(p, nu)
         fact = factorize(spec.cardinality - 1)
         for g in enumerate_units(spec):
-            s = multiplicative_order(g, fact).order
+            s = multiplicative_order(g, fact)
+            table = BsgsTable(g, s)
             acc = spec.one()
             for x in range(s):
-                assert bsgs_dlog(g, s, acc) == x
+                assert table.lookup(acc) == x
+                assert discrete_log(g, s, acc) == x
                 acc = acc * g
 
 
@@ -455,27 +490,28 @@ def test_bsgs_absent_targets_return_none():
     fact = factorize(100)
     # 5 has order 25 in F_101, so 75 units sit outside <5>
     g = f101.element(5)
-    assert multiplicative_order(g, fact).order == 25
+    assert multiplicative_order(g, fact) == 25
     members = {(g ** x).packed() for x in range(25)}
     outside = [k for k in range(1, 101) if k not in members]
     assert len(outside) == 75
     for k in outside[:10]:
-        assert bsgs_dlog(g, 25, f101.element(k)) is None
+        assert discrete_log(g, 25, f101.element(k)) is None
 
 
 def test_bsgs_multiplication_budget():
     # table + lookup should stay within ~4 sqrt(s) plus log terms
-    for p, s_source in [(1009, None), (65537, None)]:
+    for p in (1009, 65537):
         spec = make_field(p)
         fact = factorize(p - 1)
         rng = random.Random(p)
         for _ in range(20):
             g = spec.element(rng.randrange(1, p))
-            s = multiplicative_order(g, fact).order
+            s = multiplicative_order(g, fact)
             target = g ** rng.randrange(s)
             counter = QueryCounter()
-            x = bsgs_dlog(g, s, target, counter)
+            x = counted_bsgs(g, s, counter)(target)
             assert x is not None and g ** x == target
+            assert x == discrete_log(g, s, target)
             budget = 4 * (math.isqrt(s - 1) + 1) + 2 * s.bit_length() + 8
             assert counter.group_mults <= budget
             assert counter.dlog_calls == 1
@@ -485,7 +521,7 @@ def test_bsgs_multiplication_budget():
 def test_bsgs_table_reuse_matches_one_shot():
     f257 = make_field(257)
     g = f257.element(3)
-    s = multiplicative_order(g, factorize(256)).order
+    s = multiplicative_order(g, factorize(256))
     assert s == 256
     table = BsgsTable(g, s)
     rng = random.Random(0)
@@ -493,19 +529,20 @@ def test_bsgs_table_reuse_matches_one_shot():
         x = rng.randrange(s)
         target = g ** x
         assert table.lookup(target) == x
-        assert bsgs_dlog(g, s, target) == x
-    # each lookup books itself as one dlog call, hit or miss
-    counter = QueryCounter()
-    table.lookup(g ** 5, counter)
-    table.lookup(f257.zero(), counter)
-    assert counter.dlog_calls == 2
+        assert discrete_log(g, s, target) == x
+    assert table.lookup(f257.zero()) is None
 
 
 def test_bsgs_order_one_and_memory_cap():
     f7 = make_field(7)
     one = f7.one()
-    assert bsgs_dlog(one, 1, one) == 0
-    assert bsgs_dlog(one, 1, f7.element(3)) is None
+    assert discrete_log(one, 1, one) == 0
+    assert discrete_log(one, 1, f7.element(3)) is None
+    # and on the log-table route, where log g = 0 and u^{-1} mod 1 is 0
+    f64 = make_field(2, 6)
+    assert arith.reads_log_table(f64)
+    assert discrete_log(f64.one(), 1, f64.one()) == 0
+    assert discrete_log(f64.one(), 1, f64.from_packed(2)) is None
     with pytest.raises(MemoryCap):
         BsgsTable(f7.element(3), 2 ** 50)
     with pytest.raises(ValueError):
@@ -520,9 +557,10 @@ def element_of_order(s):
     return arith._first_generator(spec, fact) ** ((p - 1) // s)
 
 
-def test_bsgs_cost_rule_is_what_the_table_books(monkeypatch):
-    # the rule against the multiplications the table really makes: the
-    # baby steps' products, square-and-multiply for g^m, one inversion
+def test_bsgs_cost_rule_is_what_the_table_makes(monkeypatch):
+    # the rule against the products the counted reference makes, and
+    # against those BsgsTable itself makes: the baby steps' products,
+    # square-and-multiply for g^m, one inversion
     mul = arith.FieldElement.__mul__
     products = []
 
@@ -530,26 +568,35 @@ def test_bsgs_cost_rule_is_what_the_table_books(monkeypatch):
         products.append(1)
         return mul(x, y)
 
-    monkeypatch.setattr(arith.FieldElement, "__mul__", counted_mul)
     for s in range(1, 301):
         g = element_of_order(s)
         m, cost = bsgs_table_cost(s)
         counter = QueryCounter()
-        products.clear()
-        table = BsgsTable(g, s, counter)
-        assert table.m == m == math.isqrt(s - 1) + 1
-        assert cost == len(products) + pow_cost(m) + 1
-        assert pow_cost(m) == bin(m).count("1") + m.bit_length() - 1
+        lookup = counted_bsgs(g, s, counter)
         assert counter.to_dict() == {
             "group_mults": cost, "dlog_calls": 0, "outer_points_visited": 0,
             "buckets": {"bsgs_table": cost}}
-        # a lookup of g^x takes x // m giant steps
+        with monkeypatch.context() as patch:
+            patch.setattr(arith.FieldElement, "__mul__", counted_mul)
+            products.clear()
+            table = BsgsTable(g, s)
+            assert table.m == m == math.isqrt(s - 1) + 1
+            assert cost == len(products) + pow_cost(m) + 1
+            assert pow_cost(m) == bin(m).count("1") + m.bit_length() - 1
+            # a lookup of g^x takes x // m giant steps
+            target = g.spec.one()
+            for x in range(s):
+                products.clear()
+                assert table.lookup(target) == x
+                assert len(products) == x // m
+                target = mul(target, g)
         target = g.spec.one()
         for x in range(s):
-            counter = QueryCounter()
-            assert table.lookup(target, counter) == x
-            assert counter.buckets == {"bsgs_lookup": x // m}
+            before = counter.group_mults
+            assert lookup(target) == x
+            assert counter.group_mults - before == x // m
             target = target * g
+        assert counter.dlog_calls == s
 
 
 def test_bsgs_cost_rule_refuses_where_the_table_does(monkeypatch):
@@ -577,18 +624,19 @@ def test_bsgs_cost_rule_refuses_where_the_table_does(monkeypatch):
 
 @pytest.mark.parametrize("p, nu", [(2, 6), (3, 4), (5, 2)])
 def test_table_dlog_matches_bsgs_for_every_base_and_target(p, nu):
-    # every unit g is a base, so every s | q - 1 occurs as its order
+    # discrete_log's log-table route against the baby-step table; every
+    # unit g is a base, so every s | q - 1 occurs as its order
     spec = make_field(p, nu)
     assert arith.reads_log_table(spec)
     fact = factorize(spec.cardinality - 1)
     units = list(enumerate_units(spec))
     orders = set()
     for g in units:
-        s = multiplicative_order(g, fact).order
+        s = multiplicative_order(g, fact)
         orders.add(s)
         table = BsgsTable(g, s)
-        logs = [table_dlog(g, s, t) for t in units]
+        logs = [discrete_log(g, s, t) for t in units]
         assert logs == [table.lookup(t) for t in units]
         assert logs.count(None) == len(units) - s
-        assert table_dlog(g, s, spec.zero()) is None
+        assert discrete_log(g, s, spec.zero()) is None
     assert orders == set(divisors(spec.cardinality - 1))

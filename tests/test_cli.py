@@ -417,6 +417,10 @@ def test_missing_inputs_exit_1():
     (["qmodel", "--slack-exponent", "10000"], "slack"),
     (["qmodel", "--slack-exponent", "10000", "--mode", "thm3"], "slack"),
     (["reduce", "--samples", "-1"], "need samples >= 1"),
+    # (ln 7)^1066 is a float, but the bound it multiplies is not
+    (["qmodel", "--terms", "1,3;1,2", "--slack-exponent", "1066"], "slack"),
+    (["qmodel", "--terms", "1,3;1,2", "--slack-exponent", "1066", "--mode",
+      "thm3"], "slack"),
 ])
 def test_bad_parameter_exits_1_with_one_error_line(argv, names):
     rc, out, err = run([argv[0], "--p", "7", "--terms", "1,3", "--b", "1",

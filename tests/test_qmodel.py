@@ -285,10 +285,14 @@ def test_thm2_single_term():
 
 @pytest.mark.parametrize("mode", ["thm2", "thm3"])
 def test_slack_past_a_float_raises_overflow(mode):
-    # (ln 7)^10000 is past a float in either mode
-    eq = make_equation(make_field(7), [(1, 3)], 1)
-    with pytest.raises(Overflow, match="slack"):
-        model_quantum_solve(eq, mode, slack_exponent=10000)
+    # (ln 7)^10000 is past a float; (ln 7)^1066 is not, but the bound it
+    # multiplies is, in either mode
+    eq = make_equation(make_field(7), [(1, 3), (1, 2)], 1)
+    for slack_exponent in (1066, 10000):
+        with pytest.raises(Overflow, match="slack"):
+            model_quantum_solve(eq, mode, slack_exponent=slack_exponent)
+    assert model_quantum_solve(eq, mode, slack_exponent=1064
+                               ).theoretical_bound < math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from expzeros.arith import QueryCounter, divisor_count, factorize, divisors
+from expzeros import arith
+from expzeros.arith import BsgsTable, divisor_count, divisors, factorize
 from expzeros.charsum import make_equation
 from expzeros.errors import OrderMismatch
 from expzeros.fields import make_field
@@ -70,6 +71,32 @@ def test_relate_round_trip_exhaustive():
                 assert relate_same_order(g1, g1 ** k, s) == k
 
 
+@pytest.mark.parametrize("p, nu", [(3, 4), (2, 6), (5, 2), (2, 8), (97, 2),
+                                   (3, 9), (101, 1)])
+def test_relate_takes_the_log_table_where_the_field_has_one(monkeypatch, p,
+                                                            nu):
+    # the relation is discrete_log's: a modular division on the log table
+    # up to LOG_TABLE_MAX_Q, a baby-step table elsewhere, the same l
+    spec = make_field(p, nu)
+    gen = find_generator(spec)
+    q = spec.cardinality
+    rng = random.Random(q)
+    pairs = []
+    for _ in range(20):
+        s = rng.choice(divisors(q - 1))
+        g1 = element_of_order(spec, s, gen)
+        k = rng.choice([k for k in range(1, s + 1) if math.gcd(k, s) == 1])
+        pairs.append((g1, g1 ** k, s))
+    # the lookup gives 0 only at s = 1, where the relation is 1
+    expected = [BsgsTable(g1, s).lookup(g2) or 1 for g1, g2, s in pairs]
+    if arith.reads_log_table(spec):
+        def no_table(*args):
+            raise AssertionError("a baby-step table on a log-table field")
+
+        monkeypatch.setattr(arith, "BsgsTable", no_table)
+    assert [relate_same_order(*pair) for pair in pairs] == expected
+
+
 def test_relate_substitution_identity():
     # a g2^x == a (g1^l)^x for every exponent x, so grouped terms can be
     # rewritten on the representative base
@@ -84,15 +111,6 @@ def test_relate_substitution_identity():
         for _ in range(10):
             x = rng.randrange(s)
             assert a * g2 ** x == a * g1 ** (l * x % s)
-
-
-def test_relate_counter_accounting():
-    spec = make_field(257)
-    counter = QueryCounter()
-    relate_same_order(spec.element(3), spec.element(5), 256, counter)
-    assert counter.dlog_calls == 1
-    assert counter.group_mults == sum(counter.buckets.values())
-    assert counter.group_mults <= 4 * (math.isqrt(255) + 1) + 20
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +157,13 @@ def test_reduce_verifies_relations_everywhere():
             assert orders_desc == sorted(orders_desc, reverse=True)
 
 
-def test_reduce_single_group_and_counter():
+def test_reduce_single_group():
     spec = make_field(101)
     eq = make_equation(spec, [(1, 2), (5, 2), (7, 2)], 3)
-    counter = QueryCounter()
-    red = reduce_equation(eq, counter)
+    red = reduce_equation(eq)
     assert red.mu == 1
     assert red.groups[0].members == (0, 1, 2)
     assert red.groups[0].relations == (1, 1, 1)   # identical bases
-    assert counter.dlog_calls == 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from expzeros.arith import BsgsTable, pow_cost
+from expzeros.arith import pow_cost
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +37,7 @@ from expzeros.solver import (
     solve_classical,
     verify_solution,
 )
+from test_arith import counted_bsgs
 
 
 def eval_equation(eq, x):
@@ -542,16 +543,16 @@ def test_accounting_scales_like_sqrt_q_times_r():
 
 def reference_first_hit(eq, box, counter):
     """The counted scan, in scalar field arithmetic: every charge booked
-    as the model spends it, point by point, with a charged BsgsTable built
-    before the scan and one charged lookup at the hit.  solver._first_hit
-    must return the same hit and fill the same ledger."""
+    as the model spends it, point by point, with the counted baby-step
+    table built before the scan and one counted lookup at the hit.
+    solver._first_hit must return the same hit and fill the same ledger."""
     spec = eq.spec
     terms = sorted_terms(eq, box)
     a1, g1 = terms[0]
     s1 = box.orders_sorted[0]
     a1_inv = a1.inverse()
     counter.mults(1, "setup")
-    table = BsgsTable(g1, s1, counter)
+    lookup = counted_bsgs(g1, s1, counter)
     walks = []
     for (a, g), limit in zip(terms[1:], box.limits()[1:]):
         walks.append([a * g ** x for x in range(limit)])
@@ -565,7 +566,7 @@ def reference_first_hit(eq, box, counter):
         counter.mults(pow_cost(s1), "membership")
         if t ** s1 != spec.one():
             continue
-        return index, table.lookup(t, counter)
+        return index, lookup(t)
     return None
 
 
@@ -661,11 +662,11 @@ print("walk", cli.main(FOUND_ARGS))
 solver._power_walk = walk
 
 # membership passes, but the discrete log is not in the baby-step table
-arith.BsgsTable.lookup = lambda self, t, counter=None: None
+arith.BsgsTable.lookup = lambda self, t: None
 print("lookup", cli.main(FOUND_ARGS))
 
-# membership passes, but the log-table route finds no discrete log
-arith.table_dlog = lambda *args: None
+# membership passes, but the discrete log finds nothing on the log table
+solver.discrete_log = lambda *args: None
 print("table", cli.main(["solve", "--p", "3", "--nu", "4", "--terms",
                          "2,9;3,9", "--b", "1"]))
 
@@ -677,7 +678,7 @@ except errors.InvariantViolated:
     print("bbht held")
 
 # two terms of one order whose relation the discrete log cannot find
-reduction.bsgs_dlog = lambda *args: None
+reduction.discrete_log = lambda *args: None
 print("reduce", cli.main(["reduce", "--p", "101", "--terms", "1,2;3,2",
                           "--b", "0"]))
 """
