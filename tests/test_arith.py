@@ -496,6 +496,12 @@ def test_bsgs_absent_targets_return_none():
     assert len(outside) == 75
     for k in outside[:10]:
         assert discrete_log(g, 25, f101.element(k)) is None
+    # logs lie in [0, s): with s = 10 below the order 100 of 2, the
+    # giant steps reach g^10 and g^11 but the table reports neither
+    two = f101.element(2)
+    table = BsgsTable(two, 10)
+    assert [table.lookup(two ** x) for x in range(12)] == [*range(10),
+                                                           None, None]
 
 
 def test_bsgs_multiplication_budget():
