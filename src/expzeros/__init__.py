@@ -22,7 +22,7 @@ the constant:
     charsum.EXACT_WORK_CAP     2^28  int64 adds of the exact convolution
     charsum.LIST_CAP           2^16  box points whose solutions are listed
     solver.OUTER_GRID_CAP      2^22  outer grid points of one search
-    arith.BSGS_TABLE_CAP       2^24  baby steps of one BSGS table
+    arith.BSGS_TABLE_CAP       2^20  baby steps of one BSGS table (~113 MB)
     qmodel.GROVER_SIM_CAP      2^14  items of a Grover simulation
 """
 

@@ -6,12 +6,13 @@ This module computes; it charges no ledger.  pow_cost and bsgs_table_cost
 are the cost rules the solver writes its own ledger from.  It keeps no
 state either: a field's log table and its antilog, two int32 arrays, live
 on its FieldSpec.  Orders and discrete logs build them on first use; FieldElement
-products read them where they exist.
+products and power walks read them where they exist.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,11 @@ from .errors import InvariantViolated, MemoryCap, ZeroElement
 from .fields import FieldElement, FieldSpec, _is_prime, _pack, _power_walk
 
 TRIAL_DIVISION_BOUND = 10 ** 6
-BSGS_TABLE_CAP = 1 << 24
+# Baby steps of one BsgsTable: its dict holds about 108 B an entry
+# (tracemalloc), so a table at the cap takes about 113 MB, the memory
+# budget of one table, and seconds to build (9.7 s at 2^20 over
+# F_1099511627791 on a 2-CPU Xeon).  Orders past 2^40 are refused.
+BSGS_TABLE_CAP = 1 << 20
 # Extension fields up to here read orders from a log table.  Its one-off
 # build (2-CPU Xeon) costs at most 7 ms up to 2^14 elements and is
 # repaid after 3 to 35 orders in that field.  F_{2^16} takes 31 ms and
@@ -244,22 +249,35 @@ class BsgsTable:
         return None
 
 
-def discrete_log(g: FieldElement, s: int, target: FieldElement
-                 ) -> int | None:
-    """Discrete log of target to base g of order s, None when absent.
+def discrete_logs(g: FieldElement, s: int
+                  ) -> Callable[[FieldElement], int | None]:
+    """The function target -> discrete log of target to base g of order
+    s (None when absent), with its table set up once for every target.
 
-    Where reads_log_table holds it is one modular division on the field's
-    log table: with step = (q-1)/s, log g = u step for a u prime to s, and
-    target lies in <g> iff step divides its log; then
-    x = (log target / step) u^{-1} mod s.  Everywhere else a BsgsTable
-    answers it.
+    Where reads_log_table holds a lookup is one modular division on the
+    field's log table: with step = (q-1)/s, log g = u step for a u prime
+    to s, and target lies in <g> iff step divides its log; then
+    x = (log target / step) u^{-1} mod s.  Everywhere else it is a lookup
+    in one BsgsTable, built here.
     """
     spec = g.spec
     if not reads_log_table(spec):
-        return BsgsTable(g, s).lookup(target)
+        return BsgsTable(g, s).lookup
     log = _log_table(spec)
     step = (spec.cardinality - 1) // s
-    lt = log[target.packed()]
-    if lt < 0 or lt % step:
-        return None
-    return lt // step * pow(log[g.packed()] // step, -1, s) % s
+    u_inv = pow(log[g.packed()] // step, -1, s)
+
+    def lookup(target: FieldElement) -> int | None:
+        lt = log[target.packed()]
+        if lt < 0 or lt % step:
+            return None
+        return lt // step * u_inv % s
+
+    return lookup
+
+
+def discrete_log(g: FieldElement, s: int, target: FieldElement
+                 ) -> int | None:
+    """Discrete log of target to base g of order s, None when absent: one
+    lookup of `discrete_logs(g, s)`."""
+    return discrete_logs(g, s)(target)

@@ -19,8 +19,10 @@ That sum is a discrete Fourier transform on the additive group
 the walks a_j g_j^x, and N_{f_b}(r) for every b at once is the
 convolution of those histograms.  `spectral_counts` transforms the long
 walks' histograms, certified against rounding or redone in exact
-integers, and shifts and adds the short ones exactly; `brute_count` is
-the independent exhaustive oracle.
+integers, and shifts and adds the short ones exactly.  `brute_count`
+is the independent exhaustive oracle: a sorted join that meets in the
+middle, matching the sums over the leading coordinates against b minus
+the sums over the trailing ones.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from .fields import (FieldElement, FieldSpec, _add_mod, _check_enum,
 
 TERM_CAP = 16
 LIST_CAP = 1 << 16
-BRUTE_BLOCK = 1 << 16  # box points per comparison block in brute_count
+# Box points per block: brute_count's trailing sub-box and each block of
+# its leading points, and the solver's largest outer block.
+BRUTE_BLOCK = 1 << 16
 MAX_CARD = (1 << 63) - 1
 
 
@@ -618,20 +622,43 @@ def check_box_card(box: SearchBox) -> None:
     _check_enum(box.card, "box cardinality")
 
 
+def _join_split(limits: tuple[int, ...]) -> int:
+    """The number k >= 1 of head coordinates `brute_count` enumerates:
+    the k with the fewest points on both sides of the join,
+    prod(limits[:k]) + prod(limits[k:]), whose trailing sub-box fits in
+    BRUTE_BLOCK; ties go to the larger k, the smaller table.  (k = 0 never
+    wins: s_1 + card / s_1 <= 1 + card.)
+    """
+    best, split = math.inf, len(limits)
+    for k in range(len(limits), 0, -1):
+        tail = math.prod(limits[k:])
+        if tail > BRUTE_BLOCK:
+            break
+        points = math.prod(limits[:k]) + tail
+        if points < best:
+            best, split = points, k
+    return split
+
+
 def brute_count(eq: ExpEquation, box: SearchBox,
                 list_cap: int = LIST_CAP,
                 walks: list[np.ndarray] | None = None
                 ) -> tuple[int, list[tuple[int, ...]] | None]:
     """Exhaustive count over the box; the oracle for every other count.
 
-    Evaluates f over the box in C order of the sorted coordinates, which
-    is lexicographic order, in blocks of at most BRUTE_BLOCK points.  The
-    values b minus the sums over the trailing coordinates whose sub-box
-    fits in a block are materialized once (digit rows added mod p); each
-    block pairs them with a run of leading-coordinate points, and a point
-    solves f_b = 0 exactly when its leading sum equals b minus its
-    trailing sum.  `walks` are `box_walks(eq, box)` (shared with
-    `spectral_counts`), computed here when not given.
+    A sorted join, meeting in the middle (Horowitz & Sahni, J. ACM 21,
+    1974): a point solves f_b = 0 exactly when the sum over its leading
+    k coordinates equals b minus the sum over its trailing ones, k from
+    `_join_split`.  The trailing values (digit rows added mod p) are
+    packed once and stably sorted; the leading sums come in C order of
+    the sorted coordinates, blocks of at most BRUTE_BLOCK points, and
+    `searchsorted` left and right gives each one the run of trailing
+    values equal to it, so repeated trailing sums count with their
+    multiplicity.  The flat index head * R + t of a match (R trailing
+    points) then runs in lexicographic order: heads ascend block by block,
+    and the stable sort keeps equal trailing values in index order.
+    `walks` are `box_walks(eq, box)` (shared with `spectral_counts`),
+    computed here when not given.
     Returns (N, solutions) with solution tuples in *original* term order,
     or (N, None) when box.card exceeds list_cap.
     """
@@ -641,9 +668,7 @@ def brute_count(eq: ExpEquation, box: SearchBox,
     dtype = _digit_dtype(p)
     limits = box.limits()
     keep_list = box.card <= list_cap
-    split = box.n
-    while split > 0 and math.prod(limits[split - 1:]) <= BRUTE_BLOCK:
-        split -= 1
+    split = _join_split(limits)
     walks = list(box_walks(eq, box)) if walks is None else walks
     # b minus the trailing sums: b plus the trailing walks with their
     # digits negated (p - d, 0 staying 0), short walks copied once each
@@ -653,19 +678,26 @@ def brute_count(eq: ExpEquation, box: SearchBox,
                         np.where(walk == 0, walk, p - walk)[None, :, :],
                         p).reshape(-1, nu)
     rest = _pack(rest, p)
+    order = np.argsort(rest, kind="stable")
+    rest = rest[order]
     zero = np.zeros(nu, dtype=dtype)
     head_limits = limits[:split]
     head_card = math.prod(head_limits)
-    step = max(1, BRUTE_BLOCK // len(rest))
     count = 0
-    hits = []
-    for lo in range(0, head_card, step):
-        head = _grid_targets(zero, walks, head_limits, lo,
-                             min(lo + step, head_card), p)
-        found = np.flatnonzero(_pack(head, p)[:, None] == rest[None, :])
-        count += len(found)
-        if keep_list:
-            hits.append(found + lo * len(rest))
+    hits = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, head_card, BRUTE_BLOCK):
+        head = _pack(_grid_targets(zero, walks, head_limits, lo,
+                                   min(lo + BRUTE_BLOCK, head_card), p), p)
+        left = np.searchsorted(rest, head, side="left")
+        runs = np.searchsorted(rest, head, side="right") - left
+        found = int(runs.sum())
+        count += found
+        if keep_list and found:
+            # the run of each matching head, in head order
+            heads = np.repeat(np.arange(lo, lo + len(head)), runs)
+            starts = np.repeat(left - np.cumsum(runs) + runs, runs)
+            hits.append(heads * len(rest)
+                        + order[starts + np.arange(found)])
     if not keep_list:
         return count, None
     coords = np.unravel_index(np.concatenate(hits), limits)

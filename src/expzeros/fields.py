@@ -11,14 +11,16 @@ The packed integer encoding sum_i c_i p^i is the wire format used by the
 CLI and by the fast table-based routines in charsum/density.  Those get
 their runs of powers a g^x from `_power_walk`, which computes them as
 coefficient rows with numpy matrix products instead of one FieldElement
-multiplication per step.
+multiplication per step, or reads them from the field's log table where
+the field already holds one.
 
 A scalar product in an extension field is a polynomial product reduced
 mod the modulus, O(nu^2) Python steps, unless the field already holds
 its log table (arith builds it where orders and discrete logs repay it,
 q <= 2^14).  Then the product is a Zech-logarithm lookup,
 antilog[(log a + log b) mod (q-1)]: two packings, three int32 reads and
-one unpacking.  A product never builds a table itself.
+one unpacking.  A product never builds a table itself, and neither does
+a walk.
 """
 
 from __future__ import annotations
@@ -488,16 +490,30 @@ def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _power_walk(a: FieldElement, g: FieldElement, limit: int) -> np.ndarray:
-    """Coefficient rows of a * g^x for x = 0..limit-1, shape (limit, nu).
+    """Coefficient rows of a * g^x for x = 0..limit-1, shape (limit, nu),
+    in _digit_dtype(p).
 
-    Doubling with the multiplication matrix: once the rows for x < k are
-    known, rows @ M_g^k mod p gives those for k <= x < 2k, and M_g^k is
-    squared for the next round.  That is log2(limit) matrix products and
-    no field multiplication per step, in the dtype of _exact_dtype.  The
-    rows are returned in _digit_dtype(p).
+    Where the field already holds its log table (`spec._zech`, set by
+    arith), the rows are antilog[(log a + x log g) mod (q-1)], unpacked
+    to digits: one int64 arithmetic progression, one gather and nu digit
+    divisions.  Everywhere else, prime fields included, the walk doubles
+    with the multiplication matrix: once the rows for x < k are known,
+    rows @ M_g^k mod p gives those for k <= x < 2k, and M_g^k is squared
+    for the next round.  That is log2(limit) matrix products and no field
+    multiplication per step, in the dtype of _exact_dtype.  Like a
+    product, a walk never builds a table, so the table's own build walks
+    by matrix.
     """
     spec = a.spec
     p, nu = spec.p, spec.nu
+    zech = spec._zech
+    if zech is not None and not (a.is_zero() or g.is_zero()):
+        log, antilog = zech
+        exps = (log[a.packed()] + log[g.packed()]
+                * np.arange(limit, dtype=np.int64)) % (spec.cardinality - 1)
+        packed = np.asarray(antilog)[exps]
+        digits = packed[:, None] // p ** np.arange(nu, dtype=np.int32) % p
+        return digits.astype(_digit_dtype(p))
     dtype = _exact_dtype(p, nu)
     rows = np.empty((limit, nu), dtype=dtype)
     rows[0] = a.coeffs

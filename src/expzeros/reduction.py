@@ -14,21 +14,19 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arith import discrete_log, divisor_count, factorize, multiplicative_order
+from .arith import (discrete_log, discrete_logs, divisor_count, factorize,
+                    multiplicative_order)
 from .charsum import ExpEquation
 from .errors import InvariantViolated, OrderMismatch
 from .fields import FieldElement, FieldSpec
 from .instances import random_equation
 
 
-def relate_same_order(g1: FieldElement, g2: FieldElement, s: int) -> int:
-    """l with g1^l = g2, gcd(l, s) = 1, for g1, g2 both of order s."""
-    fact = factorize(g1.spec.cardinality - 1)
-    for g in (g1, g2):
-        # zero is a mismatch here, not multiplicative_order's ZeroElement
-        if g.is_zero() or multiplicative_order(g, fact) != s:
-            raise OrderMismatch(f"{g!r} does not have order {s}")
-    l = discrete_log(g1, s, g2)
+def _checked_relation(g1: FieldElement, g2: FieldElement, s: int,
+                      l: int | None) -> int:
+    """The discrete log l of g2 to base g1, both of order s, once it is
+    checked to be a unit mod s taking g1 to g2 (0, only at s = 1, read
+    as 1)."""
     if l is None:
         raise InvariantViolated(
             f"no l with g1^l = g2, though both have order {s}")
@@ -38,6 +36,16 @@ def relate_same_order(g1: FieldElement, g2: FieldElement, s: int) -> int:
         raise InvariantViolated(
             f"l = {l} is not a unit mod {s} taking g1 to g2")
     return l
+
+
+def relate_same_order(g1: FieldElement, g2: FieldElement, s: int) -> int:
+    """l with g1^l = g2, gcd(l, s) = 1, for g1, g2 both of order s."""
+    fact = factorize(g1.spec.cardinality - 1)
+    for g in (g1, g2):
+        # zero is a mismatch here, not multiplicative_order's ZeroElement
+        if g.is_zero() or multiplicative_order(g, fact) != s:
+            raise OrderMismatch(f"{g!r} does not have order {s}")
+    return _checked_relation(g1, g2, s, discrete_log(g1, s, g2))
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,12 @@ class ReducedEquation:
 
 
 def reduce_equation(eq: ExpEquation) -> ReducedEquation:
-    """Group terms by order and verify the base-power relations."""
+    """Group terms by order and verify the base-power relations.
+
+    The orders are eq.orders, verified when the equation was made, and
+    each group of two or more terms sets up one discrete-log table to
+    its representative's base for all its members.
+    """
     by_order: dict[int, list[int]] = {}
     for i, s in enumerate(eq.orders):
         by_order.setdefault(s, []).append(i)
@@ -77,10 +90,13 @@ def reduce_equation(eq: ExpEquation) -> ReducedEquation:
         members = tuple(by_order[s])
         rep = members[0]
         g_rep = eq.terms[rep][1]
-        relations = tuple(
-            1 if i == rep else relate_same_order(g_rep, eq.terms[i][1], s)
-            for i in members)
-        groups.append(OrderGroup(s, rep, members, relations))
+        relations = [1]
+        if len(members) > 1:
+            dlog = discrete_logs(g_rep, s)
+            for i in members[1:]:
+                g = eq.terms[i][1]
+                relations.append(_checked_relation(g_rep, g, s, dlog(g)))
+        groups.append(OrderGroup(s, rep, members, tuple(relations)))
     mu = len(groups)
     d_bound = divisor_count(eq.q - 1)
     if mu > d_bound:

@@ -3,12 +3,16 @@ Gauss sums, and the factored character-sum count against brute force.
 """
 
 import cmath
+import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expzeros import fields
+from expzeros import charsum, fields
 from expzeros.arith import factorize, multiplicative_order
 from expzeros.charsum import (
     ExpEquation,
@@ -335,3 +339,117 @@ def test_charsum_independent_of_term_listing_order():
     assert abs(ca - cb) < 1e-9
     assert brute_count(eq_ab, make_box(eq_ab))[0] == \
         brute_count(eq_ba, make_box(eq_ba))[0]
+
+
+# ---------------------------------------------------------------------------
+# brute_count against plain enumeration
+
+
+def enumerated_solutions(eq, box):
+    """Every point of the box by itertools.product, in lexicographic order
+    of the sorted coordinates, evaluated with FieldElement arithmetic; the
+    solutions in original term order."""
+    powers = [[a * g ** x for x in range(limit)]
+              for (a, g), limit in zip(sorted_terms(eq, box), box.limits())]
+    sols = []
+    for xs in itertools.product(*(range(limit) for limit in box.limits())):
+        total = eq.spec.zero()
+        for walk, x in zip(powers, xs):
+            total = total + walk[x]
+        if total == eq.b:
+            x = [0] * box.n
+            for k, orig in enumerate(box.perm):
+                x[orig] = xs[k]
+            sols.append(tuple(x))
+    return sols
+
+
+def equation_of_orders(spec, orders, rng, b):
+    """Terms with the given orders (each dividing q - 1) and random a."""
+    q = spec.cardinality
+    gen = find_generator(spec)
+    terms = [(spec.from_packed(rng.randrange(1, q)), gen ** ((q - 1) // s))
+             for s in orders]
+    return make_equation(spec, terms, b)
+
+
+# Every split _join_split can pick, n = 1..4, over F_13 (orders divide 12):
+# (orders, r, BRUTE_BLOCK, k).  A block below the trailing sub-box forces
+# a later split, and k = n joins the whole box against b alone.
+SPLIT_CASES = [
+    ((12,), 12, 1 << 16, 1),
+    ((12, 6), 6, 1 << 16, 1),
+    ((12, 6), 6, 5, 2),
+    ((12, 6, 4), 4, 1 << 16, 1),
+    ((12, 6, 4), 4, 23, 2),
+    ((12, 6, 4), 4, 3, 3),
+    ((12, 4, 3), 2, 1 << 16, 1),
+    ((12, 6, 4, 3), 3, 1 << 16, 2),  # 12 + 72 = 72 + 12: the larger k
+    ((12, 4, 3, 2), 2, 1 << 16, 1),
+    ((12, 4, 3, 2), 2, 6, 2),
+    ((12, 4, 3, 2), 2, 5, 3),
+    ((12, 4, 3, 2), 2, 1, 4),
+]
+
+
+@pytest.mark.parametrize("orders, r, block, k", SPLIT_CASES)
+def test_brute_count_every_split_matches_enumeration(orders, r, block, k):
+    spec = make_field(13)
+    rng = random.Random(len(orders) * 100 + block)
+    eq = equation_of_orders(spec, orders, rng, 0)
+    box = make_box(eq, r)
+    limits = box.limits()
+    for b in range(13):
+        eq = make_equation(spec, eq.terms, b)
+        sols = enumerated_solutions(eq, box)
+        with mock.patch.object(charsum, "BRUTE_BLOCK", block):
+            assert charsum._join_split(limits) == k
+            assert brute_count(eq, box) == (len(sols), sols)
+            assert brute_count(eq, box, list_cap=0) == (len(sols), None)
+
+
+def test_split_cases_repeat_trailing_sums():
+    # a trailing sub-box of more than q = 13 points repeats some sum, so
+    # its matches must be counted with their multiplicity
+    tails = [math.prod((orders[:-1] + (r,))[k:])
+             for orders, r, _, k in SPLIT_CASES]
+    assert max(tails) > 13
+
+
+JOIN_FIELDS = [(7, 1), (13, 1), (31, 1), (101, 1), (2, 3), (2, 4), (3, 2),
+               (5, 2), (3, 3), (2, 6)]
+
+
+def small_box_orders(q, n, draw):
+    """n divisors of q - 1 whose box stays under 2 000 points."""
+    divs = [d for d in range(1, q) if (q - 1) % d == 0]
+    orders = []
+    for _ in range(n):
+        room = 2000 // math.prod(orders)
+        orders.append(draw(st.sampled_from([d for d in divs if d <= room])))
+    return orders
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(JOIN_FIELDS), n=st.integers(1, 4),
+       data=st.data(),
+       block=st.sampled_from([1, 2, 3, 7, 64, 1 << 16]),
+       list_cap=st.sampled_from([0, charsum.LIST_CAP]))
+def test_brute_count_matches_enumeration(field, n, data, block, list_cap):
+    # the sorted join against every box point evaluated one by one: its
+    # count, its list and that list's order, past a small block too
+    spec = make_field(*field)
+    q = spec.cardinality
+    rng = random.Random(data.draw(st.integers(0, 1 << 30)))
+    orders = small_box_orders(q, n, data.draw)
+    eq = equation_of_orders(spec, orders, rng, rng.randrange(q))
+    box = make_box(eq, data.draw(st.integers(1, min(orders))))
+    if data.draw(st.booleans()):  # plant a solution
+        x = [rng.randrange(limit) for limit in box.limits()]
+        terms = sorted_terms(eq, box)
+        b = sum((a * g ** xi for (a, g), xi in zip(terms, x)), spec.zero())
+        eq = make_equation(spec, eq.terms, b)
+    sols = enumerated_solutions(eq, box)
+    with mock.patch.object(charsum, "BRUTE_BLOCK", block):
+        got = brute_count(eq, box, list_cap=list_cap)
+    assert got == (len(sols), sols if box.card <= list_cap else None)

@@ -16,9 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expzeros import charsum, cli, fields
+from expzeros import arith, charsum, cli, fields
 from expzeros import density as density_mod
+from expzeros.charsum import make_equation
 from expzeros.cli import ConfigError, main, parse_config_file, parse_terms
+from expzeros.errors import MemoryCap
+from expzeros.fields import make_field
+from expzeros.reduction import reduce_equation
+from expzeros.solver import solve_classical
 from test_density import report_from_dict
 
 
@@ -434,6 +439,23 @@ def test_cardinality_cap_exits_2():
     rc, _, err = run(["count", "--p", "1009",
                       "--terms", "1,11;1,11;1,11", "--b", "0"])
     assert rc == 2 and "cap" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "reduce"])
+def test_baby_step_table_past_the_cap_exits_2(command):
+    # p = 2^40 + 15: 3 and 3^7 = 2187 both generate F_p^x, of order
+    # p - 1 in (BSGS_TABLE_CAP^2, 2^48], so x_1 of a hit, or the relation
+    # between the two, needs a table of 2^20 + 1 baby steps, past the cap
+    p = 1099511627791
+    assert arith.BSGS_TABLE_CAP ** 2 < p - 1 <= 1 << 48
+    argv = [command, "--p", str(p), "--terms", "1,3;1,2187", "--b", "5"]
+    eq = make_equation(make_field(p), parse_terms("1,3;1,2187"), 5)
+    assert eq.orders == (p - 1, p - 1)
+    with pytest.raises(MemoryCap, match="baby table of 1048577 entries"):
+        (solve_classical if command == "solve" else reduce_equation)(eq)
+    rc, out, err = run(argv)
+    assert rc == 2 and out == ""
+    assert err == "error: baby table of 1048577 entries exceeds cap\n"
 
 
 def test_count_refuses_a_large_box_before_walking_it(monkeypatch):

@@ -1,5 +1,5 @@
-"""tools/mul_ns.py: the timed grid on this checkout, and the summary of
-paired rounds."""
+"""tools/mul_ns.py: the timed grid on this checkout, products and walks,
+and the summary of paired rounds."""
 
 import importlib.util
 from pathlib import Path
@@ -18,10 +18,30 @@ def test_grid_is_the_fixed_one():
 
 def test_measure_times_every_field():
     grid = [(2, 3), (97, 2), (3, 9), (101, 1)]
-    out = mul_ns.measure(grid, repeats=2, loop=5)
-    assert list(out) == ["p2-nu3", "p97-nu2", "p3-nu9", "p101-nu1"]
+    out = mul_ns.measure(grid, repeats=2, loop=5, walk=64)
+    tags = ["p2-nu3", "p97-nu2", "p3-nu9", "p101-nu1"]
+    assert list(out) == tags + [f"walk-{route}.{t}" for t in tags
+                                for route in ("table", "matrix")]
     for m in out.values():
         assert m["raw_ns"] > 0 and m["kernel_ns"] > 0 and m["ns"] > 0
+
+
+def test_walk_timings_take_each_route(monkeypatch):
+    # the table walks never build a multiplication matrix; the matrix
+    # walks build one each (2 repeats of WALK_LOOP), and so do the builds
+    # of log tables, which walk by matrix
+    from expzeros import fields
+
+    held = []
+    real = fields._mul_matrix
+
+    def counted(g):
+        held.append(g.spec._zech is not None)
+        return real(g)
+
+    monkeypatch.setattr(fields, "_mul_matrix", counted)
+    mul_ns.measure([(3, 4)], repeats=2, loop=5, walk=64)
+    assert not any(held) and len(held) >= 2 * mul_ns.WALK_LOOP
 
 
 def test_summary_of_paired_rounds():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from expzeros import arith
+from expzeros import arith, reduction
 from expzeros.arith import BsgsTable, divisor_count, divisors, factorize
 from expzeros.charsum import make_equation
 from expzeros.errors import OrderMismatch
@@ -164,6 +164,48 @@ def test_reduce_single_group():
     assert red.mu == 1
     assert red.groups[0].members == (0, 1, 2)
     assert red.groups[0].relations == (1, 1, 1)   # identical bases
+
+
+def test_reduce_sets_up_one_table_per_group(monkeypatch):
+    # F_1009 (q - 1 = 1008): four terms of order 1008 and three of order
+    # 504 take one baby-step table each, the single term of order 7 none,
+    # and q - 1 is factored once (for d(q - 1)); F_{3^4} reads its log
+    # table and builds none
+    builds, factored = [], []
+    init, factor = arith.BsgsTable.__init__, arith.factorize
+
+    def counted_init(self, g, s):
+        builds.append(s)
+        init(self, g, s)
+
+    def counted_factorize(m):
+        factored.append(m)
+        return factor(m)
+
+    rng = random.Random(5)
+    cases = []
+    for (p, nu), orders in [((1009, 1), [1008, 504, 1008, 7, 504, 1008,
+                                         504, 1008]),
+                            ((3, 4), [80, 16, 80, 80, 16])]:
+        spec = make_field(p, nu)
+        gen = find_generator(spec)
+        terms = [(rng.randrange(1, spec.cardinality),
+                  element_of_order(spec, s, gen, rng)) for s in orders]
+        cases.append(make_equation(spec, terms, 0))
+    monkeypatch.setattr(arith.BsgsTable, "__init__", counted_init)
+    monkeypatch.setattr(arith, "factorize", counted_factorize)
+    monkeypatch.setattr(reduction, "factorize", counted_factorize)
+    for eq, tables in zip(cases, [[1008, 504], []]):
+        builds.clear()
+        factored.clear()
+        red = reduce_equation(eq)
+        assert builds == tables
+        assert factored == [eq.q - 1]
+        for grp in red.groups:
+            g_rep = eq.terms[grp.rep_index][1]
+            for i, l in zip(grp.members[1:], grp.relations[1:]):
+                assert l == relate_same_order(g_rep, eq.terms[i][1],
+                                              grp.order)
 
 
 # ---------------------------------------------------------------------------

@@ -678,7 +678,7 @@ except errors.InvariantViolated:
     print("bbht held")
 
 # two terms of one order whose relation the discrete log cannot find
-reduction.discrete_log = lambda *args: None
+reduction.discrete_logs = lambda g, s: lambda target: None
 print("reduce", cli.main(["reduce", "--p", "101", "--terms", "1,2;3,2",
                           "--b", "0"]))
 """

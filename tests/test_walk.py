@@ -1,14 +1,16 @@
 """The vectorized power walk against the FieldElement reference, and the
 narrow digit rows it returns against int64 arithmetic with %.
 
-fields._power_walk computes the coefficient rows of a g^x by doubling
+fields._power_walk computes the coefficient rows of a g^x from the
+field's log table where the field holds one, and otherwise by doubling
 with the multiplication-by-g matrix.  Every walk in the package goes
 through it (the spectral counts, brute_count, gauss_partial_sum and the
 solver's set-up), so it must equal the step-by-step FieldElement product
-for every field: int64 products up to nu (p-1)^2 < 2^63 and Python ints
-beyond.  Its rows come back in fields._digit_dtype(p), where sums of
-digits are reduced by one conditional -p; _grid_targets and brute_count
-must agree with the same sums taken in int64 with %.
+for every field, on either route: int64 products up to
+nu (p-1)^2 < 2^63 and Python ints beyond.  Its rows come back in
+fields._digit_dtype(p), where sums of digits are reduced by one
+conditional -p; _grid_targets and brute_count must agree with the same
+sums taken in int64 with %.
 """
 
 import cmath
@@ -18,10 +20,11 @@ import random
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expzeros import charsum, fields
+from expzeros import arith, charsum, fields
 from expzeros.charsum import (brute_count, gauss_partial_sum, make_box,
                               make_equation, psi)
 from expzeros.fields import make_field
@@ -64,6 +67,48 @@ def test_walk_matches_field_elements(field, a_seed, g_seed, limit):
     assert [tuple(r) for r in rows.tolist()] == want
     packed = fields._pack(rows, spec.p).tolist()
     assert packed == [spec.element(c).packed() for c in want]
+
+
+TABLE_FIELDS = [(2, 3), (3, 4), (7, 4), (2, 12), (3, 8), (97, 2)]
+
+
+@pytest.mark.parametrize("p, nu", TABLE_FIELDS)
+def test_walk_reads_the_log_table_where_the_field_holds_one(p, nu):
+    # two specs of one field, only the first holding its log table: the
+    # table walk (no multiplication matrix) gives the matrix walk's rows
+    # and dtype, for limits up to past twice the order of g
+    held, bare = fields.FieldSpec(p, nu), fields.FieldSpec(p, nu)
+    arith._log_table(held)
+    q = held.cardinality
+    fact = arith.factorize(q - 1)
+    rng = random.Random(q)
+    for a, g in [(1, 2), (q - 1, 1)] + [(rng.randrange(1, q),
+                                        rng.randrange(1, q))
+                                       for _ in range(6)]:
+        s = arith.multiplicative_order(held.from_packed(g), fact)
+        for limit in sorted({1, 2, s - 1, s, s + 1, 2 * s + 3} - {0}):
+            want = fields._power_walk(bare.from_packed(a),
+                                      bare.from_packed(g), limit)
+            with mock.patch.object(fields, "_mul_matrix",
+                                   side_effect=AssertionError("matrix")):
+                got = fields._power_walk(held.from_packed(a),
+                                         held.from_packed(g), limit)
+            assert got.dtype == want.dtype == fields._digit_dtype(p)
+            assert got.shape == (limit, nu)
+            assert np.array_equal(got, want)
+    # zero has no log: its walk stays on the matrix route
+    assert not fields._power_walk(held.zero(), held.from_packed(2), 5).any()
+    assert bare._zech is None
+
+
+@pytest.mark.parametrize("p, nu", TABLE_FIELDS + [(101, 1)])
+def test_walks_never_build_a_log_table(p, nu):
+    spec = fields.FieldSpec(p, nu)
+    q = spec.cardinality
+    a, g = spec.from_packed(q - 1), spec.from_packed(q // 2)
+    fields._power_walk(a, g, q)
+    gauss_partial_sum(a, spec.one(), g, 7)
+    assert spec._zech is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Host-scaled ns per FieldElement product on a fixed grid of fields.
+"""Host-scaled ns per FieldElement product, and per power-walk entry, on a
+fixed grid of fields.
 
     python3 tools/mul_ns.py
     python3 tools/mul_ns.py --parent ../before --change . --rounds 5 \\
@@ -13,6 +14,13 @@ median over repeats.  Before the chain, the order of g is taken, as
 has it (a product never builds one).  The kernel of perfbench/speed.py,
 imported read-only, is timed next to every repeat, and each figure is
 scaled to its reference host speed: ns = raw_ns * speed.scale(kernel_ns).
+
+The walk layer is timed on the same grid: ns per row of
+`fields._power_walk(a, g, WALK)`, WALK_LOOP walks per repeat, once on a
+FieldSpec holding the field's log table ("walk-table.<field>") and once
+on one without it ("walk-matrix.<field>").  The table is built for the
+timing even where no order would build one (prime fields, F_{3^9}), so
+the two figures price the two routes of the walk in every field.
 
 With no checkout given, the grid is timed for this checkout and printed.
 With --parent and --change, every round times each checkout in a fresh
@@ -40,6 +48,8 @@ GRID = [(2, 3), (5, 2), (2, 6), (7, 4), (2, 12), (3, 8), (97, 2), (3, 9),
         (9973, 1), (65537, 1)]
 LOOP = 2000
 REPEATS = 9
+WALK = 4096
+WALK_LOOP = 5
 SIDES = ("parent", "change")
 
 
@@ -47,8 +57,10 @@ def tag(p: int, nu: int) -> str:
     return f"p{p}-nu{nu}"
 
 
-def measure(grid=GRID, repeats=REPEATS, loop=LOOP) -> dict:
-    """tag -> {"ns", "raw_ns", "kernel_ns"} for the expzeros on sys.path."""
+def measure(grid=GRID, repeats=REPEATS, loop=LOOP, walk=WALK) -> dict:
+    """name -> {"ns", "raw_ns", "kernel_ns"} for the expzeros on sys.path:
+    ns per product under the field's tag, and ns per walk entry under
+    "walk-table.<tag>" and "walk-matrix.<tag>"."""
     from expzeros import arith, fields
 
     found = importlib.util.spec_from_file_location(
@@ -56,26 +68,46 @@ def measure(grid=GRID, repeats=REPEATS, loop=LOOP) -> dict:
     speed = importlib.util.module_from_spec(found)
     found.loader.exec_module(speed)
 
+    def timed(run, per):
+        times, kernels = [], []
+        for _ in range(repeats):
+            kernels.append(speed.kernel_ns())
+            start = time.perf_counter_ns()
+            run()
+            times.append((time.perf_counter_ns() - start) / per)
+        raw, kernel = statistics.median(times), statistics.median(kernels)
+        return {"ns": raw * speed.scale(kernel), "raw_ns": raw,
+                "kernel_ns": kernel}
+
     rng = random.Random(8)
     speed.warm()
-    out = {}
+    out, walks = {}, {}
     for p, nu in grid:
         spec = fields.make_field(p, nu)
         a, g = (spec.from_packed(rng.randrange(1, spec.cardinality))
                 for _ in range(2))
         arith.multiplicative_order(g, arith.factorize(spec.cardinality - 1))
-        times, kernels = [], []
-        for _ in range(repeats):
-            kernels.append(speed.kernel_ns())
+
+        def chain():
             x = a
-            start = time.perf_counter_ns()
             for _ in range(loop):
                 x = x * g
-            times.append((time.perf_counter_ns() - start) / loop)
-        raw, kernel = statistics.median(times), statistics.median(kernels)
-        out[tag(p, nu)] = {"ns": raw * speed.scale(kernel), "raw_ns": raw,
-                           "kernel_ns": kernel}
-    return out
+
+        out[tag(p, nu)] = timed(chain, loop)
+        # fresh specs of the field, one given its log table
+        for route in ("table", "matrix"):
+            bare = fields.FieldSpec(p, nu)
+            if route == "table":
+                arith._log_table(bare)
+            wa, wg = bare.from_packed(a.packed()), bare.from_packed(g.packed())
+
+            def walks_of_field():
+                for _ in range(WALK_LOOP):
+                    fields._power_walk(wa, wg, walk)
+
+            walks[f"walk-{route}.{tag(p, nu)}"] = timed(
+                walks_of_field, WALK_LOOP * walk)
+    return {**out, **walks}
 
 
 def run_checkout(checkout: Path) -> dict:
@@ -120,7 +152,7 @@ def main(argv=None) -> int:
         return 0
     if not (args.parent and args.change):
         for name, m in measure().items():
-            print(f"{name:12} {m['ns']:9.0f} ns  (raw {m['raw_ns']:.0f}, "
+            print(f"{name:22} {m['ns']:9.0f} ns  (raw {m['raw_ns']:.0f}, "
                   f"kernel {m['kernel_ns'] / 1e3:.0f} us)")
         return 0
     checkouts = {"parent": args.parent.resolve(),
@@ -135,7 +167,7 @@ def main(argv=None) -> int:
     if args.out:
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, s in summary.items():
-        print(f"{name:12} {s['parent_ns']:9.0f} -> {s['change_ns']:7.0f} ns"
+        print(f"{name:22} {s['parent_ns']:9.0f} -> {s['change_ns']:7.0f} ns"
               f"  x{s['speedup']:.2f}  wins {s['change_wins']}/{s['rounds']}"
               f"  parent IQR {s['parent_q3'] - s['parent_q1']:.0f}")
     return 0
