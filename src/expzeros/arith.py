@@ -274,10 +274,3 @@ def discrete_logs(g: FieldElement, s: int
         return lt // step * u_inv % s
 
     return lookup
-
-
-def discrete_log(g: FieldElement, s: int, target: FieldElement
-                 ) -> int | None:
-    """Discrete log of target to base g of order s, None when absent: one
-    lookup of `discrete_logs(g, s)`."""
-    return discrete_logs(g, s)(target)

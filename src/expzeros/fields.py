@@ -493,10 +493,10 @@ def _power_walk(a: FieldElement, g: FieldElement, limit: int) -> np.ndarray:
     """Coefficient rows of a * g^x for x = 0..limit-1, shape (limit, nu),
     in _digit_dtype(p).
 
-    Where the field already holds its log table (`spec._zech`, set by
-    arith), the rows are antilog[(log a + x log g) mod (q-1)], unpacked
-    to digits: one int64 arithmetic progression, one gather and nu digit
-    divisions.  Everywhere else, prime fields included, the walk doubles
+    Where spec._zech is set, which arith does only for fields where
+    reads_log_table holds, the rows are antilog[(log a + x log g) mod
+    (q-1)], unpacked to digits: one int64 arithmetic progression, one
+    gather and nu digit divisions.  Everywhere else the walk doubles
     with the multiplication matrix: once the rows for x < k are known,
     rows @ M_g^k mod p gives those for k <= x < 2k, and M_g^k is squared
     for the next round.  That is log2(limit) matrix products and no field

@@ -14,8 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arith import (discrete_log, discrete_logs, divisor_count, factorize,
-                    multiplicative_order)
+from .arith import discrete_logs, divisor_count, factorize, multiplicative_order
 from .charsum import ExpEquation
 from .errors import InvariantViolated, OrderMismatch
 from .fields import FieldElement, FieldSpec
@@ -45,7 +44,7 @@ def relate_same_order(g1: FieldElement, g2: FieldElement, s: int) -> int:
         # zero is a mismatch here, not multiplicative_order's ZeroElement
         if g.is_zero() or multiplicative_order(g, fact) != s:
             raise OrderMismatch(f"{g!r} does not have order {s}")
-    return _checked_relation(g1, g2, s, discrete_log(g1, s, g2))
+    return _checked_relation(g1, g2, s, discrete_logs(g1, s)(g2))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import bsgs_table_cost, discrete_log, pow_cost
+from .arith import bsgs_table_cost, discrete_logs, pow_cost
 from .charsum import (BRUTE_BLOCK, ExpEquation, SearchBox, _grid_targets,
                       box_radius, log_of, make_box, sorted_terms)
 from .errors import CapExceeded, IndexOutOfRange, InvariantViolated, Overflow
@@ -122,7 +122,7 @@ def _first_hit(eq: ExpEquation, box: SearchBox, counter: QueryCounter
     matrix products.  The first block holds at most FIRST_BLOCK points
     and each next one twice as many, up to BRUTE_BLOCK, so an early hit
     computes few targets.  Per point the scan only tests t^{s_1} = 1
-    (t != 0), and the hit's x_1 is one discrete_log.  The
+    (t != 0), and the hit's x_1 is one discrete_logs lookup.  The
     ledger is then what the model charges that outcome: one
     multiplication per visited point, a membership test per nonzero
     target, a baby-step table built up front (bsgs_table_cost, whose
@@ -162,7 +162,7 @@ def _first_hit(eq: ExpEquation, box: SearchBox, counter: QueryCounter
             nonzero += 1
             t = FieldElement(spec, row)
             if t ** s1 == one:
-                x1 = discrete_log(g1, s1, t)
+                x1 = discrete_logs(g1, s1)(t)
                 if x1 is None:
                     raise InvariantViolated(
                         "membership passed but dlog missed")

@@ -15,7 +15,7 @@ from expzeros import arith, cli, fields, solver
 from expzeros.arith import (
     BsgsTable,
     bsgs_table_cost,
-    discrete_log,
+    discrete_logs,
     divisor_count,
     divisors,
     factorize,
@@ -481,7 +481,7 @@ def test_bsgs_exhaustive_against_power_walk():
             acc = spec.one()
             for x in range(s):
                 assert table.lookup(acc) == x
-                assert discrete_log(g, s, acc) == x
+                assert discrete_logs(g, s)(acc) == x
                 acc = acc * g
 
 
@@ -495,7 +495,7 @@ def test_bsgs_absent_targets_return_none():
     outside = [k for k in range(1, 101) if k not in members]
     assert len(outside) == 75
     for k in outside[:10]:
-        assert discrete_log(g, 25, f101.element(k)) is None
+        assert discrete_logs(g, 25)(f101.element(k)) is None
     # logs lie in [0, s): with s = 10 below the order 100 of 2, the
     # giant steps reach g^10 and g^11 but the table reports neither
     two = f101.element(2)
@@ -517,7 +517,7 @@ def test_bsgs_multiplication_budget():
             counter = QueryCounter()
             x = counted_bsgs(g, s, counter)(target)
             assert x is not None and g ** x == target
-            assert x == discrete_log(g, s, target)
+            assert x == discrete_logs(g, s)(target)
             budget = 4 * (math.isqrt(s - 1) + 1) + 2 * s.bit_length() + 8
             assert counter.group_mults <= budget
             assert counter.dlog_calls == 1
@@ -535,20 +535,20 @@ def test_bsgs_table_reuse_matches_one_shot():
         x = rng.randrange(s)
         target = g ** x
         assert table.lookup(target) == x
-        assert discrete_log(g, s, target) == x
+        assert discrete_logs(g, s)(target) == x
     assert table.lookup(f257.zero()) is None
 
 
 def test_bsgs_order_one_and_memory_cap():
     f7 = make_field(7)
     one = f7.one()
-    assert discrete_log(one, 1, one) == 0
-    assert discrete_log(one, 1, f7.element(3)) is None
+    assert discrete_logs(one, 1)(one) == 0
+    assert discrete_logs(one, 1)(f7.element(3)) is None
     # and on the log-table route, where log g = 0 and u^{-1} mod 1 is 0
     f64 = make_field(2, 6)
     assert arith.reads_log_table(f64)
-    assert discrete_log(f64.one(), 1, f64.one()) == 0
-    assert discrete_log(f64.one(), 1, f64.from_packed(2)) is None
+    assert discrete_logs(f64.one(), 1)(f64.one()) == 0
+    assert discrete_logs(f64.one(), 1)(f64.from_packed(2)) is None
     with pytest.raises(MemoryCap):
         BsgsTable(f7.element(3), 2 ** 50)
     with pytest.raises(ValueError):
@@ -630,7 +630,7 @@ def test_bsgs_cost_rule_refuses_where_the_table_does(monkeypatch):
 
 @pytest.mark.parametrize("p, nu", [(2, 6), (3, 4), (5, 2)])
 def test_table_dlog_matches_bsgs_for_every_base_and_target(p, nu):
-    # discrete_log's log-table route against the baby-step table; every
+    # discrete_logs' log-table route against the baby-step table; every
     # unit g is a base, so every s | q - 1 occurs as its order
     spec = make_field(p, nu)
     assert arith.reads_log_table(spec)
@@ -641,8 +641,8 @@ def test_table_dlog_matches_bsgs_for_every_base_and_target(p, nu):
         s = multiplicative_order(g, fact)
         orders.add(s)
         table = BsgsTable(g, s)
-        logs = [discrete_log(g, s, t) for t in units]
+        logs = [discrete_logs(g, s)(t) for t in units]
         assert logs == [table.lookup(t) for t in units]
         assert logs.count(None) == len(units) - s
-        assert discrete_log(g, s, spec.zero()) is None
+        assert discrete_logs(g, s)(spec.zero()) is None
     assert orders == set(divisors(spec.cardinality - 1))

@@ -375,7 +375,9 @@ def equation_of_orders(spec, orders, rng, b):
 
 # Every split _join_split can pick, n = 1..4, over F_13 (orders divide 12):
 # (orders, r, BRUTE_BLOCK, k).  A block below the trailing sub-box forces
-# a later split, and k = n joins the whole box against b alone.
+# a later split, and k = n joins the whole box against b alone.  The
+# trailing sub-boxes of 24 points, more than q = 13, repeat some sum, so
+# their matches are counted with multiplicity.
 SPLIT_CASES = [
     ((12,), 12, 1 << 16, 1),
     ((12, 6), 6, 1 << 16, 1),
@@ -406,14 +408,6 @@ def test_brute_count_every_split_matches_enumeration(orders, r, block, k):
             assert charsum._join_split(limits) == k
             assert brute_count(eq, box) == (len(sols), sols)
             assert brute_count(eq, box, list_cap=0) == (len(sols), None)
-
-
-def test_split_cases_repeat_trailing_sums():
-    # a trailing sub-box of more than q = 13 points repeats some sum, so
-    # its matches must be counted with their multiplicity
-    tails = [math.prod((orders[:-1] + (r,))[k:])
-             for orders, r, _, k in SPLIT_CASES]
-    assert max(tails) > 13
 
 
 JOIN_FIELDS = [(7, 1), (13, 1), (31, 1), (101, 1), (2, 3), (2, 4), (3, 2),

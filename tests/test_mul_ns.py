@@ -18,18 +18,20 @@ def test_grid_is_the_fixed_one():
 
 def test_measure_times_every_field():
     grid = [(2, 3), (97, 2), (3, 9), (101, 1)]
-    out = mul_ns.measure(grid, repeats=2, loop=5, walk=64)
+    out = mul_ns.measure(grid, repeats=2, loop=5)
     tags = ["p2-nu3", "p97-nu2", "p3-nu9", "p101-nu1"]
-    assert list(out) == tags + [f"walk-{route}.{t}" for t in tags
-                                for route in ("table", "matrix")]
+    # only the fields that read a log table walk from one
+    assert list(out) == tags + [
+        "walk-table.p2-nu3", "walk-matrix.p2-nu3", "walk-table.p97-nu2",
+        "walk-matrix.p97-nu2", "walk-matrix.p3-nu9", "walk-matrix.p101-nu1"]
     for m in out.values():
         assert m["raw_ns"] > 0 and m["kernel_ns"] > 0 and m["ns"] > 0
 
 
 def test_walk_timings_take_each_route(monkeypatch):
     # the table walks never build a multiplication matrix; the matrix
-    # walks build one each (2 repeats of WALK_LOOP), and so do the builds
-    # of log tables, which walk by matrix
+    # walks build one each (2 repeats of WALK_LOOP), and so does the
+    # build of the log table, which walks by matrix
     from expzeros import fields
 
     held = []
@@ -40,7 +42,7 @@ def test_walk_timings_take_each_route(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(fields, "_mul_matrix", counted)
-    mul_ns.measure([(3, 4)], repeats=2, loop=5, walk=64)
+    mul_ns.measure([(3, 4)], repeats=2, loop=5)
     assert not any(held) and len(held) >= 2 * mul_ns.WALK_LOOP
 
 

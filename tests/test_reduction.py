@@ -75,7 +75,7 @@ def test_relate_round_trip_exhaustive():
                                    (3, 9), (101, 1)])
 def test_relate_takes_the_log_table_where_the_field_has_one(monkeypatch, p,
                                                             nu):
-    # the relation is discrete_log's: a modular division on the log table
+    # the relation is discrete_logs': a modular division on the log table
     # up to LOG_TABLE_MAX_Q, a baby-step table elsewhere, the same l
     spec = make_field(p, nu)
     gen = find_generator(spec)

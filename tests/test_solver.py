@@ -666,7 +666,7 @@ arith.BsgsTable.lookup = lambda self, t: None
 print("lookup", cli.main(FOUND_ARGS))
 
 # membership passes, but the discrete log finds nothing on the log table
-solver.discrete_log = lambda *args: None
+solver.discrete_logs = lambda g, s: lambda target: None
 print("table", cli.main(["solve", "--p", "3", "--nu", "4", "--terms",
                          "2,9;3,9", "--b", "1"]))
 

@@ -16,11 +16,12 @@ imported read-only, is timed next to every repeat, and each figure is
 scaled to its reference host speed: ns = raw_ns * speed.scale(kernel_ns).
 
 The walk layer is timed on the same grid: ns per row of
-`fields._power_walk(a, g, WALK)`, WALK_LOOP walks per repeat, once on a
-FieldSpec holding the field's log table ("walk-table.<field>") and once
-on one without it ("walk-matrix.<field>").  The table is built for the
-timing even where no order would build one (prime fields, F_{3^9}), so
-the two figures price the two routes of the walk in every field.
+`fields._power_walk(a, g, WALK)`, WALK_LOOP walks per repeat, on a fresh
+FieldSpec without a log table ("walk-matrix.<field>"), and, where
+`arith.reads_log_table` holds, also on the field's own FieldSpec, which
+the order of g gave its table ("walk-table.<field>").  The other fields
+(F_{3^9} and the prime fields) never hold a table, so they walk by
+matrix only.
 
 With no checkout given, the grid is timed for this checkout and printed.
 With --parent and --change, every round times each checkout in a fresh
@@ -57,10 +58,11 @@ def tag(p: int, nu: int) -> str:
     return f"p{p}-nu{nu}"
 
 
-def measure(grid=GRID, repeats=REPEATS, loop=LOOP, walk=WALK) -> dict:
+def measure(grid=GRID, repeats=REPEATS, loop=LOOP) -> dict:
     """name -> {"ns", "raw_ns", "kernel_ns"} for the expzeros on sys.path:
     ns per product under the field's tag, and ns per walk entry under
-    "walk-table.<tag>" and "walk-matrix.<tag>"."""
+    "walk-table.<tag>" (fields that read a log table) and
+    "walk-matrix.<tag>"."""
     from expzeros import arith, fields
 
     found = importlib.util.spec_from_file_location(
@@ -94,19 +96,18 @@ def measure(grid=GRID, repeats=REPEATS, loop=LOOP, walk=WALK) -> dict:
                 x = x * g
 
         out[tag(p, nu)] = timed(chain, loop)
-        # fresh specs of the field, one given its log table
-        for route in ("table", "matrix"):
-            bare = fields.FieldSpec(p, nu)
-            if route == "table":
-                arith._log_table(bare)
-            wa, wg = bare.from_packed(a.packed()), bare.from_packed(g.packed())
-
+        bare = fields.FieldSpec(p, nu)
+        routes = {"matrix": (bare.from_packed(a.packed()),
+                             bare.from_packed(g.packed()))}
+        if arith.reads_log_table(spec):
+            routes = {"table": (a, g), **routes}
+        for route, (wa, wg) in routes.items():
             def walks_of_field():
                 for _ in range(WALK_LOOP):
-                    fields._power_walk(wa, wg, walk)
+                    fields._power_walk(wa, wg, WALK)
 
             walks[f"walk-{route}.{tag(p, nu)}"] = timed(
-                walks_of_field, WALK_LOOP * walk)
+                walks_of_field, WALK_LOOP * WALK)
     return {**out, **walks}
 
 
