@@ -1,10 +1,13 @@
-"""Golden CLI outputs: byte-for-byte JSON for a fixed corpus.
+"""Golden CLI outputs: byte-for-byte JSON for a fixed corpus, and the
+default text report for a few of its cases.
 
 Each case runs `expzeros.cli.main(argv + ["--format", "json"])` in process
 and compares stdout with tests/golden/<name>.json.  The corpus covers
 every subcommand over prime and extension fields, and all three solve
 statuses, so a refactor that changes a count, a census, a
-solution or a QueryCounter ledger shows up here.
+solution or a QueryCounter ledger shows up here.  Each TEXT_CASES entry
+runs `main(argv)` with no --format and compares stdout with
+tests/golden/<name>.txt, so the text report is pinned as well.
 
 Regenerate (only when an output change is intended) with
 
@@ -140,10 +143,27 @@ CASES = {
 }
 
 
-def render(argv) -> str:
+# Text reports: count with its solutions line and past 20 solutions
+# without it, density with its census, solve at a hit and at a
+# certificate, and qmodel in both modes.  Three are generated --n
+# instances, whose text says so.
+TEXT_CASES = {
+    "count_f7_text": CASES["count_f7"],
+    "count_f101_n3_text": CASES["count_f101_n3"],
+    "density_f101_text": CASES["density_f101"],
+    "density_f3e4_text": CASES["density_f3e4"],
+    "solve_f257_found_text": CASES["solve_f257_found"],
+    "solve_f13_n3_text": CASES["solve_f13_n3"],
+    "solve_f11_certified_text": CASES["solve_f11_certified"],
+    "qmodel_f101_thm3_text": CASES["qmodel_f101_thm3"],
+    "qmodel_f3e4_thm2_text": CASES["qmodel_f3e4_thm2"],
+}
+
+
+def render(argv, fmt=("--format", "json")) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        rc = main([*argv, "--format", "json"])
+        rc = main([*argv, *fmt])
     assert rc == 0, f"{argv} exited {rc}"
     return out.getvalue()
 
@@ -152,6 +172,12 @@ def render(argv) -> str:
 def test_golden_cli_json(name):
     expected = (GOLDEN_DIR / f"{name}.json").read_text()
     assert render(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_golden_cli_text(name):
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text()
+    assert render(TEXT_CASES[name], fmt=()) == expected
 
 
 def test_golden_corpus_covers_every_solve_status():
@@ -164,3 +190,5 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         (GOLDEN_DIR / f"{name}.json").write_text(render(argv))
+    for name, argv in TEXT_CASES.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(render(argv, fmt=()))
