@@ -26,11 +26,16 @@ TRIAL_DIVISION_BOUND = 10 ** 6
 # budget of one table, and seconds to build (9.7 s at 2^20 over
 # F_1099511627791 on a 2-CPU Xeon).  Orders past 2^40 are refused.
 BSGS_TABLE_CAP = 1 << 20
-# Extension fields up to here read orders from a log table.  Its one-off
-# build (2-CPU Xeon) costs at most 7 ms up to 2^14 elements and is
-# repaid after 3 to 35 orders in that field.  F_{2^16} takes 31 ms and
-# F_{2^20} 0.44 s: 15 and 110 orders' worth, more than a command that
-# asks for a few orders ever spends.
+# Fields up to here, prime fields as the nu = 1 case, read orders,
+# discrete logs and power walks from a log table.  Its one-off build
+# (2-CPU Xeon) costs at most 7 ms up to 2^14 elements, 0.1-0.7 ms in a
+# prime field.  An extension field repays it after 3 to 35 orders; a
+# prime field, whose orders cost microseconds either way, after 2 to 12
+# walks of 1000 rows (30 us on the table, 90 us by matrix).  F_{2^16}
+# takes 31 ms and F_{2^20} 0.44 s: 15 and 110 orders' worth, more than a
+# command that asks for a few orders ever spends.  One table holds at
+# most 2 * 2^14 int32 entries (128 KiB), and make_field's 256-entry
+# cache bounds how many fields keep one alive.
 LOG_TABLE_MAX_Q = 1 << 14
 
 is_prime = _is_prime
@@ -169,8 +174,9 @@ def _log_table(spec: FieldSpec) -> memoryview:
 
 def reads_log_table(spec: FieldSpec) -> bool:
     """Whether orders and discrete logs in this field are read from its
-    log table: extension fields with q <= LOG_TABLE_MAX_Q."""
-    return spec.nu > 1 and spec.cardinality <= LOG_TABLE_MAX_Q
+    log table: every field with q <= LOG_TABLE_MAX_Q, prime fields as the
+    nu = 1 case."""
+    return spec.cardinality <= LOG_TABLE_MAX_Q
 
 
 def multiplicative_order(g: FieldElement, fact: Factorization) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import density as density_mod
 from . import errors
-from .arith import factorize, multiplicative_order
+from .arith import factorize
 from .charsum import (box_walks, brute_count, check_box_card,
                       count_via_charsum, make_box, make_equation)
 from .fields import make_field
@@ -88,17 +88,20 @@ def parse_terms(text: str) -> list[tuple[int, int]]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args keeps no
-    state between calls, and building it costs about 90 add_argument
-    calls."""
+    """The argument parser, built once per process: argparse keeps no
+    state between parses, and building it costs about 90 add_argument
+    calls.  Its `commands` maps each subcommand to that subcommand's own
+    parser, which `parse_args` runs alone."""
     parser = argparse.ArgumentParser(
         prog="expzeros",
         description="Zeros of a_1 g_1^x_1 + ... + a_n g_n^x_n - b over "
                     "F_q: exact counting, density checks, classical "
                     "search, quantum cost models.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    def common(sp, equation=True):
+    def command(name, func, help, equation=True):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", help="key=value config file")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=["json", "csv", "text"],
@@ -117,61 +120,70 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--log-base", dest="log_base",
                             choices=["natural", "base2"],
                             help="base of log q in box formulas")
+        sp.set_defaults(func=func)
+        parser.commands[name] = sp
+        return sp
 
-    sp = sub.add_parser("orders", help="multiplicative orders of the g_i")
-    common(sp)
-    sp.set_defaults(func=cmd_orders)
+    command("orders", cmd_orders, "multiplicative orders of the g_i")
 
-    sp = sub.add_parser("count", help="brute-force vs character-sum count")
-    common(sp)
+    sp = command("count", cmd_count, "brute-force vs character-sum count")
     sp.add_argument("--r", type=int, help="box radius (default s_n)")
-    sp.set_defaults(func=cmd_count)
 
-    sp = sub.add_parser("density",
-                        help="full-b sweep: deviations, energy, census")
-    common(sp)
+    sp = command("density", cmd_density,
+                 "full-b sweep: deviations, energy, census")
     sp.add_argument("--r", type=int, help="box radius (default s_n)")
     sp.add_argument("--delta", type=float,
                     help="census threshold (default sqrt(ln q))")
-    sp.set_defaults(func=cmd_density)
 
-    sp = sub.add_parser("solve", help="classical grid search with "
-                                      "query accounting")
-    common(sp)
-    sp.set_defaults(func=cmd_solve)
+    command("solve", cmd_solve, "classical grid search with query "
+                                "accounting")
 
-    sp = sub.add_parser("qmodel", help="quantum query-cost model")
-    common(sp)
+    sp = command("qmodel", cmd_qmodel, "quantum query-cost model")
     sp.add_argument("--mode", choices=["thm2", "thm3"],
                     help="cost model variant (default thm2)")
     sp.add_argument("--trials", type=int,
                     help="guessing-schedule trials (default 300)")
     sp.add_argument("--slack-exponent", dest="slack_exponent", type=int,
                     help="polylog slack power in bounds (default 3)")
-    sp.set_defaults(func=cmd_qmodel)
 
-    sp = sub.add_parser("exponents",
-                        help="classical/quantum exponent table")
-    common(sp, equation=False)
+    sp = command("exponents", cmd_exponents,
+                 "classical/quantum exponent table", equation=False)
     sp.add_argument("--n-max", dest="n_max", type=int,
                     help="last row of the table (default 10)")
-    sp.set_defaults(func=cmd_exponents)
 
-    sp = sub.add_parser("reduce", help="group terms by multiplicative order")
-    common(sp)
+    sp = command("reduce", cmd_reduce, "group terms by multiplicative order")
     sp.add_argument("--samples", type=int,
                     help="also sample this many random equations for the "
                          "mu <= d(q-1) report")
-    sp.set_defaults(func=cmd_reduce)
 
-    sp = sub.add_parser("bench",
-                        help="classical vs quantum cost sweep over (q, n)")
-    common(sp, equation=False)
+    sp = command("bench", cmd_bench,
+                 "classical vs quantum cost sweep over (q, n)",
+                 equation=False)
     sp.add_argument("--qs", help='comma list of primes, e.g. "101,257"')
     sp.add_argument("--ns", help='comma list of term counts, e.g. "2,3"')
     sp.add_argument("--seed", type=int, help="instance seed (default 0)")
-    sp.set_defaults(func=cmd_bench)
     return parser
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with one parse instead of two.
+
+    When argv starts with a subcommand, that subcommand's parser reads
+    the rest into a namespace that already holds `command`, as the
+    top-level parser's subparser action would, and extra arguments fail
+    with the top-level parser's error.  An empty argv, -h and unknown
+    commands go through the top-level parser.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sp = parser.commands.get(argv[0]) if argv else None
+    if sp is None:
+        return parser.parse_args(argv)
+    args, extras = sp.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def merge_config(args: argparse.Namespace) -> dict:
@@ -294,9 +306,11 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value)
 
 
-def emit(cfg: dict, text_lines, doc: dict | None = None,
+def emit(cfg: dict, text, doc: dict | None = None,
          csv_rows: list | None = None, csv_text: str | None = None) -> None:
-    """Write text, json, or csv per cfg to --out or stdout."""
+    """Write text, json, or csv per cfg to --out or stdout.  `text` is a
+    function that returns the text report's lines; it runs only when
+    text is written."""
     fmt = cfg.get("format") or "text"
     if fmt == "json":
         if doc is None:
@@ -313,7 +327,7 @@ def emit(cfg: dict, text_lines, doc: dict | None = None,
         else:
             raise ConfigError("no csv form for this command")
     else:
-        payload = "\n".join(text_lines) + "\n"
+        payload = "\n".join(text()) + "\n"
     out = cfg.get("out")
     if out:
         with open(out, "w") as fh:
@@ -337,14 +351,18 @@ def cmd_orders(args) -> int:
     cfg = merge_config(args)
     eq, generated = resolve_equation(cfg)
     fact = factorize(eq.q - 1)
-    lines = describe_instance(eq, generated)
-    lines.append(f"{'i':>3} {'a':>8} {'g':>8} {'order':>10}")
-    for i, (a, g) in enumerate(eq.terms):
-        lines.append(f"{i:>3} {a.packed():>8} {g.packed():>8} "
-                     f"{multiplicative_order(g, fact):>10}")
+
+    def text():
+        lines = describe_instance(eq, generated)
+        lines.append(f"{'i':>3} {'a':>8} {'g':>8} {'order':>10}")
+        for i, ((a, g), s) in enumerate(zip(eq.terms, eq.orders)):
+            lines.append(f"{i:>3} {a.packed():>8} {g.packed():>8} "
+                         f"{s:>10}")
+        return lines
+
     doc = {"schema": 1, "kind": "orders", "eq": eq.to_dict(),
            "q_minus_1_factorization": list(fact.prime_powers)}
-    emit(cfg, lines, doc)
+    emit(cfg, text, doc)
     return 0
 
 
@@ -356,17 +374,21 @@ def cmd_count(args) -> int:
     walks = list(box_walks(eq, box))
     exact, solutions = brute_count(eq, box, walks=walks)
     approx = count_via_charsum(eq, box, walks=walks)
-    lines = describe_instance(eq, generated)
-    lines.append(f"box: sorted orders {list(box.orders_sorted)} "
-                 f"r={box.r} card={box.card}")
-    lines.append(f"brute count:        {exact}")
-    lines.append(f"character-sum count: {approx:.6f}")
-    if solutions is not None and len(solutions) <= 20:
-        lines.append(f"solutions (original term order): {solutions}")
+
+    def text():
+        lines = describe_instance(eq, generated)
+        lines.append(f"box: sorted orders {list(box.orders_sorted)} "
+                     f"r={box.r} card={box.card}")
+        lines.append(f"brute count:        {exact}")
+        lines.append(f"character-sum count: {approx:.6f}")
+        if solutions is not None and len(solutions) <= 20:
+            lines.append(f"solutions (original term order): {solutions}")
+        return lines
+
     doc = {"schema": 1, "kind": "count", "eq": eq.to_dict(),
            "box": box.to_dict(), "brute": exact, "charsum": approx,
            "solutions": solutions}
-    emit(cfg, lines, doc)
+    emit(cfg, text, doc)
     return 0
 
 
@@ -378,24 +400,29 @@ def cmd_density(args) -> int:
     delta = cfg.get("delta")
     delta = math.sqrt(math.log(eq.q)) if delta is None else float(delta)
     census = density_mod.exceptional_census(report, delta)
-    ok, margin = density_mod.energy_bound_check(report)
-    lines = describe_instance(eq, generated)
-    lines.append(f"box: r={box.r} card={box.card}")
-    lines.append(f"main term: {report.main} = {float(report.main):.6f}")
-    lines.append(f"energy E(r): {report.energy} = "
-                 f"{float(report.energy):.6f}")
-    lines.append(f"energy bound q^(n-1) r: holds={ok} margin="
-                 f"{float(margin):.6f}")
-    lines.append(f"census at delta={census.delta:.6f}: "
-                 f"{len(census.exceptional)} exceptional b "
-                 f"(bound {float(census.bound):.3f})")
+
+    def text():
+        ok, margin = density_mod.energy_bound_check(report)
+        lines = describe_instance(eq, generated)
+        lines.append(f"box: r={box.r} card={box.card}")
+        lines.append(f"main term: {report.main} = "
+                     f"{float(report.main):.6f}")
+        lines.append(f"energy E(r): {report.energy} = "
+                     f"{float(report.energy):.6f}")
+        lines.append(f"energy bound q^(n-1) r: holds={ok} margin="
+                     f"{float(margin):.6f}")
+        lines.append(f"census at delta={census.delta:.6f}: "
+                     f"{len(census.exceptional)} exceptional b "
+                     f"(bound {float(census.bound):.3f})")
+        return lines
+
     doc = density_mod.report_to_dict(report, census)
     csv_text = None
     if cfg.get("format") == "csv":
         buf = io.StringIO()
         density_mod.write_per_b_csv(report, census, buf)
         csv_text = buf.getvalue()
-    emit(cfg, lines, doc, csv_text=csv_text)
+    emit(cfg, text, doc, csv_text=csv_text)
     return 0
 
 
@@ -403,20 +430,25 @@ def cmd_solve(args) -> int:
     cfg = merge_config(args)
     eq, generated = resolve_equation(cfg)
     report = solve_classical(eq, cfg.get("log_base") or "natural")
-    lines = describe_instance(eq, generated)
-    lines.append(f"status: {report.status}")
-    if report.x is not None:
-        lines.append(f"solution (original term order): {list(report.x)}")
-    lines.append(f"box: sorted orders {list(report.box.orders_sorted)} "
-                 f"r={report.box.r} (raw {report.r_raw}) "
-                 f"card={report.box.card}")
-    q = report.queries
-    lines.append(f"queries: group_mults={q.group_mults} "
-                 f"dlog_calls={q.dlog_calls} "
-                 f"outer_points={q.outer_points_visited}")
-    lines.append(f"order-finding cost model (not counted): "
-                 f"{report.order_finding_cost_model:.1f}")
-    emit(cfg, lines, report.to_dict())
+
+    def text():
+        lines = describe_instance(eq, generated)
+        lines.append(f"status: {report.status}")
+        if report.x is not None:
+            lines.append(f"solution (original term order): "
+                         f"{list(report.x)}")
+        lines.append(f"box: sorted orders {list(report.box.orders_sorted)} "
+                     f"r={report.box.r} (raw {report.r_raw}) "
+                     f"card={report.box.card}")
+        q = report.queries
+        lines.append(f"queries: group_mults={q.group_mults} "
+                     f"dlog_calls={q.dlog_calls} "
+                     f"outer_points={q.outer_points_visited}")
+        lines.append(f"order-finding cost model (not counted): "
+                     f"{report.order_finding_cost_model:.1f}")
+        return lines
+
+    emit(cfg, text, report.to_dict())
     return 0
 
 
@@ -429,19 +461,24 @@ def cmd_qmodel(args) -> int:
         slack_exponent=_get_int(cfg, "slack_exponent", 3),
         rng_seed=_get_int(cfg, "seed", 0) or 0,
         sim_trials=_get_int(cfg, "trials", 300))
-    lines = describe_instance(eq, generated)
-    lines.append(f"mode: {report.mode}  (r={report.r}, raw {report.r_raw})")
-    lines.append(f"search space t={report.t}  m_exact={report.m_exact}  "
-                 f"m_estimate={report.m_estimate}")
-    lines.append(f"modeled queries: {report.modeled_queries}  "
-                 f"empirical: {report.empirical_queries}")
-    lines.append(f"shor calls: {report.shor_calls}")
-    lines.append(f"bound {report.theoretical_bound:.3f}  within: "
-                 f"{report.within_bound}")
-    if report.chain_case is not None:
-        lines.append(f"grid chain case {report.chain_case}: "
-                     f"holds={report.chain_holds}")
-    emit(cfg, lines, report.to_dict())
+
+    def text():
+        lines = describe_instance(eq, generated)
+        lines.append(f"mode: {report.mode}  (r={report.r}, "
+                     f"raw {report.r_raw})")
+        lines.append(f"search space t={report.t}  m_exact={report.m_exact}"
+                     f"  m_estimate={report.m_estimate}")
+        lines.append(f"modeled queries: {report.modeled_queries}  "
+                     f"empirical: {report.empirical_queries}")
+        lines.append(f"shor calls: {report.shor_calls}")
+        lines.append(f"bound {report.theoretical_bound:.3f}  within: "
+                     f"{report.within_bound}")
+        if report.chain_case is not None:
+            lines.append(f"grid chain case {report.chain_case}: "
+                         f"holds={report.chain_holds}")
+        return lines
+
+    emit(cfg, text, report.to_dict())
     return 0
 
 
@@ -454,7 +491,7 @@ def cmd_exponents(args) -> int:
         rows.append([row.n, str(row.classical_exp),
                      str(row.classical_thm_exp), str(row.quantum_exp),
                      str(row.ratio)])
-    emit(cfg, table.to_text().splitlines(), doc, csv_rows=rows)
+    emit(cfg, lambda: table.to_text().splitlines(), doc, csv_rows=rows)
     return 0
 
 
@@ -462,20 +499,28 @@ def cmd_reduce(args) -> int:
     cfg = merge_config(args)
     eq, generated = resolve_equation(cfg)
     red = reduce_equation(eq)
-    lines = describe_instance(eq, generated)
-    lines.append(f"mu = {red.mu} distinct orders, d(q-1) = {red.d_bound}")
-    for grp in red.groups:
-        lines.append(f"  order {grp.order}: members {list(grp.members)} "
-                     f"rep {grp.rep_index} relations {list(grp.relations)}")
     doc = red.to_dict()
     samples = _get_int(cfg, "samples")
+    rep = None
     if samples:
         rep = mu_bound_report(eq.spec, samples=samples,
                               n=eq.n, seed=_get_int(cfg, "seed", 0))
-        lines.append(f"sampled {samples} random equations: max mu "
-                     f"{rep.max_mu} <= d(q-1) = {rep.d_bound}")
         doc["mu_report"] = rep.to_dict()
-    emit(cfg, lines, doc)
+
+    def text():
+        lines = describe_instance(eq, generated)
+        lines.append(f"mu = {red.mu} distinct orders, "
+                     f"d(q-1) = {red.d_bound}")
+        for grp in red.groups:
+            lines.append(f"  order {grp.order}: members "
+                         f"{list(grp.members)} rep {grp.rep_index} "
+                         f"relations {list(grp.relations)}")
+        if rep is not None:
+            lines.append(f"sampled {samples} random equations: max mu "
+                         f"{rep.max_mu} <= d(q-1) = {rep.d_bound}")
+        return lines
+
+    emit(cfg, text, doc)
     return 0
 
 
@@ -510,15 +555,14 @@ def cmd_bench(args) -> int:
               "quantum_modeled_queries", "quantum_exponent_fit",
               "classical_status"]
     rows = [header] + [[row[k] for k in header] for row in results]
-    lines = ["  ".join(f"{v}" for v in row) for row in rows]
     doc = {"schema": 1, "kind": "bench", "seed": seed, "rows": results}
-    emit(cfg, lines, doc, csv_rows=rows)
+    emit(cfg, lambda: ["  ".join(f"{v}" for v in row) for row in rows],
+         doc, csv_rows=rows)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except errors.InvariantViolated as exc:

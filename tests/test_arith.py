@@ -370,18 +370,22 @@ def test_evicted_field_still_finds_its_log_table():
         for a, b in pairs]
 
 
-def test_every_admitted_log_table_fits_in_two_mib():
-    # the admission rule is the only bound on the tables' memory:
-    # reads_log_table admits fields with nu > 1 and q <= LOG_TABLE_MAX_Q,
-    # each holding q log and q - 1 antilog int32 entries, 491 487
-    # (1.87 MiB) over all 61 of them.  Raising the limit breaks this, and
-    # the memory argument has to be made again
-    sizes = [p ** nu for p in range(2, arith.LOG_TABLE_MAX_Q + 1)
-             if is_prime(p)
-             for nu in range(2, arith.LOG_TABLE_MAX_Q.bit_length())
-             if p ** nu <= arith.LOG_TABLE_MAX_Q]
-    assert len(sizes) == 61
-    assert sum(2 * q - 1 for q in sizes) <= 1 << 19
+def test_one_log_table_fits_in_128_kib():
+    # the admission rule bounds each table: reads_log_table admits every
+    # field with q <= LOG_TABLE_MAX_Q = 2^14, whose q log and q - 1
+    # antilog int32 entries take at most 2 * 2^14 * 4 B = 128 KiB, and
+    # make_field's 256-entry cache bounds how many fields it keeps alive
+    # (at most 32 MiB of tables).  Raising the limit breaks this, and the
+    # memory argument has to be made again
+    assert 2 * arith.LOG_TABLE_MAX_Q * 4 <= 128 << 10
+    assert make_field.cache_info().maxsize == 256
+    # the largest admitted prime field and q = 2^14; the next prime is out
+    for p, nu in [(16381, 1), (2, 14)]:
+        spec = make_field(p, nu)
+        assert arith.reads_log_table(spec)
+        arith._log_table(spec)
+        assert sum(view.nbytes for view in spec._zech) <= 128 << 10
+    assert not arith.reads_log_table(make_field(16411))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +474,8 @@ def test_multiplicative_order_errors():
 
 
 def test_bsgs_exhaustive_against_power_walk():
-    # F_{2^6} reads its discrete logs from the log table, so this is the
-    # direct coverage of the baby-step table there
+    # these fields read their discrete logs from the log table, so this
+    # is the direct coverage of the baby-step table there
     for p, nu in [(11, 1), (2, 6), (101, 1)]:
         spec = make_field(p, nu)
         fact = factorize(spec.cardinality - 1)

@@ -561,3 +561,66 @@ def test_cached_parser_still_rejects_bad_arguments():
         assert exc.value.code == 2
     # the parser is still usable after those errors
     assert run(["count", *F7_ARGS])[0] == 0
+
+
+# ------------------------------------------------------- one-pass dispatch
+
+
+def test_dispatch_gives_the_full_parsers_namespace(tmp_path):
+    # a subcommand's own parser reads its argv into the namespace the
+    # two-level parse gives, config file and repeated flags included
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("p = 7\nterms = 1,3;1,2\nb = 3\n")
+    argvs = [["orders", "--p", "101", "--n", "3", "--seed", "1"],
+             ["count", "--config", str(cfg), "--r", "1", "--r", "2"],
+             ["density", *F7_ARGS, "--delta", "1", "--format", "csv"],
+             ["solve", "--config", str(cfg), "--b", "4", "--b", "5",
+              "--log-base", "base2"],
+             ["qmodel", *F7_ARGS, "--mode", "thm3", "--trials", "20"],
+             ["exponents", "--n-max", "3", "--format", "json"],
+             ["reduce", *F7_ARGS, "--samples", "2"],
+             ["bench", "--qs", "11", "--ns", "2", "--seed", "1"]]
+    assert ({argv[0] for argv in argvs}
+            == set(cli.build_parser().commands))
+    for argv in argvs:
+        assert cli.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nosuchcommand"],
+                                  ["count", "--p", "seven"],
+                                  ["count", *F7_ARGS, "--bogus", "1"],
+                                  ["density", "-h"]])
+def test_dispatch_exits_as_the_full_parser_does(argv):
+    def exit_of(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              pytest.raises(SystemExit) as exc):
+            parse(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    full = exit_of(cli.build_parser().parse_args)
+    assert exit_of(main) == full
+    assert full[0] == (0 if "-h" in argv else 2)
+
+
+# -------------------------------------------- text built only when printed
+
+
+MACHINE_ARGVS = [["count", *F7_ARGS, "--format", "json"],
+                 ["density", "--p", "101", "--n", "2", "--seed", "3",
+                  "--delta", "1", "--format", "json"],
+                 ["density", *F7_ARGS, "--format", "csv"],
+                 ["solve", *F7_ARGS, "--format", "json"],
+                 ["qmodel", *F7_ARGS, "--trials", "20", "--format", "json"]]
+
+
+def test_json_and_csv_do_no_text_work(monkeypatch):
+    before = [run(argv) for argv in MACHINE_ARGVS]
+
+    def text_work(*args):
+        raise AssertionError("text report built for a json or csv run")
+
+    monkeypatch.setattr(cli, "describe_instance", text_work)
+    monkeypatch.setattr(density_mod, "energy_bound_check", text_work)
+    assert [run(argv) for argv in MACHINE_ARGVS] == before
+    assert all(rc == 0 and out for rc, out, _ in before)

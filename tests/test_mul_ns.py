@@ -17,13 +17,14 @@ def test_grid_is_the_fixed_one():
 
 
 def test_measure_times_every_field():
-    grid = [(2, 3), (97, 2), (3, 9), (101, 1)]
+    grid = [(2, 3), (97, 2), (3, 9), (101, 1), (40961, 1)]
     out = mul_ns.measure(grid, repeats=2, loop=5)
-    tags = ["p2-nu3", "p97-nu2", "p3-nu9", "p101-nu1"]
-    # only the fields that read a log table walk from one
+    tags = ["p2-nu3", "p97-nu2", "p3-nu9", "p101-nu1", "p40961-nu1"]
+    # only the fields that read a log table (q <= 2^14) walk from one
     assert list(out) == tags + [
         "walk-table.p2-nu3", "walk-matrix.p2-nu3", "walk-table.p97-nu2",
-        "walk-matrix.p97-nu2", "walk-matrix.p3-nu9", "walk-matrix.p101-nu1"]
+        "walk-matrix.p97-nu2", "walk-matrix.p3-nu9", "walk-table.p101-nu1",
+        "walk-matrix.p101-nu1", "walk-matrix.p40961-nu1"]
     for m in out.values():
         assert m["raw_ns"] > 0 and m["kernel_ns"] > 0 and m["ns"] > 0
 

@@ -167,10 +167,10 @@ def test_reduce_single_group():
 
 
 def test_reduce_sets_up_one_table_per_group(monkeypatch):
-    # F_1009 (q - 1 = 1008): four terms of order 1008 and three of order
-    # 504 take one baby-step table each, the single term of order 7 none,
-    # and q - 1 is factored once (for d(q - 1)); F_{3^4} reads its log
-    # table and builds none
+    # F_40961 (q - 1 = 40960, past LOG_TABLE_MAX_Q): four terms of order
+    # 40960 and three of order 20480 take one baby-step table each, the
+    # single term of order 5 none, and q - 1 is factored once (for
+    # d(q - 1)); F_{3^4} reads its log table and builds none
     builds, factored = [], []
     init, factor = arith.BsgsTable.__init__, arith.factorize
 
@@ -184,8 +184,8 @@ def test_reduce_sets_up_one_table_per_group(monkeypatch):
 
     rng = random.Random(5)
     cases = []
-    for (p, nu), orders in [((1009, 1), [1008, 504, 1008, 7, 504, 1008,
-                                         504, 1008]),
+    for (p, nu), orders in [((40961, 1), [40960, 20480, 40960, 5, 20480,
+                                          40960, 20480, 40960]),
                             ((3, 4), [80, 16, 80, 80, 16])]:
         spec = make_field(p, nu)
         gen = find_generator(spec)
@@ -195,7 +195,7 @@ def test_reduce_sets_up_one_table_per_group(monkeypatch):
     monkeypatch.setattr(arith.BsgsTable, "__init__", counted_init)
     monkeypatch.setattr(arith, "factorize", counted_factorize)
     monkeypatch.setattr(reduction, "factorize", counted_factorize)
-    for eq, tables in zip(cases, [[1008, 504], []]):
+    for eq, tables in zip(cases, [[40960, 20480], []]):
         builds.clear()
         factored.clear()
         red = reduce_equation(eq)

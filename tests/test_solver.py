@@ -570,10 +570,10 @@ def reference_first_hit(eq, box, counter):
     return None
 
 
-# prime fields and F_{3^9} (q > LOG_TABLE_MAX_Q) take the BSGS route,
-# the other extension fields the log-table route
+# F_40961 and F_{3^9} (q > LOG_TABLE_MAX_Q) take the BSGS route, the
+# other fields the log-table route
 ORACLE_FIELDS = [(7, 1), (101, 1), (257, 1), (2, 6), (3, 4), (97, 2),
-                 (3, 9)]
+                 (3, 9), (40961, 1)]
 ORACLE_GRID = 1 << 10   # outer points, so that a miss scans quickly
 
 
@@ -608,8 +608,11 @@ def oracle_instances(draw):
 
 # one example per status on each route, and a t = 0 point
 EXHAUSTED_ON_TABLE = make_equation(make_field(3, 4), [(2, 9), (3, 9)], 0)
-EXHAUSTED_ON_BSGS = make_equation(make_field(41), [(2, 36), (3, 36)], 0)
-CERTIFIED_ON_BSGS = make_equation(make_field(101), [(1, 5)], 3)
+# 243 = 3^5 has order 8192 in F_40961, and -a_2/a_1 = 3 lies outside its
+# subgroup, so no point of the truncated box is a zero
+EXHAUSTED_ON_BSGS = make_equation(make_field(40961), [(1, 243), (40958, 243)],
+                                  0)
+CERTIFIED_ON_BSGS = make_equation(make_field(40961), [(1, 243)], 3)
 ZERO_TARGET_FIRST = make_equation(make_field(7), [(1, 3), (1, 2)], 1)
 FOUND_PAST_TABLE = make_equation(make_field(3, 9), [(1, 2), (5, 3)], 7)
 
@@ -653,7 +656,8 @@ import numpy as np
 assert False, "assertions are on; this script must run under python -O"
 from expzeros import arith, cli, errors, qmodel, reduction, solver
 
-FOUND_ARGS = ["solve", "--p", "257", "--terms", "1,9;1,136", "--b", "136"]
+FOUND_ARGS = ["solve", "--p", "40961", "--terms", "39810,139;29189,17455",
+              "--b", "14992"]
 
 # a walk shifted by one step: the hit it yields fails verify_solution
 walk = solver._power_walk
