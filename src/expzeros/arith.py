@@ -11,6 +11,7 @@ products and power walks read them where they exist.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -169,7 +170,28 @@ def _log_table(spec: FieldSpec) -> memoryview:
         if log[0] != -1 or log[1:].min() < 0:
             raise InvariantViolated(f"the powers of {gamma!r} miss units")
         spec._zech = (memoryview(log), memoryview(antilog))
+        _release_free_heap()
     return spec._zech[0]
+
+
+def _release_free_heap() -> None:
+    """Return the free pages of the malloc heap to the OS, where glibc can.
+
+    Each time a process frees an mmapped block, glibc raises its mmap
+    threshold to that block's size (up to 32 MiB) and its trim threshold
+    to twice it.  Smaller blocks then come from the brk heap, and glibc
+    gives the heap's free top back only when a free leaves that top past
+    the trim threshold, which turns on which small block happens to be
+    live just below it.  A log table's build frees its walk's temporaries,
+    (q - 1) * nu int64 rows, and comes once per field, so it ends here:
+    after it the resident size holds live data and no free heap, whatever
+    the byte layout.  A call takes about 0.05 ms, and 0.14 ms more for
+    each MiB it returns.
+    """
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass  # no glibc: nothing to return this way
 
 
 def reads_log_table(spec: FieldSpec) -> bool:

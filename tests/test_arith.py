@@ -3,8 +3,12 @@ baby-step giant-step discrete logs, all validated against brute oracles.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +390,53 @@ def test_one_log_table_fits_in_128_kib():
         arith._log_table(spec)
         assert sum(view.nbytes for view in spec._zech) <= 128 << 10
     assert not arith.reads_log_table(make_field(16411))
+
+
+# A fresh interpreter frees an 8 MiB block, which raises glibc's trim
+# threshold to 16 MiB, then frees 12 MiB of 1 MiB blocks: they stay on the
+# heap as its free top.  Prints that top's size before and after one table
+# build, or "skip" where the C library has no mallinfo2.
+FREE_TOP_SCRIPT = """
+import ctypes
+import numpy as np
+from expzeros import arith, fields
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    print("skip")
+    raise SystemExit
+
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks "
+        "fordblks keepcost").split()]
+
+
+libc.mallinfo2.restype = MallInfo2
+np.ones(1 << 20)  # made and freed at once
+blocks = [np.ones(1 << 17) for _ in range(12)]
+del blocks
+before = libc.mallinfo2().keepcost
+arith._log_table(fields.make_field(101))
+print(before, libc.mallinfo2().keepcost)
+"""
+
+
+def test_table_build_returns_the_free_heap_top():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", FREE_TOP_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "skip":
+        pytest.skip("the C library has no mallinfo2")
+    before, after = map(int, proc.stdout.split())
+    assert before >= 8 << 20  # glibc kept the freed blocks
+    assert after < 1 << 20
 
 
 # ---------------------------------------------------------------------------
