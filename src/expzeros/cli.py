@@ -38,7 +38,7 @@ from .solver import solve_classical
 
 CONFIG_KEYS = {
     "p", "nu", "terms", "b", "n", "seed", "delta", "log_base", "mode",
-    "out", "format", "n_max", "r", "qs", "ns", "trials",
+    "out", "format", "n_max", "r", "qs", "ns",
     "slack_exponent", "samples",
 }
 
@@ -141,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("qmodel", cmd_qmodel, "quantum query-cost model")
     sp.add_argument("--mode", choices=["thm2", "thm3"],
                     help="cost model variant (default thm2)")
-    sp.add_argument("--trials", type=int,
-                    help="guessing-schedule trials (default 300)")
     sp.add_argument("--slack-exponent", dest="slack_exponent", type=int,
                     help="polylog slack power in bounds (default 3)")
 
@@ -458,9 +456,7 @@ def cmd_qmodel(args) -> int:
     report = model_quantum_solve(
         eq, cfg.get("mode") or "thm2",
         log_base=cfg.get("log_base") or "natural",
-        slack_exponent=_get_int(cfg, "slack_exponent", 3),
-        rng_seed=_get_int(cfg, "seed", 0) or 0,
-        sim_trials=_get_int(cfg, "trials", 300))
+        slack_exponent=_get_int(cfg, "slack_exponent", 3))
 
     def text():
         lines = describe_instance(eq, generated)
@@ -469,7 +465,7 @@ def cmd_qmodel(args) -> int:
         lines.append(f"search space t={report.t}  m_exact={report.m_exact}"
                      f"  m_estimate={report.m_estimate}")
         lines.append(f"modeled queries: {report.modeled_queries}  "
-                     f"empirical: {report.empirical_queries}")
+                     f"expected: {report.expected_queries}")
         lines.append(f"shor calls: {report.shor_calls}")
         lines.append(f"bound {report.theoretical_bound:.3f}  within: "
                      f"{report.within_bound}")
@@ -531,7 +527,7 @@ def bench_cell(q: int, n: int, seed: int) -> dict:
     eq = random_equation_with_orders(spec, [q - 1] * n, rng)
     classical = solve_classical(eq)
     mults = classical.queries.group_mults
-    quantum = model_quantum_solve(eq, "thm2", rng_seed=seed, sim_trials=50)
+    quantum = model_quantum_solve(eq, "thm2")
     logq = math.log(q)
     return {
         "q": q, "n": n,

@@ -1,7 +1,7 @@
 """Quantum query-cost models: Grover amplitude dynamics (closed form and
-exact small-scale simulation), the unknown-m exponential guessing schedule,
-modeled costs for the two quantum search strategies, and the
-classical-vs-quantum exponent table.
+exact small-scale simulation), the unknown-m guessing schedule's expected
+queries as a closed-form series, modeled costs for the two quantum search
+strategies, and the classical-vs-quantum exponent table.
 
 Quantum subroutines are modeled, not executed: order finding and discrete
 logs are answered classically and charged polylog cost; Grover is charged
@@ -23,7 +23,6 @@ within a factor 4 (tighter deltas admit counterexamples at small r).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,10 +35,11 @@ from .solver import build_box
 
 GROVER_SIM_CAP = 1 << 14
 BBHT_GROWTH = 6 / 5
-# Once ceil(1.2^j) passes about sqrt(t/m), a round succeeds with
-# probability at least 1/4, so no run needs 1000 rounds; 1.2^j would
-# overflow a float near j = 3900.
+# Past L_j >= 1/sin(2 theta) each round misses with probability at most
+# 3/4, so the expectation meets BBHT_TAIL_TOL long before 1000 rounds at
+# any t a float can angle; 1.2^j would overflow a float near j = 3900.
 BBHT_MAX_ROUNDS = 1000
+BBHT_TAIL_TOL = 1e-12
 
 
 def _theta(t: int, m: int) -> float:
@@ -88,36 +88,40 @@ def grover_simulate(t: int, marked, k: int, return_drift: bool = False):
     return prob
 
 
-def bbht_expected_queries(t: int, m: int, trials: int,
-                          rng_seed: int = 0) -> float:
-    """Empirical mean oracle queries of the exponential guessing schedule.
+def bbht_expected_queries(t: int, m: int) -> float:
+    """Expected oracle queries of the exponential guessing schedule.
 
-    Round j draws k uniformly from [0, ceil(c^j)) with c = 6/5, runs k
-    Grover iterations (k+1 oracle queries counted, one per iteration plus
-    the measurement's verification query), and succeeds with probability
-    grover_success(t, m, k).  Trial i uses seed rng_seed + i, so the mean
-    is reproducible and trials can run in any order.
+    Round j draws k uniformly from [0, L_j), L_j = ceil(c^j), c = 6/5, and
+    spends k + 1 queries (k Grover iterations and the verification query),
+    (L_j + 1)/2 on average.  Summing sin^2 over (2k+1) theta, it misses
+    with probability f_j = 1/2 + sin(4 L_j theta) / (4 L_j sin 2 theta), so
+    E = sum_j (prod_{i<j} f_i) (L_j + 1)/2, and m = t gives E = 1 exactly.
+
+    Tail: once L_J sin 2 theta >= 1, each f_j <= 3/4 from round J on, and
+    L_{J+d} <= (6/5)^d L_J + 1, so with R = prod_{i<J} f_i those rounds add
+    at most R sum_d (3/4)^d ((6/5)^d L_J + 2)/2 = R (5 L_J + 4).  The sum
+    stops when that falls below BBHT_TAIL_TOL times the sum so far, and
+    raises InvariantViolated if it has not by BBHT_MAX_ROUNDS.
     """
     theta = _theta(t, m)
-    if trials < 1:
-        raise BadCounts(f"need trials >= 1, got {trials}")
-    totals = []
-    for trial in range(trials):
-        rng = random.Random(rng_seed + trial)
-        queries = 0
-        j = 0
-        while True:
-            limit = math.ceil(BBHT_GROWTH ** j)
-            k = rng.randrange(limit)
-            queries += k + 1
-            if rng.random() < math.sin((2 * k + 1) * theta) ** 2:
-                break
-            j += 1
-            if j >= BBHT_MAX_ROUNDS:
-                raise InvariantViolated(
-                    f"guessing schedule ran {j} rounds without success")
-        totals.append(queries)
-    return math.fsum(totals) / trials
+    if m == t:
+        return 1.0
+    sin_2theta = math.sin(2 * theta)
+    total, reach = 0.0, 1.0
+    for j in range(BBHT_MAX_ROUNDS):
+        limit = math.ceil(BBHT_GROWTH ** j)
+        if (limit * sin_2theta >= 1
+                and reach * (5 * limit + 4) < BBHT_TAIL_TOL * total):
+            return total
+        total += reach * (limit + 1) / 2
+        reach *= _round_miss(limit, theta, sin_2theta)
+    raise InvariantViolated(f"guessing schedule's expectation not within "
+                            f"tolerance after {BBHT_MAX_ROUNDS} rounds")
+
+
+def _round_miss(limit: int, theta: float, sin_2theta: float) -> float:
+    """1 - mean of sin^2((2k+1) theta) over k < limit, in closed form."""
+    return 0.5 + math.sin(4 * limit * theta) / (4 * limit * sin_2theta)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +231,7 @@ class QueryCostReport:
     m_ratio: float | None  # m_exact / m_estimate
     b_exceptional: bool | None  # |Delta_b| >= sqrt(r q^(n-2)), delta = 1
     modeled_queries: int
-    empirical_queries: float | None  # guessing-schedule mean, m_exact > 0
+    expected_queries: float | None  # guessing schedule's mean, m_exact > 0
     shor_calls: int  # n order findings + one dlog per query
     theoretical_bound: float
     within_bound: bool
@@ -273,9 +277,7 @@ def _count_in_box(eq: ExpEquation, box) -> int | None:
 
 def model_quantum_solve(eq: ExpEquation, mode: str,
                         log_base: str = "natural",
-                        slack_exponent: int = 3,
-                        rng_seed: int = 1,
-                        sim_trials: int = 300) -> QueryCostReport:
+                        slack_exponent: int = 3) -> QueryCostReport:
     """Model the quantum search cost for one instance.
 
     thm2 needs no hypothesis, takes the solver's ceiling box and charges
@@ -334,9 +336,8 @@ def model_quantum_solve(eq: ExpEquation, mode: str,
                  if m_exact is not None and m_estimate else None),
         b_exceptional=_exceptional_at_delta1(eq, box, m_exact),
         modeled_queries=modeled,
-        empirical_queries=(bbht_expected_queries(t, m_exact, sim_trials,
-                                                 rng_seed)
-                           if m_exact else None),
+        expected_queries=(bbht_expected_queries(t, m_exact)
+                          if m_exact else None),
         shor_calls=n + modeled, theoretical_bound=bound,
         within_bound=modeled <= bound, chain_case=case, chain_holds=holds,
         hypothesis_ok=hypothesis_ok, log_base=log_base,

@@ -203,7 +203,7 @@ def test_solve_certificate_status():
 
 def test_qmodel_thm2_json():
     rc, out, _ = run(["qmodel", *F7_ARGS, "--mode", "thm2",
-                      "--format", "json", "--trials", "20"])
+                      "--format", "json"])
     assert rc == 0
     doc = json.loads(out)
     assert doc["mode"] == "thm2"
@@ -214,8 +214,7 @@ def test_qmodel_thm2_json():
 
 def test_qmodel_thm3_success():
     rc, out, _ = run(["qmodel", "--p", "101", "--terms", "1,2;1,5",
-                      "--b", "7", "--mode", "thm3", "--format", "json",
-                      "--trials", "10"])
+                      "--b", "7", "--mode", "thm3", "--format", "json"])
     assert rc == 0
     doc = json.loads(out)
     assert doc["hypothesis_ok"] is True
@@ -576,7 +575,7 @@ def test_dispatch_gives_the_full_parsers_namespace(tmp_path):
              ["density", *F7_ARGS, "--delta", "1", "--format", "csv"],
              ["solve", "--config", str(cfg), "--b", "4", "--b", "5",
               "--log-base", "base2"],
-             ["qmodel", *F7_ARGS, "--mode", "thm3", "--trials", "20"],
+             ["qmodel", *F7_ARGS, "--mode", "thm3"],
              ["exponents", "--n-max", "3", "--format", "json"],
              ["reduce", *F7_ARGS, "--samples", "2"],
              ["bench", "--qs", "11", "--ns", "2", "--seed", "1"]]
@@ -611,7 +610,7 @@ MACHINE_ARGVS = [["count", *F7_ARGS, "--format", "json"],
                   "--delta", "1", "--format", "json"],
                  ["density", *F7_ARGS, "--format", "csv"],
                  ["solve", *F7_ARGS, "--format", "json"],
-                 ["qmodel", *F7_ARGS, "--trials", "20", "--format", "json"]]
+                 ["qmodel", *F7_ARGS, "--format", "json"]]
 
 
 def test_json_and_csv_do_no_text_work(monkeypatch):

@@ -91,31 +91,28 @@ CASES = {
                             "--seed", "2"],
     "solve_f2e8_n1_certified": ["solve", "--p", "2", "--nu", "8", "--n", "1",
                                 "--seed", "1"],
-    # qmodel: both modes, brute-force m_exact and the BBHT simulation
+    # qmodel: both modes, brute-force m_exact and the BBHT expectation
     "qmodel_f7_thm2": ["qmodel", "--p", "7", "--terms", "1,3;1,2", "--b",
-                       "3", "--mode", "thm2", "--trials", "50"],
+                       "3", "--mode", "thm2"],
     "qmodel_f101_thm3": ["qmodel", "--p", "101", "--terms", "1,2;1,5",
-                         "--b", "7", "--mode", "thm3", "--trials", "50"],
+                         "--b", "7", "--mode", "thm3"],
     "qmodel_f101_thm3_base2": ["qmodel", "--p", "101", "--terms", "1,2;1,5",
-                               "--b", "7", "--mode", "thm3", "--trials",
-                               "50", "--log-base", "base2"],
+                               "--b", "7", "--mode", "thm3", "--log-base",
+                               "base2"],
     "qmodel_f3e4_thm2": ["qmodel", "--p", "3", "--nu", "4", "--terms",
                          "2,9;3,9", "--b", "1", "--mode", "thm2",
-                         "--seed", "3", "--trials", "40"],
+                         "--seed", "3"],
     "qmodel_f2e8_thm3": ["qmodel", "--p", "2", "--nu", "8", "--terms",
-                         "1,3;2,5", "--b", "9", "--mode", "thm3",
-                         "--trials", "40"],
+                         "1,3;2,5", "--b", "9", "--mode", "thm3"],
     # qmodel's other branches: thm2 with r_raw > s_n and with n = 1;
     # thm3 with r_raw = 0 and with an empty box; both modes past the box
     # cap, where m_exact is null and thm3 takes M from the estimate
     "qmodel_f101_thm2_clamped": ["qmodel", "--p", "101", "--terms",
-                                 "8,17;95,87", "--b", "32", "--mode", "thm2",
-                                 "--trials", "40"],
+                                 "8,17;95,87", "--b", "32", "--mode", "thm2"],
     "qmodel_f101_thm2_n1": ["qmodel", "--p", "101", "--terms", "1,2", "--b",
-                            "17", "--mode", "thm2", "--trials", "40"],
+                            "17", "--mode", "thm2"],
     "qmodel_f101_thm3_r0": ["qmodel", "--p", "101", "--terms",
-                            "1,2;3,2;7,2", "--b", "55", "--mode", "thm3",
-                            "--trials", "20"],
+                            "1,2;3,2;7,2", "--b", "55", "--mode", "thm3"],
     "qmodel_f41_thm3_empty": ["qmodel", "--p", "41", "--terms", "2,36;3,36",
                               "--b", "0", "--mode", "thm3"],
     "qmodel_f65537_thm2_uncapped": ["qmodel", "--p", "65537", "--terms",

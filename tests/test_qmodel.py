@@ -1,17 +1,22 @@
 """Tests for the Grover closed form vs exact simulation, the unknown-m
-guessing schedule, the exponent table, and the two query-cost models.
+guessing schedule's expectation (against direct sums and a seeded Monte
+Carlo oracle), the exponent table, and the two query-cost models.
 """
 
 import math
 import random
+import statistics
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expzeros import charsum, fields, qmodel
 from expzeros.charsum import brute_count, make_box, make_equation
 from expzeros.errors import (BadCounts, CapExceeded, HypothesisFailed,
-                             Overflow)
+                             InvariantViolated, Overflow)
 from expzeros.fields import make_field
 from expzeros.instances import random_equation_with_orders
 from expzeros.qmodel import (
@@ -109,31 +114,100 @@ def test_simulation_validation_and_cap():
 # unknown-m guessing schedule
 
 
+def bbht_sample(t, m, trials, seed):
+    """Monte Carlo oracle for bbht_expected_queries: the mean and the
+    standard error of `trials` seeded runs of the guessing schedule.
+
+    Round j of a run draws k uniformly from [0, ceil(c^j)), spends k + 1
+    queries and succeeds with probability sin^2((2k+1) theta).  A sample
+    whose runs all spent the same count shows no spread, yet an event
+    rarer than about 1/trials can hide from it, so the standard error is
+    floored at 1/trials.
+    """
+    rng = random.Random(seed)
+    theta = math.asin(math.sqrt(m / t))
+    counts = []
+    for _ in range(trials):
+        queries = j = 0
+        while True:
+            k = rng.randrange(math.ceil(qmodel.BBHT_GROWTH ** j))
+            queries += k + 1
+            if rng.random() < math.sin((2 * k + 1) * theta) ** 2:
+                break
+            j += 1
+        counts.append(queries)
+    stderr = statistics.stdev(counts) / math.sqrt(trials)
+    return statistics.fmean(counts), max(stderr, 1 / trials)
+
+
 def test_bbht_known_m_equals_one_query():
     # m = t succeeds on the k = 0 guess of round zero, deterministically
-    assert bbht_expected_queries(16, 16, 200) == 1.0
-    assert bbht_expected_queries(5, 5, 50) == 1.0
+    for t in (1, 5, 16, 1 << 20):
+        assert bbht_expected_queries(t, t) == 1.0
 
 
-def test_bbht_reproducible_and_bounded():
-    a = bbht_expected_queries(256, 1, 400, rng_seed=7)
-    b = bbht_expected_queries(256, 1, 400, rng_seed=7)
-    assert a == b
-    assert 1.0 <= a <= 4 * math.sqrt(256)
-    c = bbht_expected_queries(256, 1, 400, rng_seed=8)
-    assert c != a   # different seed, different draw sequence
-    # easy instance: half the items marked
-    mean = bbht_expected_queries(16, 8, 500)
-    assert mean <= 4 * math.sqrt(2)
+def test_bbht_half_marked_pair_by_hand():
+    # t = 2, m = 1: theta = pi/4, every round misses with probability 1/2
+    series = math.fsum(2.0 ** -j * (math.ceil(1.2 ** j) + 1) / 2
+                       for j in range(200))
+    assert bbht_expected_queries(2, 1) == pytest.approx(series, rel=1e-11)
+
+
+def test_bbht_round_miss_matches_the_direct_sum():
+    for t, m in [(2, 1), (4, 1), (7, 3), (100, 1), (100, 99), (1024, 5),
+                 (1 << 16, 1)]:
+        theta = math.asin(math.sqrt(m / t))
+        sin_2theta = math.sin(2 * theta)
+        for limit in range(1, 65):
+            hit = math.fsum(math.sin((2 * k + 1) * theta) ** 2
+                            for k in range(limit)) / limit
+            assert qmodel._round_miss(limit, theta, sin_2theta) == (
+                pytest.approx(1 - hit, abs=1e-12))
+
+
+def test_bbht_series_by_direct_sums():
+    # the same series with each round's miss chance summed term by term
+    for t, m in [(4, 1), (81, 9), (100, 99), (1024, 1)]:
+        theta = math.asin(math.sqrt(m / t))
+        total, reach, j = 0.0, 1.0, 0
+        while reach > 1e-17:
+            limit = math.ceil(1.2 ** j)
+            k = np.arange(limit)
+            total += reach * (limit + 1) / 2
+            reach *= 1 - float(np.mean(np.sin((2 * k + 1) * theta) ** 2))
+            j += 1
+        assert bbht_expected_queries(t, m) == pytest.approx(total,
+                                                            rel=1e-10)
+
+
+# derandomized: the same (t, m) and seeds on every run, so a 4-sigma
+# deviation cannot come and go between runs
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 1 << 16), min_size=2, max_size=2))
+@example([1, 1 << 16])
+@example([99, 100])
+def test_bbht_closed_form_within_sampling_error(pair):
+    m, t = sorted(pair)
+    mean, stderr = bbht_sample(t, m, 400, seed=t * 65537 + m)
+    assert abs(mean - bbht_expected_queries(t, m)) <= 4 * stderr
+
+
+def test_bbht_envelope_and_round_cap(monkeypatch):
+    for t, m in [(16, 8), (256, 1), (4096, 3), (1 << 20, 1)]:
+        assert 1 <= bbht_expected_queries(t, m) <= 4 * math.sqrt(t / m)
+    # a sum that has not met its tolerance by the last round raises
+    monkeypatch.setattr(qmodel, "BBHT_MAX_ROUNDS", 2)
+    with pytest.raises(InvariantViolated, match="after 2 rounds"):
+        bbht_expected_queries(1 << 20, 1)
 
 
 def test_bbht_validation():
     with pytest.raises(BadCounts):
-        bbht_expected_queries(4, 0, 10)
+        bbht_expected_queries(4, 0)
     with pytest.raises(BadCounts):
-        bbht_expected_queries(4, 5, 10)
+        bbht_expected_queries(4, 5)
     with pytest.raises(BadCounts):
-        bbht_expected_queries(4, 1, 0)
+        bbht_expected_queries(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +290,7 @@ def test_thm2_model_f7_example(monkeypatch):
     assert rep.within_bound
     assert rep.b_exceptional is False
     # t = m = 3: the schedule needs exactly one query
-    assert rep.empirical_queries == 1.0
+    assert rep.expected_queries == 1.0
     doc = rep.to_dict()
     assert doc["schema"] == 1 and doc["kind"] == "query_cost_report"
     assert doc["mode"] == "thm2" and doc["t"] == 3
@@ -243,7 +317,7 @@ def test_thm2_past_the_box_cap_leaves_the_count_out(monkeypatch):
     assert rep.r_raw == rep.r == rep.t == 45 and not rep.r_clamped
     assert 32768 * 45 > fields.DEFAULT_ENUM_CAP
     assert rep.m_exact is None and rep.m_ratio is None
-    assert rep.b_exceptional is None and rep.empirical_queries is None
+    assert rep.b_exceptional is None and rep.expected_queries is None
     assert rep.modeled_queries == 7           # ceil(sqrt(45))
 
 
@@ -265,11 +339,11 @@ def test_thm2_found_iff_box_nonempty():
     spec = make_field(41)
     for b in range(41):
         eq = make_equation(spec, [(2, 36), (3, 36)], b)
-        rep = model_quantum_solve(eq, "thm2", sim_trials=20)
+        rep = model_quantum_solve(eq, "thm2")
         classical = solve_classical(eq)
         assert (classical.status == FOUND) == (rep.m_exact > 0)
         if rep.m_exact == 0:
-            assert rep.empirical_queries is None
+            assert rep.expected_queries is None
             assert rep.b_exceptional is True
 
 
@@ -314,7 +388,7 @@ def test_thm3_hypothesis_gate():
 def test_thm3_model_q101():
     spec = make_field(101)
     eq = make_equation(spec, [(1, 2), (1, 5)], 44)   # orders (100, 25)
-    rep = model_quantum_solve(eq, "thm3", sim_trials=50)
+    rep = model_quantum_solve(eq, "thm3")
     assert rep.mode == "thm3" and rep.hypothesis_ok
     assert rep.r_raw == 4 and rep.r == 4 and not rep.r_clamped
     assert rep.t == 4
@@ -333,7 +407,7 @@ def test_thm3_nonexceptional_ratio_window_full_sweep():
     n_checked = 0
     for b in range(101):
         eq = make_equation(spec, [(1, 2), (1, 5)], b)
-        rep = model_quantum_solve(eq, "thm3", sim_trials=10)
+        rep = model_quantum_solve(eq, "thm3")
         if rep.b_exceptional:
             continue
         assert rep.m_exact is not None and rep.m_exact >= 1
@@ -346,14 +420,14 @@ def test_thm3_nonexceptional_ratio_window_full_sweep():
 def test_thm3_radius_clamp():
     spec = make_field(101)
     eq = make_equation(spec, [(1, 2), (3, 2), (7, 2)], 55)  # orders 100^3
-    rep = model_quantum_solve(eq, "thm3", sim_trials=20)
+    rep = model_quantum_solve(eq, "thm3")
     assert rep.r_raw == 0 and rep.r == 1 and rep.r_clamped
     assert rep.t == 100
     assert rep.hypothesis_ok
     # orders (100, 20, 4): r_raw = floor(101^3 / 2000^2 ln 101) = 1 is
     # used as it stands
     eq = make_equation(spec, [(1, 2), (1, 32), (1, 10)], 7)
-    rep = model_quantum_solve(eq, "thm3", sim_trials=20)
+    rep = model_quantum_solve(eq, "thm3")
     assert rep.r_raw == rep.r == 1 and not rep.r_clamped
     assert rep.t == 20
 
@@ -365,7 +439,7 @@ def test_thm3_past_the_box_cap_takes_m_from_the_estimate(monkeypatch):
     assert rep.r_raw == rep.r == rep.t == 44 and rep.hypothesis_ok
     assert 32768 * 44 > fields.DEFAULT_ENUM_CAP
     assert rep.m_exact is None and rep.m_ratio is None
-    assert rep.b_exceptional is None and rep.empirical_queries is None
+    assert rep.b_exceptional is None and rep.expected_queries is None
     assert rep.m_estimate == pytest.approx(44 * 32768 / 65537)
     m_used = round(rep.m_estimate)
     assert m_used == 22
@@ -380,18 +454,19 @@ def test_thm3_exceptional_zero_count_path():
     assert rep.m_exact == 0
     assert rep.b_exceptional is True
     assert rep.modeled_queries == math.ceil(math.sqrt(15))
-    assert rep.empirical_queries is None
+    assert rep.expected_queries is None
 
 
 def test_bbht_estimate_runs_past_the_simulation_cap():
     # F_97, five terms of order 16, thm2's box of 10 * 16^4 points: the
     # outer grid of 40960 points is past GROVER_SIM_CAP, yet the
-    # schedule runs no state vector, so every counted box gets its mean
+    # schedule's expectation needs no state vector, so every counted box
+    # gets it
     eq = make_equation(make_field(97), [(31, 89), (17, 85), (78, 70),
                                         (75, 8), (61, 79)], 70)
     rep = model_quantum_solve(eq, "thm2")
     assert (rep.t, rep.m_exact) == (40960, 6754) and rep.t > GROVER_SIM_CAP
     assert rep.modeled_queries == 203          # ceil(sqrt(40960)), M = 1
-    assert rep.empirical_queries == bbht_expected_queries(40960, 6754, 300,
-                                                          rng_seed=1)
-    assert 1 <= rep.empirical_queries <= 4 * math.sqrt(40960 / 6754)
+    assert rep.expected_queries == bbht_expected_queries(40960, 6754)
+    assert rep.expected_queries == pytest.approx(3.40265291100, rel=1e-11)
+    assert 1 <= rep.expected_queries <= 4 * math.sqrt(40960 / 6754)
