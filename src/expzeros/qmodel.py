@@ -36,8 +36,8 @@ from .solver import build_box
 GROVER_SIM_CAP = 1 << 14
 BBHT_GROWTH = 6 / 5
 # Past L_j >= 1/sin(2 theta) each round misses with probability at most
-# 3/4, so the expectation meets BBHT_TAIL_TOL long before 1000 rounds at
-# any t a float can angle; 1.2^j would overflow a float near j = 3900.
+# 3/4, so the expectation meets BBHT_TAIL_TOL within 1000 rounds for t/m
+# up to 10^150, far past the box cap; 1.2^j overflows near j = 3900.
 BBHT_MAX_ROUNDS = 1000
 BBHT_TAIL_TOL = 1e-12
 

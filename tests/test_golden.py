@@ -100,8 +100,7 @@ CASES = {
                                "--b", "7", "--mode", "thm3", "--log-base",
                                "base2"],
     "qmodel_f3e4_thm2": ["qmodel", "--p", "3", "--nu", "4", "--terms",
-                         "2,9;3,9", "--b", "1", "--mode", "thm2",
-                         "--seed", "3"],
+                         "2,9;3,9", "--b", "1", "--mode", "thm2"],
     "qmodel_f2e8_thm3": ["qmodel", "--p", "2", "--nu", "8", "--terms",
                          "1,3;2,5", "--b", "9", "--mode", "thm3"],
     # qmodel's other branches: thm2 with r_raw > s_n and with n = 1;
