@@ -5,8 +5,11 @@ giant-step or from a field's log table.
 This module computes; it charges no ledger.  pow_cost and bsgs_table_cost
 are the cost rules the solver writes its own ledger from.  It keeps no
 state either: a field's log table and its antilog, two int32 arrays, live
-on its FieldSpec.  Orders and discrete logs build them on first use; FieldElement
-products and power walks read them where they exist.
+on its FieldSpec.  Orders, discrete logs and instances.find_generator build
+them on first use; FieldElement products and power walks read them where
+they exist.  The table's generator is _first_generator's, found by the
+build's scan, and find_generator reads it back as antilog[1], so a field
+that reads a table is scanned for a generator once.
 """
 
 from __future__ import annotations
@@ -157,8 +160,9 @@ def _log_table(spec: FieldSpec) -> memoryview:
     One walk of gamma's powers fills it, and the walk itself is kept as
     the antilog, antilog[x] = packed(gamma^x), which products read.  The
     first call builds both int32 arrays and leaves views of them in
-    `spec._zech`, where every later call, and every product, finds them;
-    only that build factors q - 1.  This is Zech-logarithm arithmetic
+    `spec._zech`, where every later call, every product and
+    instances.find_generator find them; only that build factors q - 1 and
+    scans for gamma.  This is Zech-logarithm arithmetic
     (Huber, "Some comments on Zech's logarithms", IEEE-IT 36, 1990).
     """
     if spec._zech is None:

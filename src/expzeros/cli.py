@@ -86,101 +86,92 @@ def parse_terms(text: str) -> list[tuple[int, int]]:
     return terms
 
 
+def _add_arguments(sp: argparse.ArgumentParser, name: str) -> None:
+    """Subcommand `name`'s flags and handler, added to its parser sp."""
+    sp.add_argument("--config", help="key=value config file")
+    sp.add_argument("--out", help="output path (default stdout)")
+    sp.add_argument("--format", choices=["json", "csv", "text"],
+                    help="output format (default text)")
+    if name not in ("exponents", "bench"):
+        sp.add_argument("--p", type=int, help="field characteristic")
+        sp.add_argument("--nu", type=int,
+                        help="extension degree (default 1)")
+        sp.add_argument("--terms",
+                        help='terms "a1,g1;a2,g2;..." (packed ints)')
+        sp.add_argument("--b", type=int, help="constant term (packed)")
+        sp.add_argument("--n", type=int,
+                        help="random instance: number of terms")
+        sp.add_argument("--seed", type=int,
+                        help="random instance seed (default 0)")
+        sp.add_argument("--log-base", dest="log_base",
+                        choices=["natural", "base2"],
+                        help="base of log q in box formulas")
+    if name in ("count", "density"):
+        sp.add_argument("--r", type=int, help="box radius (default s_n)")
+    if name == "density":
+        sp.add_argument("--delta", type=float,
+                        help="census threshold (default sqrt(ln q))")
+    elif name == "qmodel":
+        sp.add_argument("--mode", choices=["thm2", "thm3"],
+                        help="cost model variant (default thm2)")
+        sp.add_argument("--slack-exponent", dest="slack_exponent", type=int,
+                        help="polylog slack power in bounds (default 3)")
+    elif name == "exponents":
+        sp.add_argument("--n-max", dest="n_max", type=int,
+                        help="last row of the table (default 10)")
+    elif name == "reduce":
+        sp.add_argument("--samples", type=int,
+                        help="also sample this many random equations for "
+                             "the mu <= d(q-1) report")
+    elif name == "bench":
+        sp.add_argument("--qs", help='comma list of primes, e.g. "101,257"')
+        sp.add_argument("--ns", help='comma list of term counts, e.g. "2,3"')
+        sp.add_argument("--seed", type=int, help="instance seed (default 0)")
+    sp.set_defaults(func=COMMANDS[name][0])
+
+
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand `name`'s own parser, built on its first call and kept:
+    argparse keeps no state between parses.  It is the parser the
+    top-level parser's subparser action builds, prog and all."""
+    sp = argparse.ArgumentParser(prog="expzeros " + name)
+    _add_arguments(sp, name)
+    return sp
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: argparse keeps no
-    state between parses, and building it costs about 90 add_argument
-    calls.  Its `commands` maps each subcommand to that subcommand's own
-    parser, which `parse_args` runs alone."""
+    """The top-level parser with all eight subparsers, built once per
+    process and only for what the subcommand parsers cannot answer alone
+    (see parse_args)."""
     parser = argparse.ArgumentParser(
         prog="expzeros",
         description="Zeros of a_1 g_1^x_1 + ... + a_n g_n^x_n - b over "
                     "F_q: exact counting, density checks, classical "
                     "search, quantum cost models.")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
-
-    def command(name, func, help, equation=True):
-        sp = sub.add_parser(name, help=help)
-        sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=["json", "csv", "text"],
-                        help="output format (default text)")
-        if equation:
-            sp.add_argument("--p", type=int, help="field characteristic")
-            sp.add_argument("--nu", type=int,
-                            help="extension degree (default 1)")
-            sp.add_argument("--terms",
-                            help='terms "a1,g1;a2,g2;..." (packed ints)')
-            sp.add_argument("--b", type=int, help="constant term (packed)")
-            sp.add_argument("--n", type=int,
-                            help="random instance: number of terms")
-            sp.add_argument("--seed", type=int,
-                            help="random instance seed (default 0)")
-            sp.add_argument("--log-base", dest="log_base",
-                            choices=["natural", "base2"],
-                            help="base of log q in box formulas")
-        sp.set_defaults(func=func)
-        parser.commands[name] = sp
-        return sp
-
-    command("orders", cmd_orders, "multiplicative orders of the g_i")
-
-    sp = command("count", cmd_count, "brute-force vs character-sum count")
-    sp.add_argument("--r", type=int, help="box radius (default s_n)")
-
-    sp = command("density", cmd_density,
-                 "full-b sweep: deviations, energy, census")
-    sp.add_argument("--r", type=int, help="box radius (default s_n)")
-    sp.add_argument("--delta", type=float,
-                    help="census threshold (default sqrt(ln q))")
-
-    command("solve", cmd_solve, "classical grid search with query "
-                                "accounting")
-
-    sp = command("qmodel", cmd_qmodel, "quantum query-cost model")
-    sp.add_argument("--mode", choices=["thm2", "thm3"],
-                    help="cost model variant (default thm2)")
-    sp.add_argument("--slack-exponent", dest="slack_exponent", type=int,
-                    help="polylog slack power in bounds (default 3)")
-
-    sp = command("exponents", cmd_exponents,
-                 "classical/quantum exponent table", equation=False)
-    sp.add_argument("--n-max", dest="n_max", type=int,
-                    help="last row of the table (default 10)")
-
-    sp = command("reduce", cmd_reduce, "group terms by multiplicative order")
-    sp.add_argument("--samples", type=int,
-                    help="also sample this many random equations for the "
-                         "mu <= d(q-1) report")
-
-    sp = command("bench", cmd_bench,
-                 "classical vs quantum cost sweep over (q, n)",
-                 equation=False)
-    sp.add_argument("--qs", help='comma list of primes, e.g. "101,257"')
-    sp.add_argument("--ns", help='comma list of term counts, e.g. "2,3"')
-    sp.add_argument("--seed", type=int, help="instance seed (default 0)")
+    for name, (_, help) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help), name)
     return parser
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with one parse instead of two.
+    """build_parser().parse_args(argv), with one parse by one parser.
 
-    When argv starts with a subcommand, that subcommand's parser reads
-    the rest into a namespace that already holds `command`, as the
-    top-level parser's subparser action would, and extra arguments fail
-    with the top-level parser's error.  An empty argv, -h and unknown
-    commands go through the top-level parser.
+    When argv starts with a subcommand, that subcommand's parser alone
+    (command_parser) reads the rest into a namespace that already holds
+    `command`, as the top-level parser's subparser action would.  Only
+    an empty argv, -h, an unknown command and extra arguments, whose
+    error is the top-level parser's, build the top-level parser.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    sp = parser.commands.get(argv[0]) if argv else None
-    if sp is None:
-        return parser.parse_args(argv)
-    args, extras = sp.parse_known_args(
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    args, extras = command_parser(argv[0]).parse_known_args(
         argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+        build_parser().error("unrecognized arguments: " + " ".join(extras))
     return args
 
 
@@ -555,6 +546,20 @@ def cmd_bench(args) -> int:
     emit(cfg, lambda: ["  ".join(f"{v}" for v in row) for row in rows],
          doc, csv_rows=rows)
     return 0
+
+
+# Subcommand -> (handler, one-line help), in the order the top-level help
+# lists them; `_add_arguments` adds each one's flags.
+COMMANDS = {
+    "orders": (cmd_orders, "multiplicative orders of the g_i"),
+    "count": (cmd_count, "brute-force vs character-sum count"),
+    "density": (cmd_density, "full-b sweep: deviations, energy, census"),
+    "solve": (cmd_solve, "classical grid search with query accounting"),
+    "qmodel": (cmd_qmodel, "quantum query-cost model"),
+    "exponents": (cmd_exponents, "classical/quantum exponent table"),
+    "reduce": (cmd_reduce, "group terms by multiplicative order"),
+    "bench": (cmd_bench, "classical vs quantum cost sweep over (q, n)"),
+}
 
 
 def main(argv=None) -> int:

@@ -209,8 +209,8 @@ class FieldSpec:
     `_zech` is None, or memoryviews (log, antilog) of the field's int32
     log table and its inverse, the packed powers of the generator: the
     only place the table is kept.  arith's _log_table sets it once, on
-    the first order or discrete log that needs it; FieldElement.__mul__
-    only reads it.
+    the first order, discrete log or generator search that needs it;
+    FieldElement.__mul__ only reads it.
     """
 
     __slots__ = ("p", "nu", "cardinality", "modulus", "_zero", "_one",
@@ -298,7 +298,7 @@ def make_field(p: int, nu: int = 1) -> FieldSpec:
     The cache keeps the 256 fields used last.  A field evicted and built
     again is a new FieldSpec equal to the old one (specs compare by
     value), so its elements still match it; it builds its own log table
-    again when an order or discrete log first needs one.
+    again when an order, discrete log or generator search first needs one.
     """
     return FieldSpec(p, nu)
 

@@ -3,7 +3,9 @@
 Uniform draws match the CLI contract (a_i, g_i uniform over units, b
 uniform over the field).  Order-controlled draws pick g_i of a prescribed
 multiplicative order via powers of a fixed generator, which is how the
-experiments steer box sizes without rejection sampling.
+experiments steer box sizes without rejection sampling.  Where a field
+reads a log table, that generator is the table's own, so the field's one
+generator search is the table build's.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import math
 import random
 
-from .arith import Factorization, _first_generator, factorize
+from .arith import (Factorization, _first_generator, _log_table, factorize,
+                    reads_log_table)
 from .charsum import ExpEquation, make_equation
 from .errors import InvariantViolated
 from .fields import FieldElement, FieldSpec
@@ -33,7 +36,17 @@ def random_equation(spec: FieldSpec, n: int, rng: random.Random,
 
 def find_generator(spec: FieldSpec,
                    fact: Factorization | None = None) -> FieldElement:
-    """Smallest unit (in packed order) generating F_q^x."""
+    """Smallest unit (in packed order) generating F_q^x.
+
+    Where reads_log_table holds that is the generator gamma of the
+    field's log table, built here if missing: gamma = gamma^1 is
+    antilog[1 mod (q-1)], and the table build's scan is the only one.
+    Every other field scans, with `fact` when given.
+    """
+    if reads_log_table(spec):
+        _log_table(spec)
+        antilog = spec._zech[1]
+        return spec.from_packed(antilog[1 % len(antilog)])
     if fact is None:
         fact = factorize(spec.cardinality - 1)
     return _first_generator(spec, fact)

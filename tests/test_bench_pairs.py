@@ -55,14 +55,34 @@ def checkouts(tmp_path):
     return tmp_path
 
 
-def run_tool(checkouts, monkeypatch, run_side, seeds="1-4"):
+def run_tool(checkouts, monkeypatch, run_side, seeds="1-4",
+             names=("--tag", "t", "--out", "BENCH_t.json")):
+    """main() on stubbed runs, in the checkouts' directory; the summary
+    written to BENCH_t.json."""
     monkeypatch.setattr(bench_pairs, "run_side", run_side)
-    out = checkouts / "BENCH_t.json"
+    monkeypatch.chdir(checkouts)
     rc = bench_pairs.main(["--parent", str(checkouts / "parent"),
                            "--change", str(checkouts / "change"),
                            "--workload", "sweep", "--seeds", seeds,
-                           "--tag", "t", "--out", str(out)])
-    return rc, json.loads(out.read_text())
+                           *names])
+    return rc, json.loads((checkouts / "BENCH_t.json").read_text())
+
+
+def test_output_named_by_tag_or_out(checkouts, monkeypatch, capsys):
+    walls = {side: {1: 0.2} for side in ("parent", "change")}
+    run_side, calls = fake_run(walls)
+    # --tag alone writes BENCH_<tag>.json, --out alone needs no tag
+    assert run_tool(checkouts, monkeypatch, run_side, "1",
+                    ["--tag", "t"])[0] == 0
+    (checkouts / "BENCH_t.json").unlink()
+    assert run_tool(checkouts, monkeypatch, run_side, "1",
+                    ["--out", str(checkouts / "BENCH_t.json")])[0] == 0
+    assert len(calls) == 4
+    # neither is a usage error before any run
+    with pytest.raises(SystemExit) as exc:
+        run_tool(checkouts, monkeypatch, run_side, "1", [])
+    assert exc.value.code == 2 and len(calls) == 4
+    assert "one of --tag or --out is required" in capsys.readouterr().err
 
 
 def test_pairs_alternate_and_summarize(checkouts, monkeypatch):

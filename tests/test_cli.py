@@ -9,7 +9,11 @@ certificate case, the q=101 model example).
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -545,9 +549,15 @@ def test_cached_parser_matches_fresh_parser(monkeypatch):
              ["density", *F7_ARGS, "--delta", "1", "--r", "2"],
              ["count", *F7_ARGS]]
     assert main is cli.main and cli.build_parser() is cli.build_parser()
+    assert cli.command_parser("count") is cli.command_parser("count")
     cached = [run(argv) for argv in argvs]
+    hits = cli.command_parser.cache_info().hits
+    cached += [run(argv) for argv in argvs]
+    assert cli.command_parser.cache_info().hits == hits + len(argvs)
+    monkeypatch.setattr(cli, "command_parser",
+                        cli.command_parser.__wrapped__)
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-    fresh = [run(argv) for argv in argvs]
+    fresh = [run(argv) for argv in argvs] * 2
     assert cached == fresh
     assert all(rc == 0 for rc, _, _ in cached)
 
@@ -579,16 +589,22 @@ def test_dispatch_gives_the_full_parsers_namespace(tmp_path):
              ["exponents", "--n-max", "3", "--format", "json"],
              ["reduce", *F7_ARGS, "--samples", "2"],
              ["bench", "--qs", "11", "--ns", "2", "--seed", "1"]]
-    assert ({argv[0] for argv in argvs}
-            == set(cli.build_parser().commands))
+    full = cli.build_parser()
+    assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+    assert full.format_usage().count(",".join(cli.COMMANDS)) == 1
     for argv in argvs:
-        assert cli.parse_args(argv) == cli.build_parser().parse_args(argv)
+        assert cli.parse_args(argv) == full.parse_args(argv)
 
 
-@pytest.mark.parametrize("argv", [[], ["-h"], ["nosuchcommand"],
-                                  ["count", "--p", "seven"],
-                                  ["count", *F7_ARGS, "--bogus", "1"],
-                                  ["density", "-h"]])
+EQUATION_COMMANDS = ["orders", "count", "density", "solve", "qmodel",
+                     "reduce"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nosuchcommand"], ["count", "--p", "seven"],
+    ["count", *F7_ARGS, "--bogus", "1"],
+    *([name, "-h"] for name in EQUATION_COMMANDS + ["exponents", "bench"]),
+    *([name, *F7_ARGS, "--format", "xml"] for name in EQUATION_COMMANDS)])
 def test_dispatch_exits_as_the_full_parser_does(argv):
     def exit_of(parse):
         out, err = io.StringIO(), io.StringIO()
@@ -600,6 +616,45 @@ def test_dispatch_exits_as_the_full_parser_does(argv):
     full = exit_of(cli.build_parser().parse_args)
     assert exit_of(main) == full
     assert full[0] == (0 if "-h" in argv else 2)
+
+
+def test_a_command_builds_its_own_parser_and_no_other(monkeypatch):
+    # every parser a subcommand runs gets its flags from _add_arguments
+    built = []
+    add_arguments = cli._add_arguments
+
+    def recording(sp, name):
+        built.append(sp.prog)
+        add_arguments(sp, name)
+
+    def clear_caches():
+        cli.command_parser.cache_clear()
+        cli.build_parser.cache_clear()
+
+    clear_caches()
+    monkeypatch.setattr(cli, "_add_arguments", recording)
+    try:
+        assert run(["count", *F7_ARGS, "--format", "json"])[0] == 0
+        assert run(["count", *F7_ARGS])[0] == 0
+        assert built == ["expzeros count"]
+        # the top-level parser, and with it every subparser, only for
+        # what a subcommand's parser cannot answer alone
+        with pytest.raises(SystemExit):
+            run(["count", *F7_ARGS, "--bogus", "1"])
+        assert built[1:] == [f"expzeros {name}" for name in cli.COMMANDS]
+    finally:
+        clear_caches()
+
+
+def test_python_dash_m_prints_what_main_prints():
+    argv = ["orders", *F7_ARGS, "--format", "json"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "expzeros", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(argv)
 
 
 # -------------------------------------------- text built only when printed

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Paired before/after benchmark runs, written to BENCH_<tag>.json.
+"""Paired before/after benchmark runs, written to BENCH_<tag>.json or --out.
 
     python3 tools/bench_pairs.py --parent ../before --change . \\
         --workload sweep --seeds 8501-8510 --tag sweep
@@ -161,10 +161,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True,
                         help='e.g. "8501-8510" or "1,2,5-7"')
-    parser.add_argument("--tag", required=True,
+    parser.add_argument("--tag",
                         help="writes BENCH_<tag>.json unless --out is set")
-    parser.add_argument("--out", type=Path)
+    parser.add_argument("--out", type=Path,
+                        help="output file (default BENCH_<tag>.json)")
     args = parser.parse_args(argv)
+    if args.out is None and args.tag is None:
+        parser.error("one of --tag or --out is required")
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     pairs, problems = [], []
