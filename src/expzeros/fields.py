@@ -1,32 +1,33 @@
 """Arithmetic in finite fields F_q with q = p^nu.
 
-Elements are vectors of length nu over F_p, i.e. residues of polynomials in
-F_p[X] modulo a fixed monic irreducible modulus of degree nu.  For a given
+An element is a residue of a polynomial in F_p[X] modulo a fixed monic
+irreducible modulus of degree nu, stored as one packed integer
+sum_i c_i p^i of its coefficients (low first), in [0, q).  For a given
 (p, nu) the modulus is canonical: the lexicographically first monic
-irreducible, ordering candidates by their packed integer value
-sum_i c_i p^i (low coefficients first).  Prime fields (nu = 1) use the
-modulus X, so elements are just residues mod p.
+irreducible, ordering candidates by their packed value.  Prime fields
+(nu = 1) use the modulus X, so an element is its residue mod p.
 
-The packed integer encoding sum_i c_i p^i is the wire format used by the
-CLI and by the fast table-based routines in charsum/density.  Those get
-their runs of powers a g^x from `_power_walk`, which computes them as
-coefficient rows with numpy matrix products instead of one FieldElement
-multiplication per step, or reads them from the field's log table where
-the field already holds one.
+The packed integer is the one encoding everywhere: the CLI's wire, a log
+table's index and antilog, a discrete-log table's key.  `.coeffs` unpacks
+it.  charsum/density get their runs of powers a g^x from `_power_walk`,
+which computes them as coefficient rows with numpy matrix products
+instead of one FieldElement multiplication per step, or reads them from
+the field's log table where the field already holds one.
 
-A scalar product in an extension field is a polynomial product reduced
-mod the modulus, O(nu^2) Python steps, unless the field already holds
-its log table (arith builds it where orders and discrete logs repay it,
-q <= 2^14).  Then the product is a Zech-logarithm lookup,
-antilog[(log a + log b) mod (q-1)]: two packings, three int32 reads and
-one unpacking.  A product never builds a table itself, and neither does
-a walk.
+A scalar product in an extension field is a polynomial product of the
+unpacked digits reduced mod the modulus, O(nu^2) Python steps, unless the
+field already holds its log table (arith builds it where orders and
+discrete logs repay it, q <= 2^14).  Then the product is a Zech-logarithm
+lookup on the packed values, antilog[(log a + log b) mod (q-1)]: three
+int32 reads.  A product never builds a table itself, and neither does a
+walk.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -78,6 +79,25 @@ def _is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over F_p (coefficient lists, low degree first)
+
+
+def _digits(k: int, p: int, nu: int) -> list[int]:
+    """The nu base-p digits of k, low first: the coefficient list of the
+    element packed as k."""
+    out = []
+    for _ in range(nu):
+        out.append(k % p)
+        k //= p
+    return out
+
+
+def _undigits(coeffs: Sequence[int], p: int) -> int:
+    """The packed value sum_i c_i p^i of a coefficient list, low first;
+    the inverse of _digits for any length."""
+    k = 0
+    for c in reversed(coeffs):
+        k = k * p + c
+    return k
 
 
 def _ptrim(a):
@@ -186,12 +206,7 @@ def _first_irreducible(p: int, nu: int) -> tuple[int, ...]:
     if nu == 1:  # X; the loop skips polys with poly[0] = 0, which X divides
         return (0, 1)
     for k in range(p ** nu):
-        tail = []
-        m = k
-        for _ in range(nu):
-            tail.append(m % p)
-            m //= p
-        poly = tail + [1]
+        poly = _digits(k, p, nu) + [1]
         if poly[0] != 0 and _is_irreducible(poly, p):
             return tuple(poly)
     raise AssertionError("no irreducible found; unreachable for prime p")
@@ -237,8 +252,8 @@ class FieldSpec:
                 raise ValueError("modulus is reducible")
         self.modulus = tuple(modulus)
         self._zech = None
-        self._zero = FieldElement(self, (0,) * nu)
-        self._one = FieldElement(self, (1,) + (0,) * (nu - 1))
+        self._zero = FieldElement(self, 0)
+        self._one = FieldElement(self, 1)
 
     def __eq__(self, other):
         if self is other:
@@ -271,24 +286,19 @@ class FieldSpec:
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) > self.nu:
             raise ValueError(f"coefficient vector longer than nu = {self.nu}")
-        coeffs = coeffs + (0,) * (self.nu - len(coeffs))
-        return FieldElement(self, coeffs)
+        return FieldElement(self, _undigits(coeffs, self.p))
 
     def from_packed(self, k: int) -> "FieldElement":
         if not 0 <= k < self.cardinality:
             raise ValueError(
                 f"packed value {k} outside [0, {self.cardinality})")
-        coeffs = []
-        for _ in range(self.nu):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, operator.index(k))
 
     def elements(self) -> Iterator["FieldElement"]:
         """All field elements in packed order, zero first."""
         _check_enum(self.cardinality)
         for k in range(self.cardinality):
-            yield self.from_packed(k)
+            yield FieldElement(self, k)
 
 
 @functools.lru_cache(maxsize=256)
@@ -309,37 +319,42 @@ def enumerate_units(spec: FieldSpec) -> Iterator["FieldElement"]:
 
 
 class FieldElement:
-    """Immutable element of a FieldSpec, stored as a coefficient tuple."""
+    """Immutable element of a FieldSpec, stored as its packed integer
+    `value` = sum_i c_i p^i in [0, q); `.coeffs` unpacks it."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "value")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, value: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.value = value
 
     # -- representation -----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficient tuple (c_0, ..., c_{nu-1}), low first."""
+        if self.spec.nu == 1:  # the residue is its one digit; spares a loop
+            return (self.value,)
+        return tuple(_digits(self.value, self.spec.p, self.spec.nu))
+
     def packed(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.spec.p + c
-        return k
+        return self.value
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.value
 
     def __repr__(self):
         if self.spec.nu == 1:  # a residue mod p, not a coefficient list
-            return f"FF({self.coeffs[0]} mod {self.spec.p})"
+            return f"FF({self.value} mod {self.spec.p})"
         return f"FF({list(self.coeffs)} over p={self.spec.p})"
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return self.value == other.value and self.spec == other.spec
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.nu, self.coeffs))
+        return hash((self.spec.p, self.spec.nu, self.value))
 
     def _check(self, other) -> "FieldElement":
         if type(other) is FieldElement and other.spec is self.spec:
@@ -355,58 +370,45 @@ class FieldElement:
     def __add__(self, other):
         other = self._check(other)
         p = self.spec.p
-        return FieldElement(self.spec, tuple(
-            (a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.spec, _undigits(
+            [(a + b) % p for a, b in zip(self.coeffs, other.coeffs)], p))
 
     def __sub__(self, other):
         other = self._check(other)
         p = self.spec.p
-        return FieldElement(self.spec, tuple(
-            (a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.spec, _undigits(
+            [(a - b) % p for a, b in zip(self.coeffs, other.coeffs)], p))
 
     def __neg__(self):
         p = self.spec.p
-        return FieldElement(self.spec, tuple(-a % p for a in self.coeffs))
+        return FieldElement(self.spec,
+                            _undigits([-a % p for a in self.coeffs], p))
 
     def __mul__(self, other):
         other = self._check(other)
         spec = self.spec
-        p = spec.p
+        a, b = self.value, other.value
         if spec.nu == 1:  # F_p: one integer product, no polynomial reduction
-            return FieldElement(spec, (self.coeffs[0] * other.coeffs[0] % p,))
+            return FieldElement(spec, a * b % spec.p)
         zech = spec._zech
         if zech is None:
-            prod = _pmulmod(list(self.coeffs), list(other.coeffs),
-                            list(spec.modulus), p)
-            return FieldElement(spec,
-                                tuple(prod) + (0,) * (spec.nu - len(prod)))
-        # packed() and from_packed() written out, to spare a product of
-        # about 1 µs three calls and a range check
-        a = b = 0
-        for c in reversed(self.coeffs):
-            a = a * p + c
-        for c in reversed(other.coeffs):
-            b = b * p + c
+            return FieldElement(spec, _undigits(_pmulmod(
+                self.coeffs, other.coeffs, spec.modulus, spec.p), spec.p))
         if not a or not b:
             return spec._zero
         log, antilog = zech
-        k = antilog[(log[a] + log[b]) % (spec.cardinality - 1)]
-        coeffs = []
-        for _ in range(spec.nu):
-            coeffs.append(k % p)
-            k //= p
-        return FieldElement(spec, tuple(coeffs))
+        return FieldElement(
+            spec, antilog[(log[a] + log[b]) % (spec.cardinality - 1)])
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("zero has no inverse")
         spec = self.spec
         if spec.nu == 1:  # Fermat: x^(p-2), no polynomial gcd
-            return FieldElement(spec, (pow(self.coeffs[0], spec.p - 2,
-                                           spec.p),))
+            return FieldElement(spec, pow(self.value, spec.p - 2, spec.p))
         # u x = 1 mod the modulus, which is irreducible and monic
         _, u = _pgcd(self.coeffs, spec.modulus, spec.p)
-        return FieldElement(spec, tuple(u) + (0,) * (spec.nu - len(u)))
+        return FieldElement(spec, _undigits(u, spec.p))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -417,9 +419,9 @@ class FieldElement:
             return self.inverse() ** (-k)
         spec = self.spec
         if spec.nu == 1:  # the built-in modular pow on the residue
-            return FieldElement(spec, (pow(self.coeffs[0], k, spec.p),))
+            return FieldElement(spec, pow(self.value, k, spec.p))
         prod = _ppowmod(self.coeffs, k, spec.modulus, spec.p)
-        return FieldElement(spec, tuple(prod) + (0,) * (spec.nu - len(prod)))
+        return FieldElement(spec, _undigits(prod, spec.p))
 
     def trace(self) -> int:
         """Absolute trace to F_p: x + x^p + ... + x^(p^(nu-1))."""
@@ -429,9 +431,9 @@ class FieldElement:
         for _ in range(spec.nu - 1):
             y = y ** spec.p
             acc = acc + y
-        if any(acc.coeffs[1:]):
+        if acc.value >= spec.p:  # a digit above the constant one is set
             raise InvariantViolated(f"trace {acc!r} left F_p")
-        return acc.coeffs[0]
+        return acc.value
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .charsum import (BRUTE_BLOCK, ExpEquation, SearchBox, _grid_targets,
                       box_radius, log_of, make_box, sorted_terms)
 from .errors import CapExceeded, IndexOutOfRange, InvariantViolated, Overflow
 from .fields import (FieldElement, _digit_dtype, _exact_dtype, _mul_matrix,
-                     _power_walk)
+                     _pack, _power_walk)
 
 FOUND = "found"
 NO_SOLUTION_CERTIFIED = "no_solution_certified"
@@ -153,14 +153,12 @@ def _first_hit(eq: ExpEquation, box: SearchBox, counter: QueryCounter
     while start < hi and hit is None:
         stop = min(start + size, hi)
         need = _grid_targets(b, walks, outer_limits, start, stop, spec.p)
-        flat = (need @ a1_inv % spec.p).ravel().tolist()
-        # one coefficient tuple per point, made only for points visited
-        rows = zip(*[iter(flat)] * spec.nu)
-        for index, row in enumerate(rows, start):
-            if not any(row):
+        targets = _pack(need @ a1_inv % spec.p, spec.p).tolist()
+        for index, k in enumerate(targets, start):
+            if not k:
                 continue
             nonzero += 1
-            t = FieldElement(spec, row)
+            t = FieldElement(spec, k)
             if t ** s1 == one:
                 x1 = discrete_logs(g1, s1)(t)
                 if x1 is None:
