@@ -82,8 +82,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _digits(k: int, p: int, nu: int) -> list[int]:
-    """The nu base-p digits of k, low first: the coefficient list of the
-    element packed as k."""
+    """The nu base-p digits of k, low first: its coefficient list."""
     out = []
     for _ in range(nu):
         out.append(k % p)
@@ -92,8 +91,7 @@ def _digits(k: int, p: int, nu: int) -> list[int]:
 
 
 def _undigits(coeffs: Sequence[int], p: int) -> int:
-    """The packed value sum_i c_i p^i of a coefficient list, low first;
-    the inverse of _digits for any length."""
+    """The packed value sum_i c_i p^i of coefficients c_i, low first."""
     k = 0
     for c in reversed(coeffs):
         k = k * p + c
@@ -292,6 +290,7 @@ class FieldSpec:
         if not 0 <= k < self.cardinality:
             raise ValueError(
                 f"packed value {k} outside [0, {self.cardinality})")
+        # a numpy integer becomes a Python int, which cannot overflow
         return FieldElement(self, operator.index(k))
 
     def elements(self) -> Iterator["FieldElement"]:
@@ -319,8 +318,7 @@ def enumerate_units(spec: FieldSpec) -> Iterator["FieldElement"]:
 
 
 class FieldElement:
-    """Immutable element of a FieldSpec, stored as its packed integer
-    `value` = sum_i c_i p^i in [0, q); `.coeffs` unpacks it."""
+    """Immutable element of a FieldSpec, stored as its packed integer."""
 
     __slots__ = ("spec", "value")
 

@@ -2,6 +2,7 @@
 baby-step giant-step discrete logs, all validated against brute oracles.
 """
 
+import functools
 import math
 import os
 import random
@@ -509,6 +510,101 @@ def test_products_never_build_a_table(monkeypatch):
     assert spec._zech is not None
     assert [u * y for u in walk[:-1]] == walk[1:]
     assert all((u * y).coeffs == schoolbook(u, y).coeffs for u in walk)
+
+
+# ---------------------------------------------------------------------------
+# packed elements against coefficient-tuple arithmetic
+
+
+def poly_mulmod(a, b, mod, p):
+    """The coefficient tuple of a * b mod the monic `mod` over F_p,
+    written out apart from fields: full product, then clear the top
+    degrees one by one."""
+    nu = len(mod) - 1
+    out = [0] * (2 * nu)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    for k in range(len(out) - 1, nu - 1, -1):
+        c = out[k] % p
+        for j in range(nu + 1):
+            out[k - nu + j] -= c * mod[j]
+    return tuple(c % p for c in out[:nu])
+
+
+def poly_pow(a, k, mod, p):
+    """a^k mod `mod` by square-and-multiply on coefficient tuples."""
+    out = (1,) + (0,) * (len(mod) - 2)
+    for bit in bin(k)[2:]:
+        out = poly_mulmod(out, out, mod, p)
+        if bit == "1":
+            out = poly_mulmod(out, a, mod, p)
+    return out
+
+
+# (p, nu, kind): "table" reads the field's log table; "bare" is a fresh
+# FieldSpec, as tools/mul_ns.py builds one, so it has none; "past" lies
+# past LOG_TABLE_MAX_Q and never has one
+ORACLE_FIELDS = [(2, 4, "table"), (3, 3, "table"), (7, 2, "table"),
+                 (101, 1, "table"), (3, 8, "bare"), (2, 16, "past")]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_spec(p, nu, kind):
+    """The spec of one ORACLE_FIELDS entry, built once; kind "twin" is a
+    second FieldSpec equal to the others of (p, nu), and not them."""
+    if kind in ("bare", "twin"):
+        return FieldSpec(p, nu)
+    spec = make_field(p, nu)
+    if kind == "table":
+        arith._log_table(spec)
+    return spec
+
+
+def test_an_element_stores_only_its_packed_integer():
+    assert fields.FieldElement.__slots__ == ("spec", "value")
+    spec = make_field(3, 4)
+    x = spec.from_packed(np.int64(47))
+    assert type(x.value) is int and x.packed() == 47
+    assert x.coeffs == (2, 0, 2, 1) == spec.element([2, 0, 2, 1]).coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.data())
+def test_packed_arithmetic_matches_coefficient_tuples(field, data):
+    spec = oracle_spec(*field)
+    p, nu, mod = spec.p, spec.nu, spec.modulus
+    x, y = (spec.from_packed(data.draw(st.integers(0, spec.cardinality - 1)))
+            for _ in range(2))
+    k = data.draw(st.integers(0, 3 * spec.cardinality))
+    a, b = x.coeffs, y.coeffs
+    assert len(a) == nu and all(type(c) is int and 0 <= c < p for c in a)
+    assert x.packed() == sum(c * p ** i for i, c in enumerate(a))
+    assert (x + y).coeffs == tuple((s + t) % p for s, t in zip(a, b))
+    assert (x - y).coeffs == tuple((s - t) % p for s, t in zip(a, b))
+    assert (-x).coeffs == tuple(-s % p for s in a)
+    assert (x * y).coeffs == poly_mulmod(a, b, mod, p)
+    assert (x ** k).coeffs == poly_pow(a, k, mod, p)
+    if not x.is_zero():
+        inv = x.inverse().coeffs
+        assert poly_mulmod(a, inv, mod, p) == spec.one().coeffs
+        assert (x ** -k).coeffs == poly_pow(inv, k, mod, p)
+    # the trace sum_i x^(p^i), digit by digit, lies in F_p
+    acc, frob = (0,) * nu, a
+    for _ in range(nu):
+        acc = tuple((s + t) % p for s, t in zip(acc, frob))
+        frob = poly_pow(frob, p, mod, p)
+    assert acc[1:] == (0,) * (nu - 1) and x.trace() == acc[0]
+    # round trips, and equal elements hash alike across equal specs
+    assert spec.element(a) == x and spec.from_packed(x.packed()) == x
+    twin = oracle_spec(p, nu, "twin")
+    u = twin.from_packed(x.packed())
+    assert u.spec is not spec and u.spec == spec
+    assert u == x and hash(u) == hash(x) and x * u == x * x
+    assert (x == y) == (a == b)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert (spec._zech is not None) == (field[2] == "table")
 
 
 def test_multiplicative_order_errors():

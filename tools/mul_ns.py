@@ -19,9 +19,9 @@ The walk layer is timed on the same grid: ns per row of
 `fields._power_walk(a, g, WALK)`, WALK_LOOP walks per repeat, on a fresh
 FieldSpec without a log table ("walk-matrix.<field>"), and, where
 `arith.reads_log_table` holds, also on the field's own FieldSpec, which
-the order of g gave its table ("walk-table.<field>").  The other fields
-(F_{3^9} and the prime fields) never hold a table, so they walk by
-matrix only.
+the order of g gave its table ("walk-table.<field>").  That is every
+field of the grid with q <= 2^14, F_9973 included; the other two, F_{3^9}
+and F_65537, never hold a table, so they walk by matrix only.
 
 With no checkout given, the grid is timed for this checkout and printed.
 With --parent and --change, every round times each checkout in a fresh
