@@ -13,13 +13,18 @@ truncated to r) into a complete sum over mu that factors term by term:
 
 The inner sums are partial Gauss sums; at full order their modulus is at
 most sqrt(q), which is what the density bounds in density.py rest on.
+Over the whole unit group (order and limit q - 1) the sum is complete:
+sum_{x in F_q^*} psi(u x) = -1 for u != 0 (Lidl & Niederreiter, Finite
+Fields, ch. 5).
 
 That sum is a discrete Fourier transform on the additive group
 (F_q, +) = (Z/p)^nu: the partial Gauss sums transform the histograms of
 the walks a_j g_j^x, and N_{f_b}(r) for every b at once is the
-convolution of those histograms.  `spectral_counts` transforms the long
-walks' histograms, certified against rounding or redone in exact
-integers, and shifts and adds the short ones exactly.  `brute_count`
+convolution of those histograms.  A complete sum's histogram is
+1 - delta_0, so `spectral_counts` folds each such coordinate in by one
+exact step, c -> c.sum() - c, with no walk.  Of the others it transforms
+the long walks' histograms, certified against rounding or redone in
+exact integers, and shifts and adds the short ones exactly.  `brute_count`
 is the independent exhaustive oracle: a sorted join that meets in the
 middle, matching the sums over the leading coordinates against b minus
 the sums over the trailing ones.
@@ -553,8 +558,9 @@ def _transform_terms(p: int, nu: int, limits: tuple[int, ...]
 
 def box_walks(eq: ExpEquation, box: SearchBox) -> Iterator[np.ndarray]:
     """Digit rows of a_j g_j^x, x < limit_j, for each sorted coordinate j,
-    one walk at a time: the walks both `spectral_counts` and
-    `brute_count` read (take a list to hand them to both)."""
+    one walk at a time: the walks `brute_count` reads (take a list to
+    hand them to `spectral_counts` too, which skips the full-order ones:
+    a limit of q - 1 walks the whole unit group)."""
     for (a, g), limit in zip(sorted_terms(eq, box), box.limits()):
         yield _power_walk(a, g, limit)
 
@@ -563,29 +569,46 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
                     walks: list[np.ndarray] | None = None) -> np.ndarray:
     """N_{f_b}(r) for every b, as int64 indexed by packed b (eq.b ignored).
 
-    The leading m walks (`_transform_terms`) go through the
-    floating-point transform, certified for their sub-box of
-    prod(limits[:m]) points, and the other walks are shifted and added
-    exactly; m = 1 needs no transform (the first walk's histogram).  An
-    uncertified transform falls back to shift-and-add of every walk
-    (CapExceeded past its work cap).  `walks` are `box_walks(eq, box)`,
-    computed here when not given.  Memory is O(n q) whatever the box.
+    A coordinate whose limit is q - 1 takes every unit once: its
+    histogram is 1 - delta_0, and convolving counts c with it gives
+    c.sum() - c, one exact O(q) step with no walk.  The rest go through
+    the engine: their leading m walks (`_transform_terms`) go through
+    the floating-point transform, certified for their sub-box of
+    prod(rest[:m]) points, and the other walks are shifted and added
+    exactly; m = 1 needs no transform (the first walk's histogram), and
+    no walk at all starts from delta_0.  An uncertified transform falls
+    back to shift-and-add of every walk (CapExceeded past its work cap).
+    `walks` are `box_walks(eq, box)`, of which the full-order ones are
+    ignored; when not given, only the others are computed.  Memory is
+    O(n q) whatever the box.
     """
     spec = eq.spec
     q, p, nu = spec.cardinality, spec.p, spec.nu
     _check_enum(q)
     limits = box.limits()
+    part = [j for j, limit in enumerate(limits) if limit != q - 1]
+    rest = tuple(limits[j] for j in part)
     if walks is None:
-        walks = box_walks(eq, box)
+        terms = sorted_terms(eq, box)
+        walks = (_power_walk(*terms[j], limits[j]) for j in part)
+    else:
+        walks = [walks[j] for j in part]
     hists = [np.bincount(_pack(walk, p), minlength=q) for walk in walks]
-    m, route = _transform_terms(p, nu, limits)
-    counts = None
-    if m > 1:
-        counts = _fft_counts(hists[:m], p, nu, math.prod(limits[:m]), route)
-    if counts is None:
-        counts, m = hists[0], 1
-    if m < len(hists):
-        counts = _exact_counts([counts] + hists[m:], p, nu)
+    if not hists:
+        counts = np.zeros(q, dtype=np.int64)
+        counts[0] = 1
+    else:
+        m, route = _transform_terms(p, nu, rest)
+        counts = None
+        if m > 1:
+            counts = _fft_counts(hists[:m], p, nu, math.prod(rest[:m]),
+                                 route)
+        if counts is None:
+            counts, m = hists[0], 1
+        if m < len(hists):
+            counts = _exact_counts([counts] + hists[m:], p, nu)
+    for _ in range(len(limits) - len(rest)):
+        counts = counts.sum() - counts
     total = int(counts.sum())
     if total != box.card:
         raise InvariantViolated(

@@ -485,19 +485,38 @@ def test_count_refuses_a_large_box_before_walking_it(monkeypatch):
 
 
 def test_exact_fallback_work_cap_exits_2(monkeypatch):
-    # 65536^3 points are past the float certificate, and the exact
-    # fallback would need 2 * 65536 * 65537 adds: refused, not run
+    # orders 32768 (9 = 3^2, half of q - 1): 32768^3 points are past the
+    # float certificate, and the exact fallback would need 2 * 32768 *
+    # 65537 adds: refused, not run
     rc, out, err = run(["density", "--p", "65537",
-                        "--terms", "1,3;2,3;5,3", "--b", "0"])
+                        "--terms", "1,9;2,9;5,9", "--b", "0"])
     assert rc == 2 and out == ""
-    assert "exact convolution of 8590065664 adds exceeds cap" in err
-    # planted: the F_7 sweep forced onto the exact route under a tiny cap
+    assert ("exact convolution of 4295032832 adds exceeds cap 268435456"
+            in err)
+    # planted: an F_7 sweep of orders (3, 3), no full-order coordinate,
+    # forced onto the exact route under a tiny cap
+    f7 = ["density", "--p", "7", "--terms", "1,2;3,2", "--b", "3"]
     monkeypatch.setattr(charsum, "_fft_counts", lambda *args: None)
-    assert run(["density"] + F7_ARGS)[0] == 0
+    assert run(f7)[0] == 0
     monkeypatch.setattr(charsum, "EXACT_WORK_CAP", 7 * 3 - 1)
-    rc, out, err = run(["density"] + F7_ARGS)
+    rc, out, err = run(f7)
     assert rc == 2 and out == ""
     assert "exact convolution of 21 adds exceeds cap 20" in err
+
+
+def test_full_order_density_over_f65537_runs():
+    # three terms of order q - 1: the counts fold in closed form, with no
+    # walk and no convolution, and match the classical count of k = 3
+    # units summing to b: ((q-1)^k - (-1)^k)/q for b != 0, and
+    # ((q-1)^k + (q-1)(-1)^k)/q for b = 0
+    q, k = 65537, 3
+    rc, out, err = run(["density", "--p", str(q), "--terms", "1,3;2,3;5,3",
+                        "--b", "0", "--format", "json"])
+    assert rc == 0, err
+    counts = json.loads(out)["counts"]
+    assert len(counts) == q
+    assert counts[0] == ((q - 1) ** k + (q - 1) * (-1) ** k) // q
+    assert set(counts[1:]) == {((q - 1) ** k - (-1) ** k) // q}
 
 
 def test_csv_unsupported_for_solve():

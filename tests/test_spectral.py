@@ -87,6 +87,56 @@ def test_brute_charsum_and_sweep_agree(case):
                        for k, lim in enumerate(box.limits()))
 
 
+FULL_ORDER_CARD_CAP = 20_000
+
+
+@st.composite
+def full_order_instances(draw):
+    """(eq, box) over a small field whose leading coordinates, none, some
+    or all of them, have order q - 1; the rest have a proper divisor of
+    q - 1 as order.  r = q - 1 often, so the last coordinate is full too
+    when every order is."""
+    p, nu = draw(st.sampled_from(SMALL_FIELDS))
+    spec = make_field(p, nu)
+    q = spec.cardinality
+    proper = [d for d in divisors(q - 1) if d < q - 1]
+    n = draw(st.integers(1, 3))
+    full = draw(st.integers(0 if proper else n, n))
+    rng = draw(st.randoms(use_true_random=False))
+    gen = find_generator(spec)
+    orders = [q - 1] * full + [draw(st.sampled_from(proper))
+                               for _ in range(n - full)]
+    terms = [(rng.randrange(1, q),
+              element_of_order(spec, d, gen, rng).packed()) for d in orders]
+    eq = make_equation(spec, terms, 0)
+    whole = make_box(eq)
+    r = draw(st.one_of(st.just(whole.r), st.integers(1, whole.r)))
+    front = whole.card // whole.r
+    return eq, make_box(eq, min(r, max(1, FULL_ORDER_CARD_CAP // front)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_order_instances())
+@example(instance(2, 1, [(1, 1)], 0))                     # q - 1 = 1
+@example(instance(5, 1, [(2, 2)], 0))                     # n = 1, r = 4
+@example(instance(7, 1, [(1, 3), (2, 5), (4, 3)], 0))     # all full
+@example(instance(3, 2, [(1, 4), (2, 5)], 0))             # nu = 2, all full
+@example(instance(3, 2, [(1, 4), (2, 5)], 0, 3))          # ... but r < q - 1
+@example(instance(2, 4, [(1, 2), (3, 4), (5, 8)], 0, 2))  # some full
+@example(instance(13, 1, [(1, 2), (3, 3)], 0, 2))         # one full
+def test_full_order_fold_matches_brute_for_every_b(case):
+    # The only guard on which coordinates fold: a wrongly folded one
+    # still sums to box.card, since sum_b (T - c_b) = (q - 1) T
+    eq, box = case
+    counts = spectral_counts(eq, box)
+    assert len(counts) == eq.q
+    for b in range(eq.q):
+        beq = make_equation(eq.spec, [(a.packed(), g.packed())
+                                      for a, g in eq.terms], b)
+        assert brute_count(beq, make_box(beq, box.r), list_cap=0)[0] \
+            == counts[b]
+
+
 def test_exact_fallback_matches_float_path(monkeypatch):
     rng = random.Random(8128)
     cases = []
@@ -315,7 +365,8 @@ except errors.InvariantViolated:
     print("census invariant held")
 charsum._fft_counts = lambda *args: None
 charsum._exact_counts = lambda hists, p, nu: 0 * hists[0]
-sys.exit(cli.main(["density", "--p", "7", "--terms", "1,3;1,2",
+# orders (3, 3): no full-order coordinate, so both walks reach the engine
+sys.exit(cli.main(["density", "--p", "7", "--terms", "1,2;3,2",
                    "--b", "0", "--format", "json"]))
 """
 
@@ -331,7 +382,7 @@ def test_invariants_survive_python_O():
     assert proc.stdout.splitlines()[0] == "census invariant held"
     assert proc.returncode == 3, proc.stderr
     assert "internal error" in proc.stderr
-    assert "sum to 0, not the box size 18" in proc.stderr
+    assert "sum to 0, not the box size 9" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +447,9 @@ def test_every_route_matches_brute_and_exact_counts(data):
     hists = histograms(eq, box)
     want = charsum._exact_counts(hists, p, nu)
     assert spectral_counts(eq, box).tolist() == want.tolist()
-    n = box.n
+    # full-order coordinates are folded in closed form; the split runs on
+    # the n others
+    n = sum(limit != q - 1 for limit in box.limits())
     for m in range(1, n + 1):
         # the transform certifies the leading m walks' sub-box itself and
         # the other n - m are shifted onto its counts; refused, every walk
@@ -407,6 +460,9 @@ def test_every_route_matches_brute_and_exact_counts(data):
         counts, calls = forced_counts(eq, box, m, fallback=True)
         assert counts.tolist() == want.tolist()
         assert calls == ([n] if n > 1 else [])
+    if n == 0:
+        counts, calls = forced_counts(eq, box, 1)
+        assert counts.tolist() == want.tolist() and calls == []
     # brute force at the equation's b and at the most and least hit b
     for b in {eq.b.packed(), int(want.argmax()), int(want.argmin())}:
         beq = make_equation(spec, terms, b)
@@ -415,10 +471,12 @@ def test_every_route_matches_brute_and_exact_counts(data):
 
 
 # (p, nu, limits, m) for every count and sweep benchmark shape with n >= 2
-# (sorted limits, the last truncated to r).  Best of 15 convolutions on a
-# 2-CPU Xeon, ms: F_9973 (277, 277, 1) 1.89 at m = 3 -> 0.95 at m = 2;
-# F_97^2 (96, 4) 1.36 -> 0.23 at m = 1; F_97^2 (147, 49, 3) 1.81 -> 1.59;
-# F_1031 (206, 103, 2) 0.17 -> 0.13; F_769 (768, 768, 3) 0.25 -> 0.22.
+# (sorted limits, the last truncated to r).  They pin the rule as a
+# function of its limits; `spectral_counts` hands it only the limits
+# below q - 1.  Best of 15 convolutions on a 2-CPU Xeon, ms: F_9973
+# (277, 277, 1) 1.89 at m = 3 -> 0.95 at m = 2; F_97^2 (96, 4) 1.36 ->
+# 0.23 at m = 1; F_97^2 (147, 49, 3) 1.81 -> 1.59; F_1031 (206, 103, 2)
+# 0.17 -> 0.13; F_769 (768, 768, 3) 0.25 -> 0.22.
 BENCHMARK_SPLITS = [
     # count
     (7, 1, (6, 6, 6, 6), 4), (7, 1, (6, 3), 2), (31, 1, (30, 15, 10), 3),
@@ -505,14 +563,18 @@ def test_single_term_counts_are_its_histogram(monkeypatch):
 def test_work_cap_keeps_the_transform(monkeypatch):
     # with the real constants: n = 4 over F_1048573, where 300 trailing
     # values cost less than the transform; 400 pass EXACT_WORK_CAP, so
-    # the split keeps shifting only the last two walks
+    # the split keeps shifting only the last two walks.  The leading
+    # order is below q - 1: a full-order coordinate never reaches the split
     p = 1048573
-    assert charsum._transform_terms(p, 1, (p - 1, 100, 50, 50))[0] == 1
+    half = (p - 1) // 2
+    assert charsum._transform_terms(p, 1, (half, 100, 50, 50))[0] == 1
     assert p * 400 > charsum.EXACT_WORK_CAP >= p * 100
-    assert charsum._transform_terms(p, 1, (p - 1, 300, 50, 50))[0] == 2
-    # end to end: F_3329 with r = 10 takes shift-and-add, until its
-    # 33 290 adds pass the cap; then the transform serves it, no raise
-    eq, box = instance(3329, 1, [(1, 3), (5, 243)], 0, 10)
+    assert charsum._transform_terms(p, 1, (half, 300, 50, 50))[0] == 2
+    # end to end: F_3329 with orders (1664, 832) and r = 10 takes
+    # shift-and-add, until its 33 290 adds pass the cap; then the
+    # transform serves it, no raise
+    eq, box = instance(3329, 1, [(1, 9), (5, 81)], 0, 10)
+    assert box.limits() == (1664, 10)
     want = spectral_counts(eq, box)
     calls = []
     fft_counts = charsum._fft_counts
