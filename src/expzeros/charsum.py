@@ -22,12 +22,24 @@ That sum is a discrete Fourier transform on the additive group
 the walks a_j g_j^x, and N_{f_b}(r) for every b at once is the
 convolution of those histograms.  A complete sum's histogram is
 1 - delta_0, so `spectral_counts` folds each such coordinate in by one
-exact step, c -> c.sum() - c, with no walk.  Of the others it transforms
-the long walks' histograms, certified against rounding or redone in
-exact integers, and shifts and adds the short ones exactly.  `brute_count`
-is the independent exhaustive oracle: a sorted join that meets in the
-middle, matching the sums over the leading coordinates against b minus
-the sums over the trailing ones.
+exact step, c -> c.sum() - c, with no walk.
+
+A coordinate at its whole order s_j < q - 1 walks the coset a_j<g_j>,
+and its inner sum is a Gauss period: mu -> sum_{y in a_j<g_j>} psi(mu y)
+is constant on the cosets of <g_j>, since replacing mu by mu g_j^k only
+permutes the terms.  A product of two such sums is constant on the
+cosets of H = <g_i> cap <g_j>, the subgroup of order gcd(s_i, s_j), and
+so is its inverse transform: N_{f_{hb}} = N_{f_b} for h in H.  Directly,
+multiplying a solution's terms by h maps each of the two cosets onto
+itself and the solutions for b onto those for hb.  So `spectral_counts`
+convolves two or more whole cosets exactly, at b = 0 and at one b per
+coset of H (`_coset_step`), where the field holds its log table and a
+fitted cost rule says that beats the engine.  Of the other walks it
+transforms the long ones' histograms, certified against rounding or
+redone in exact integers, and shifts and adds the short ones exactly.
+`brute_count` is the independent exhaustive oracle: a sorted join that
+meets in the middle, matching the sums over the leading coordinates
+against b minus the sums over the trailing ones.
 """
 
 from __future__ import annotations
@@ -443,6 +455,14 @@ FFT_COST = 3.3
 MATRIX_CALL_COST = 15000
 MATRIX_ENTRY_COST = 12
 MATRIX_MAC_COST = 0.35
+# The coset step `_coset_step`, fitted by least relative squares to
+# best-of-9 timings of 86 steps of up to 2^16 gathers on 17 fields that
+# hold their log table, then rounded: COSET_CALL_COST per step (13 us,
+# its numpy calls) and COSET_GATHER_COST (2 ns) per gather, nu times
+# over where each difference is taken digit by digit, and per write of
+# its spread.
+COSET_CALL_COST = 40000
+COSET_GATHER_COST = 6
 
 
 def _add_shifted(out: np.ndarray, src: np.ndarray, shift, p: int) -> None:
@@ -521,10 +541,12 @@ def _transform_cost(p: int, nu: int, m: int,
 
 
 def _transform_terms(p: int, nu: int, limits: tuple[int, ...]
-                     ) -> tuple[int, tuple[bool, tuple[int, ...]] | None]:
-    """How many leading walks the transform convolves, and on which
-    route: the split m in 1..n of least measured cost, with
-    `_transform_route` for its sub-box (None for m = 1).
+                     ) -> tuple[float, int,
+                                tuple[bool, tuple[int, ...]] | None]:
+    """How many leading walks the transform convolves, on which route, and
+    at what cost: (cost, m, route) for the split m in 1..n of least
+    measured cost, with `_transform_route` for its sub-box (None for
+    m = 1).
 
     The leading m walks cost `_transform_cost` on the route that
     certifies their sub-box of prod(limits[:m]) points; a sub-box no
@@ -534,7 +556,8 @@ def _transform_terms(p: int, nu: int, limits: tuple[int, ...]
     values, so walk l makes limits[l] shifts of `_shift_cost` each.  A
     split whose shifts pass EXACT_WORK_CAP is never picked, so a box the
     transform serves never meets that cap; ties go to the larger m.  With
-    no split left, (1, None): every walk is shifted (CapExceeded there).
+    no split left, (inf, 1, None): every walk is shifted (CapExceeded
+    there).
     """
     n, q = len(limits), p ** nu
     shift = _shift_cost(p, nu)
@@ -553,7 +576,83 @@ def _transform_terms(p: int, nu: int, limits: tuple[int, ...]
             cost += _transform_cost(p, nu, m, route)
         if cost < best:
             best, pick = cost, (m, route)
-    return pick
+    return (best,) + pick
+
+
+def _coset_cost(p: int, nu: int, sub: int, size: int) -> float:
+    """Measured cost of one `_coset_step` on a coset of size values,
+    constant on the cosets of the subgroup of order sub: COSET_CALL_COST,
+    then COSET_GATHER_COST for each of its size * ((q - 1)/sub + 1)
+    gathers, nu times over where each difference is taken digit by digit
+    (nu > 1 and p > 2), and for each of the q writes of its spread."""
+    q = p ** nu
+    digits = nu if nu > 1 and p > 2 else 1
+    gathers = digits * size * ((q - 1) // sub + 1) + q
+    return COSET_CALL_COST + COSET_GATHER_COST * gathers
+
+
+def _coset_terms(p: int, nu: int, limits: tuple[int, ...], full: int,
+                 engine: float) -> bool:
+    """Whether `_coset_step` chains the leading `full` coordinates (whole
+    orders below q - 1, full >= 2): where that costs less than `engine`,
+    the engine's cost on every walk (ties go to the engine).
+
+    The chain costs a `_coset_step` for each coordinate after the first,
+    over the subgroup whose order is the gcd of the orders so far, and
+    then the engine's split on its counts, of prod(limits[:full])
+    points, and the other walks.
+    """
+    cost, sub = 0.0, limits[0]
+    for size in limits[1:full]:
+        sub = math.gcd(sub, size)
+        cost += _coset_cost(p, nu, sub, size)
+    if cost >= engine:
+        return False
+    tail = (math.prod(limits[:full]),) + limits[full:]
+    return cost + _transform_terms(p, nu, tail)[0] < engine
+
+
+def _coset_step(counts: np.ndarray, walk: np.ndarray, sub: int, p: int,
+                antilog: np.ndarray) -> np.ndarray:
+    """counts convolved with the histogram of `walk`, the digit rows of a
+    whole coset a<g>, where counts is constant on the cosets of the
+    subgroup H of order `sub` of F_q^*, and sub divides the order of g.
+
+    Multiplying by h in H maps a<g> onto itself, so the convolution,
+    sum over y in a<g> of counts[d - y], is constant on the cosets of H
+    too.  It is evaluated at d = 0 and at the coset representatives
+    gamma^t, t < k = (q - 1)/sub (antilog[:k]), in blocks of about
+    BRUTE_BLOCK gathers, and spread back: gamma^e takes the value at
+    gamma^(e mod k).
+    """
+    q, nu = len(counts), walk.shape[1]
+    k = (q - 1) // sub
+    reps = np.zeros(k + 1, dtype=np.int32)
+    reps[1:] = antilog[:k]
+    if nu == 1 or p == 2:
+        packed = _pack(walk, p).astype(np.int32)
+    else:
+        digits = (reps // p ** np.arange(nu, dtype=np.int32)[:, None]
+                  % p).astype(walk.dtype)
+        neg = np.where(walk == 0, walk, p - walk).T
+    vals = np.empty(k + 1, dtype=np.int64)
+    rows = max(1, BRUTE_BLOCK // len(walk))
+    for lo in range(0, k + 1, rows):
+        d = reps[lo:lo + rows, None]
+        if nu == 1:  # d - y, a negative index wrapping mod q = p
+            diffs = d - packed
+        elif p == 2:  # digit-wise subtraction mod 2 is xor
+            diffs = d ^ packed
+        else:  # digit-wise d - y mod p, packed by Horner's rule
+            diffs = np.zeros((len(d), len(walk)), dtype=np.int32)
+            for i in range(nu - 1, -1, -1):
+                diffs *= p
+                diffs += _add_mod(digits[i, lo:lo + rows, None], neg[i], p)
+        vals[lo:lo + rows] = np.take(counts, diffs).sum(axis=1)
+    out = np.empty(q, dtype=np.int64)
+    out[0] = vals[0]
+    out[antilog.reshape(sub, k)] = vals[1:]
+    return out
 
 
 def box_walks(eq: ExpEquation, box: SearchBox) -> Iterator[np.ndarray]:
@@ -571,16 +670,25 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
 
     A coordinate whose limit is q - 1 takes every unit once: its
     histogram is 1 - delta_0, and convolving counts c with it gives
-    c.sum() - c, one exact O(q) step with no walk.  The rest go through
-    the engine: their leading m walks (`_transform_terms`) go through
-    the floating-point transform, certified for their sub-box of
-    prod(rest[:m]) points, and the other walks are shifted and added
-    exactly; m = 1 needs no transform (the first walk's histogram), and
-    no walk at all starts from delta_0.  An uncertified transform falls
-    back to shift-and-add of every walk (CapExceeded past its work cap).
-    `walks` are `box_walks(eq, box)`, of which the full-order ones are
-    ignored; when not given, only the others are computed.  Memory is
-    O(n q) whatever the box.
+    c.sum() - c, one exact O(q) step with no walk.  Of the rest, the
+    coordinates at their whole order s_j < q - 1 (all but the last, and
+    the last too when r = s_n) each walk a whole coset of <g_j>.  Where
+    the field holds its log table (`spec._zech`, q <= 2^14) and
+    `_coset_terms` finds it cheaper, those are chained exactly: counts
+    start from the first one's histogram, and each later one is one
+    `_coset_step` over the subgroup whose order is the gcd of the orders
+    so far, (q - 1)/gcd + 1 points of s_j gathers each, where the engine
+    pays a transform or s_j shifts of q adds.  The chain's counts then
+    stand in for its walks.  The rest go through the engine: their
+    leading m walks (`_transform_terms`) go through the floating-point
+    transform, certified for their sub-box of prod(rest[:m]) points, and
+    the other walks are shifted and added exactly; m = 1 needs no
+    transform (the first walk's histogram), and no walk at all starts
+    from delta_0.  An uncertified transform falls back to shift-and-add
+    of every walk (CapExceeded past its work cap).  `walks` are
+    `box_walks(eq, box)`, of which the full-order ones are ignored; when
+    not given, only the others are computed.  Memory is O(n q) whatever
+    the box.
     """
     spec = eq.spec
     q, p, nu = spec.cardinality, spec.p, spec.nu
@@ -590,15 +698,32 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
     rest = tuple(limits[j] for j in part)
     if walks is None:
         terms = sorted_terms(eq, box)
-        walks = (_power_walk(*terms[j], limits[j]) for j in part)
+        walks = [_power_walk(*terms[j], limits[j]) for j in part]
     else:
         walks = [walks[j] for j in part]
-    hists = [np.bincount(_pack(walk, p), minlength=q) for walk in walks]
+    # the coordinates at their whole order: all but the last, and the
+    # last too when r = s_n
+    full = len(rest) - (box.r < box.orders_sorted[-1])
+    # split: the engine's pick for `rest`, once worked out
+    hists, split = [], None
+    if full > 1 and spec._zech is not None:
+        split = _transform_terms(p, nu, rest)
+        if _coset_terms(p, nu, rest, full, split[0]):
+            antilog = np.asarray(spec._zech[1])
+            counts = np.bincount(_pack(walks[0], p), minlength=q)
+            sub = rest[0]
+            for walk in walks[1:full]:
+                sub = math.gcd(sub, len(walk))
+                counts = _coset_step(counts, walk, sub, p, antilog)
+            hists, split = [counts], None
+            walks = walks[full:]
+            rest = (math.prod(rest[:full]),) + rest[full:]
+    hists += [np.bincount(_pack(walk, p), minlength=q) for walk in walks]
     if not hists:
         counts = np.zeros(q, dtype=np.int64)
         counts[0] = 1
     else:
-        m, route = _transform_terms(p, nu, rest)
+        _, m, route = split or _transform_terms(p, nu, rest)
         counts = None
         if m > 1:
             counts = _fft_counts(hists[:m], p, nu, math.prod(rest[:m]),
@@ -607,7 +732,7 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
             counts, m = hists[0], 1
         if m < len(hists):
             counts = _exact_counts([counts] + hists[m:], p, nu)
-    for _ in range(len(limits) - len(rest)):
+    for _ in range(len(limits) - len(part)):
         counts = counts.sum() - counts
     total = int(counts.sum())
     if total != box.card:

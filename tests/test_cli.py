@@ -493,9 +493,11 @@ def test_exact_fallback_work_cap_exits_2(monkeypatch):
     assert rc == 2 and out == ""
     assert ("exact convolution of 4295032832 adds exceeds cap 268435456"
             in err)
-    # planted: an F_7 sweep of orders (3, 3), no full-order coordinate,
-    # forced onto the exact route under a tiny cap
+    # planted: an F_7 sweep of orders (3, 3), no coordinate of order
+    # q - 1, forced off the coset step and onto the exact route under a
+    # tiny cap
     f7 = ["density", "--p", "7", "--terms", "1,2;3,2", "--b", "3"]
+    monkeypatch.setattr(charsum, "_coset_terms", lambda *args: False)
     monkeypatch.setattr(charsum, "_fft_counts", lambda *args: None)
     assert run(f7)[0] == 0
     monkeypatch.setattr(charsum, "EXACT_WORK_CAP", 7 * 3 - 1)

@@ -7,6 +7,8 @@ exact integer fallback, its certificate must reject corrupted output, and
 the invariants behind exit code 3 must still fire under python -O.
 """
 
+import dataclasses
+import importlib.util
 import math
 import os
 import random
@@ -135,6 +137,98 @@ def test_full_order_fold_matches_brute_for_every_b(case):
                                       for a, g in eq.terms], b)
         assert brute_count(beq, make_box(beq, box.r), list_cap=0)[0] \
             == counts[b]
+
+
+# fields that hold their log table, prime and nu > 1
+COSET_FIELDS = [(7, 1), (13, 1), (31, 1), (37, 1), (2, 4), (2, 6), (3, 3),
+                (3, 4), (5, 2), (7, 2)]
+COSET_CARD_CAP = 4_000
+
+
+@st.composite
+def coset_instances(draw):
+    """(eq, box) whose two leading coordinates run over whole cosets of
+    proper subgroups, of nested orders (s_2 | s_1), equal ones or coprime
+    ones, and then nothing (r = s_n), a third whole coset (r = s_n too)
+    or a third coordinate truncated to r < s_n."""
+    p, nu = draw(st.sampled_from(COSET_FIELDS))
+    spec = make_field(p, nu)
+    q = spec.cardinality
+    proper = [d for d in divisors(q - 1) if 1 < d < q - 1]
+    kinds = {"nested": lambda a, b: a % b == 0 and a != b,
+             "equal": lambda a, b: a == b,
+             "coprime": lambda a, b: math.gcd(a, b) == 1}
+    pairs = {kind: [(a, b) for a in proper for b in proper
+                    if b <= a and a * b <= COSET_CARD_CAP and rule(a, b)]
+             for kind, rule in kinds.items()}
+    kind = draw(st.sampled_from(sorted(k for k in pairs if pairs[k])))
+    orders = list(draw(st.sampled_from(pairs[kind])))
+    third = draw(st.sampled_from(["none", "full", "truncated"]))
+    smaller = [d for d in divisors(q - 1)
+               if 1 < d <= orders[1] and d * orders[0] * orders[1]
+               <= COSET_CARD_CAP]
+    r = None
+    if third != "none" and smaller:
+        orders.append(draw(st.sampled_from(smaller)))
+        if third == "truncated":
+            r = draw(st.integers(1, orders[-1] - 1))
+    rng = draw(st.randoms(use_true_random=False))
+    gen = find_generator(spec)
+    terms = [(rng.randrange(1, q),
+              element_of_order(spec, d, gen, rng).packed()) for d in orders]
+    return instance(p, nu, terms, 0, r)
+
+
+def bare_copy(eq):
+    """eq over a fresh FieldSpec of the same field, which holds no log
+    table (make_equation would build one)."""
+    bare = fields.FieldSpec(eq.spec.p, eq.spec.nu)
+    terms = tuple((bare.from_packed(a.packed()), bare.from_packed(g.packed()))
+                  for a, g in eq.terms)
+    return charsum.ExpEquation(bare, terms, bare.zero(), eq.orders)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coset_instances(), st.booleans())
+@example(instance(7, 1, [(1, 6), (3, 2)], 0), False)         # orders 2, 3
+@example(instance(31, 1, [(1, 9), (2, 27), (3, 16)], 0, 3), True)  # 15, 10
+@example(instance(3, 4, [(1, 7), (5, 7), (7, 43)], 0, 4), False)  # 20, 20
+@example(instance(3, 4, [(1, 21), (2, 13)], 0), True)        # 16, 10
+@example(instance(2, 6, [(1, 6), (5, 6)], 0), True)          # 9, 9
+def test_coset_step_matches_brute_for_every_b(case, shared):
+    # The rule's own choice, the chain forced onto every whole coset, and
+    # the same box over a bare FieldSpec, which keeps to the engine; with
+    # and without the walks `count` shares.  Every b against brute_count.
+    eq, box = case
+    q = eq.q
+    full = whole_cosets(eq.spec.p, eq.spec.nu, box.orders_sorted, box.r)
+    assert full >= 2
+    want = [brute_count(dataclasses.replace(eq, b=eq.spec.from_packed(b)),
+                        box, list_cap=0)[0] for b in range(q)]
+
+    def walks_of(eq):
+        return list(charsum.box_walks(eq, box)) if shared else None
+
+    steps, step = [], charsum._coset_step
+
+    def counted(counts, walk, sub, p, antilog):
+        steps.append(sub)
+        return step(counts, walk, sub, p, antilog)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charsum, "_coset_step", counted)
+        assert spectral_counts(eq, box, walks_of(eq)).tolist() == want
+        steps.clear()
+        mp.setattr(charsum, "_coset_terms", lambda *args: True)
+        assert spectral_counts(eq, box, walks_of(eq)).tolist() == want
+        # one step per whole coset after the first, over the subgroup of
+        # the orders' running gcd
+        orders = [s for s in box.orders_sorted if s < q - 1][:full]
+        assert steps == [math.gcd(*orders[:i + 1]) for i in range(1, full)]
+        bare = bare_copy(eq)
+        mp.setattr(charsum, "_coset_step", None)  # never reached
+        assert spectral_counts(bare, box, walks_of(bare)).tolist() == want
+        assert bare.spec._zech is None
 
 
 def test_exact_fallback_matches_float_path(monkeypatch):
@@ -365,7 +459,9 @@ except errors.InvariantViolated:
     print("census invariant held")
 charsum._fft_counts = lambda *args: None
 charsum._exact_counts = lambda hists, p, nu: 0 * hists[0]
-# orders (3, 3): no full-order coordinate, so both walks reach the engine
+charsum._coset_step = lambda counts, *args: 0 * counts
+# orders (3, 3): no coordinate of order q - 1, so both walks reach the
+# engine or the coset step, each broken
 sys.exit(cli.main(["density", "--p", "7", "--terms", "1,2;3,2",
                    "--b", "0", "--format", "json"]))
 """
@@ -396,9 +492,10 @@ SPLIT_FIELDS = [(7, 1), (127, 1), (131, 1), (257, 1), (1031, 1),
 
 
 def forced_counts(eq, box, m, fallback=False):
-    """spectral_counts with the split forced to m, and with the transform
-    refused (the exact fallback) when `fallback`; and how many histograms
-    each call of the exact shift-and-add received."""
+    """spectral_counts with the coset step off and the split forced to m,
+    and with the transform refused (the exact fallback) when `fallback`;
+    and how many histograms each call of the exact shift-and-add
+    received."""
     exact_counts, calls = charsum._exact_counts, []
 
     def counted(hists, p, nu):
@@ -407,10 +504,11 @@ def forced_counts(eq, box, m, fallback=False):
 
     def forced(p, nu, limits):
         card = math.prod(limits[:m])
-        return m, (charsum._transform_route(p, nu, m, card) if m > 1
-                   else None)
+        return 0, m, (charsum._transform_route(p, nu, m, card) if m > 1
+                      else None)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charsum, "_coset_terms", lambda *args: False)
         mp.setattr(charsum, "_transform_terms", forced)
         mp.setattr(charsum, "_exact_counts", counted)
         if fallback:
@@ -473,10 +571,11 @@ def test_every_route_matches_brute_and_exact_counts(data):
 # (p, nu, limits, m) for every count and sweep benchmark shape with n >= 2
 # (sorted limits, the last truncated to r).  They pin the rule as a
 # function of its limits; `spectral_counts` hands it only the limits
-# below q - 1.  Best of 15 convolutions on a 2-CPU Xeon, ms: F_9973
-# (277, 277, 1) 1.89 at m = 3 -> 0.95 at m = 2; F_97^2 (96, 4) 1.36 ->
-# 0.23 at m = 1; F_97^2 (147, 49, 3) 1.81 -> 1.59; F_1031 (206, 103, 2)
-# 0.17 -> 0.13; F_769 (768, 768, 3) 0.25 -> 0.22.
+# below q - 1, and where it chains whole cosets (BENCHMARK_COSETS) their
+# product in place of theirs.  Best of 15 convolutions on a 2-CPU Xeon,
+# ms: F_9973 (277, 277, 1) 1.89 at m = 3 -> 0.95 at m = 2; F_97^2
+# (96, 4) 1.36 -> 0.23 at m = 1; F_97^2 (147, 49, 3) 1.81 -> 1.59;
+# F_1031 (206, 103, 2) 0.17 -> 0.13; F_769 (768, 768, 3) 0.25 -> 0.22.
 BENCHMARK_SPLITS = [
     # count
     (7, 1, (6, 6, 6, 6), 4), (7, 1, (6, 3), 2), (31, 1, (30, 15, 10), 3),
@@ -503,29 +602,106 @@ BENCHMARK_SPLITS = [
 
 
 def test_split_rule_picks_for_benchmark_shapes():
-    picks = {(p, nu, limits): charsum._transform_terms(p, nu, limits)[0]
+    picks = {(p, nu, limits): charsum._transform_terms(p, nu, limits)[1]
              for p, nu, limits, _ in BENCHMARK_SPLITS}
     assert picks == {(p, nu, limits): m
                      for p, nu, limits, m in BENCHMARK_SPLITS}
 
 
+# (p, nu, sorted orders, r or None for s_n, chains) for every count
+# benchmark shape with two or more coordinates at a whole order below
+# q - 1; no sweep shape has two (each folds its q - 1 coordinates and
+# keeps at most one whole coset).  The rule chains all of them or none.
+# spectral_counts with the count's shared walks, median of five
+# best-of-40 runs on a 2-CPU Xeon, ms, engine -> chain: F_9973 0.86 ->
+# 0.15, F_2^12 0.63 -> 0.10, F_3^8 (205, 41) 0.62 -> 0.15, F_97^2 0.83 ->
+# 0.21, F_1031 0.12 -> 0.07, F_2^6 0.073 -> 0.027.  Declined: F_101
+# (steps of q = 101 cost more in calls than the transform they replace)
+# and F_7^4 (gcd 1, so the step evaluates all 2401 points).
+BENCHMARK_COSETS = [
+    (31, 1, (30, 15, 10), None, True),
+    (101, 1, (50, 25, 20, 4), None, False),
+    (257, 1, (64, 32, 16), 8, True),
+    (1031, 1, (206, 103, 5), 2, True),
+    (9973, 1, (277, 277, 12), 1, True),
+    (5, 2, (24, 12, 8), None, True),
+    (2, 6, (63, 21, 9), None, True),
+    (7, 4, (96, 25, 25), 12, False),
+    (2, 12, (585, 63), 63, True),
+    (3, 8, (205, 41), 41, True),
+    (3, 8, (41, 41, 5), 3, True),
+    (97, 2, (147, 49, 7), 3, True),
+]
+CORPUS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+
+
+def whole_cosets(p, nu, orders, r):
+    """How many coordinates of a box of sorted orders, the last truncated
+    to r (None for s_n), run over a whole coset of a proper subgroup."""
+    limits = orders[:-1] + (r or orders[-1],)
+    return sum(limit == s < p ** nu - 1 for limit, s in zip(limits, orders))
+
+
+def coset_chain(p, nu, orders, r):
+    """Whether spectral_counts chains the whole cosets of that box."""
+    q = p ** nu
+    limits = orders[:-1] + (r or orders[-1],)
+    rest = tuple(limit for limit in limits if limit != q - 1)
+    full = whole_cosets(p, nu, orders, r)
+    engine = charsum._transform_terms(p, nu, rest)[0]
+    return full > 1 and charsum._coset_terms(p, nu, rest, full, engine)
+
+
+def test_coset_rule_picks_for_benchmark_shapes(monkeypatch):
+    picks = {shape[:4]: coset_chain(*shape[:4])
+             for shape in BENCHMARK_COSETS}
+    assert picks == {shape[:4]: shape[4] for shape in BENCHMARK_COSETS}
+    # the list is every such count and sweep shape of the corpus
+    spec = importlib.util.spec_from_file_location("perfbench_corpus",
+                                                  CORPUS_PATH)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    routes = {shape[:4] for shape in corpus.COUNT_SHAPES
+              + corpus.SWEEP_SHAPES if whole_cosets(*shape[:4]) >= 2}
+    assert routes == set(picks)
+    # end to end: spectral_counts steps where the rule chains, on a fresh
+    # FieldSpec whose log table only make_equation's orders build
+    steps = []
+    step = charsum._coset_step
+    monkeypatch.setattr(charsum, "_coset_step",
+                        lambda *args: steps.append(1) or step(*args))
+    rng = random.Random(25)
+    for p, nu, orders, r, chains in BENCHMARK_COSETS:
+        spec = make_field(p, nu)
+        gen = find_generator(spec)
+        terms = [(1, element_of_order(spec, s, gen, rng).packed())
+                 for s in orders]
+        eq = make_equation(fields.FieldSpec(p, nu), terms, 0)
+        box = make_box(eq, r)
+        steps.clear()
+        spectral_counts(eq, box)
+        assert len(steps) == (whole_cosets(p, nu, orders, r) - 1
+                              if chains else 0)
+
+
 def test_split_rule_trades_shifts_against_transforms():
     # more trailing values move the split toward the transform
-    picks = [charsum._transform_terms(3329, 1, (3328, r))[0]
+    picks = [charsum._transform_terms(3329, 1, (3328, r))[1]
              for r in range(1, 200)]
     assert picks == sorted(picks) and picks[0] == 1 and picks[-1] == 2
     # over (Z/2)^12 a shift is about 130 slice adds: one beats three
     # transforms (0.72 against 1.27 ms), two do not (2.29 against 1.15)
-    assert charsum._transform_terms(2, 12, (4095, 1))[0] == 1
-    assert charsum._transform_terms(2, 12, (4095, 2))[0] == 2
+    assert charsum._transform_terms(2, 12, (4095, 1))[1] == 1
+    assert charsum._transform_terms(2, 12, (4095, 2))[1] == 2
     # an uncertifiable sub-box is never picked: its transform costs inf
     assert charsum._transform_route(7, 1, 2, 1 << 60) is None
-    assert charsum._transform_terms(7, 1, (1 << 60, 2))[0] == 1
+    assert charsum._transform_terms(7, 1, (1 << 60, 2))[1] == 1
     # the leading two walks' 10^12 points certify where the whole box's
     # 10^15 do not, and shifting 10^6 + 10^3 values passes the work cap
     assert charsum._transform_route(9973, 1, 3, 10 ** 15) is None
     assert charsum._transform_terms(
-        9973, 1, (10 ** 6, 10 ** 6, 1000))[0] == 2
+        9973, 1, (10 ** 6, 10 ** 6, 1000))[1] == 2
 
 
 def test_exact_counts_slice_adds_match_roll():
@@ -567,9 +743,9 @@ def test_work_cap_keeps_the_transform(monkeypatch):
     # order is below q - 1: a full-order coordinate never reaches the split
     p = 1048573
     half = (p - 1) // 2
-    assert charsum._transform_terms(p, 1, (half, 100, 50, 50))[0] == 1
+    assert charsum._transform_terms(p, 1, (half, 100, 50, 50))[1] == 1
     assert p * 400 > charsum.EXACT_WORK_CAP >= p * 100
-    assert charsum._transform_terms(p, 1, (half, 300, 50, 50))[0] == 2
+    assert charsum._transform_terms(p, 1, (half, 300, 50, 50))[1] == 2
     # end to end: F_3329 with orders (1664, 832) and r = 10 takes
     # shift-and-add, until its 33 290 adds pass the cap; then the
     # transform serves it, no raise
