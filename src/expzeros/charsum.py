@@ -31,12 +31,15 @@ permutes the terms.  A product of two such sums is constant on the
 cosets of H = <g_i> cap <g_j>, the subgroup of order gcd(s_i, s_j), and
 so is its inverse transform: N_{f_{hb}} = N_{f_b} for h in H.  Directly,
 multiplying a solution's terms by h maps each of the two cosets onto
-itself and the solutions for b onto those for hb.  So `spectral_counts`
-convolves two or more whole cosets exactly, at b = 0 and at one b per
-coset of H (`_coset_step`), where the field holds its log table and a
-fitted cost rule says that beats the engine.  Of the other walks it
-transforms the long ones' histograms, certified against rounding or
-redone in exact integers, and shifts and adds the short ones exactly.
+itself and the solutions for b onto those for hb.
+
+`spectral_counts` decides once (`_plan`, fitted cost rules) and then
+runs three exact stages: the lead counts (the first walk's histogram;
+or two or more whole cosets convolved at b = 0 and at one b per coset
+of H, `_coset_step`, in fields that read their log table; or delta_0),
+the certified transform of the next walks' histograms (whose walks join
+the last stage when the certificate fails), and the remaining walks
+shifted by their own values and added, with no histogram.
 `brute_count` is the independent exhaustive oracle: a sorted join that
 meets in the middle, matching the sums over the leading coordinates
 against b minus the sums over the trailing ones.
@@ -53,7 +56,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, multiplicative_order
+from .arith import (_log_table, factorize, multiplicative_order,
+                    reads_log_table)
 from .errors import CapExceeded, InvariantViolated, Overflow, ZeroElement
 from .fields import (FieldElement, FieldSpec, _add_mod, _check_enum,
                      _digit_dtype, _pack, _power_walk)
@@ -378,11 +382,11 @@ def _matrix_convolve(hists: list[np.ndarray], p: int, nu: int) -> np.ndarray:
     return _matrix_transform(spectrum, inv, p, nu)
 
 
-def _transform_route(p: int, nu: int, n: int,
-                     card: int) -> tuple[bool, tuple[int, ...]] | None:
-    """(dense, shape) of the route `_fft_counts` takes for n histograms of
-    a box of card points, or None when no route's a-priori bound
-    certifies it.
+def _transform_route(p: int, nu: int, n: int, card: int
+                     ) -> tuple[bool, tuple[int, ...], float] | None:
+    """(dense, shape, cost) of the route `_fft_counts` takes for n
+    histograms of a box of card points, or None when no route's a-priori
+    bound certifies it; cost is the measured cost of one transform on it.
 
     Up to MATRIX_MAX_P the character matrix, when its dense bound
     certifies the box.  Otherwise the real-input FFTs: on the padded
@@ -392,15 +396,19 @@ def _transform_route(p: int, nu: int, n: int,
     grid = (p,) * nu
     if (p <= MATRIX_MAX_P
             and _fft_error_bound(card, n, grid, dense=True) < ROUND_SLACK):
-        return True, grid
+        return True, grid, (MATRIX_CALL_COST + nu * p ** nu
+                            * (MATRIX_ENTRY_COST + MATRIX_MAC_COST * p))
     for shape in (_transform_shape(p, nu, n), grid):
         if _fft_error_bound(card, n, shape) < ROUND_SLACK:
-            return False, shape
+            length = math.prod(shape)
+            return False, shape, (FFT_CALL_COST
+                                  + FFT_COST * length * math.log2(length))
     return None
 
 
 def _fft_counts(hists: list[np.ndarray], p: int, nu: int, card: int,
-                route: tuple[bool, tuple[int, ...]]) -> np.ndarray | None:
+                route: tuple[bool, tuple[int, ...], float]
+                ) -> np.ndarray | None:
     """Counts by floating-point transform, or None unless certified exact.
 
     `route` is `_transform_route(p, nu, len(hists), card)`, not None: the
@@ -411,7 +419,7 @@ def _fft_counts(hists: list[np.ndarray], p: int, nu: int, card: int,
     within ROUND_SLACK of an integer, every imaginary part (if the result
     has any) is below it, and the rounded values sum to card.
     """
-    dense, shape = route
+    dense, shape, _ = route
     if dense:
         raw = _matrix_convolve(hists, p, nu)
     else:
@@ -487,29 +495,29 @@ def _add_shifted(out: np.ndarray, src: np.ndarray, shift, p: int) -> None:
         o += f
 
 
-def _exact_counts(hists: list[np.ndarray], p: int, nu: int) -> np.ndarray:
-    """The cyclic convolution of the histograms on (Z/p)^nu, by integer
-    shift-and-add.
+def _exact_counts(counts: np.ndarray, walks: list[np.ndarray],
+                  p: int) -> np.ndarray:
+    """counts (packed order) convolved on (Z/p)^nu with the histogram of
+    each walk in turn, by integer shift-and-add.
 
-    For each value v a histogram after the first takes, add h_j[v] times
-    the running convolution shifted by v (`_add_shifted`): q int64 adds
-    per such value.  Raises CapExceeded, before any of it, when those
-    adds pass EXACT_WORK_CAP.
+    A walk a g^x with x below the order of g takes distinct values, so
+    its histogram is 0/1: the convolution adds the running counts
+    shifted by each of its rows (`_add_shifted`), q int64 adds a row.
+    A row lists the digits low first and the (p,)*nu grid of packed
+    order puts the top digit first, so each row is reversed.  Raises
+    CapExceeded, before any of it, when those adds pass EXACT_WORK_CAP.
     """
-    grid = (p,) * nu
-    values = [np.flatnonzero(h) for h in hists[1:]]
-    work = p ** nu * sum(len(v) for v in values)
+    work = len(counts) * sum(len(walk) for walk in walks)
     if work > EXACT_WORK_CAP:
         raise CapExceeded(f"exact convolution of {work} adds exceeds cap "
                           f"{EXACT_WORK_CAP}")
-    acc = hists[0].reshape(grid)
-    for h, vs in zip(hists[1:], values):
-        out = np.zeros(grid, dtype=np.int64)
-        shifts = zip(*(axis.tolist() for axis in np.unravel_index(vs, grid)))
-        for shift, w in zip(shifts, h[vs].tolist()):
-            _add_shifted(out, acc if w == 1 else w * acc, shift, p)
-        acc = out
-    return acc.reshape(-1)
+    for walk in walks:
+        counts = counts.reshape((p,) * walk.shape[1])
+        out = np.zeros(counts.shape, dtype=np.int64)
+        for shift in walk[:, ::-1].tolist():
+            _add_shifted(out, counts, shift, p)
+        counts = out
+    return counts.reshape(-1)
 
 
 def _shift_cost(p: int, nu: int) -> float:
@@ -525,39 +533,23 @@ def _shift_cost(p: int, nu: int) -> float:
     return cost
 
 
-def _transform_cost(p: int, nu: int, m: int,
-                    route: tuple[bool, tuple[int, ...]]) -> float:
-    """Measured cost of `_fft_counts` on m histograms: m forward
-    transforms and one inverse on `route`."""
-    dense, shape = route
-    if dense:
-        q = p ** nu
-        per = (MATRIX_CALL_COST
-               + nu * q * (MATRIX_ENTRY_COST + MATRIX_MAC_COST * p))
-    else:
-        length = math.prod(shape)
-        per = FFT_CALL_COST + FFT_COST * length * math.log2(length)
-    return (m + 1) * per
-
-
 def _transform_terms(p: int, nu: int, limits: tuple[int, ...]
                      ) -> tuple[float, int,
-                                tuple[bool, tuple[int, ...]] | None]:
+                                tuple[bool, tuple[int, ...], float] | None]:
     """How many leading walks the transform convolves, on which route, and
     at what cost: (cost, m, route) for the split m in 1..n of least
     measured cost, with `_transform_route` for its sub-box (None for
     m = 1).
 
-    The leading m walks cost `_transform_cost` on the route that
-    certifies their sub-box of prod(limits[:m]) points; a sub-box no
-    route certifies is skipped, and m = 1 costs nothing (its counts are
-    the first walk's histogram).  The other walks are shifted and added
-    exactly: a walk a g^x with x below the order of g takes distinct
-    values, so walk l makes limits[l] shifts of `_shift_cost` each.  A
-    split whose shifts pass EXACT_WORK_CAP is never picked, so a box the
-    transform serves never meets that cap; ties go to the larger m.  With
-    no split left, (inf, 1, None): every walk is shifted (CapExceeded
-    there).
+    The leading m walks cost m forward transforms and one inverse on the
+    route that certifies their sub-box of prod(limits[:m]) points; a
+    sub-box no route certifies is skipped, and m = 1 costs nothing (its
+    counts are the first walk's histogram).  The other walks are shifted
+    and added exactly (`_exact_counts`), limits[l] shifts of
+    `_shift_cost` each for walk l.  A split whose shifts pass
+    EXACT_WORK_CAP is never picked, so a box the transform serves never
+    meets that cap; ties go to the larger m.  With no split left, (inf,
+    1, None): every walk is shifted (CapExceeded there).
     """
     n, q = len(limits), p ** nu
     shift = _shift_cost(p, nu)
@@ -573,7 +565,7 @@ def _transform_terms(p: int, nu: int, limits: tuple[int, ...]
             route = _transform_route(p, nu, m, math.prod(limits[:m]))
             if route is None:
                 continue
-            cost += _transform_cost(p, nu, m, route)
+            cost += (m + 1) * route[2]
         if cost < best:
             best, pick = cost, (m, route)
     return (best,) + pick
@@ -591,25 +583,34 @@ def _coset_cost(p: int, nu: int, sub: int, size: int) -> float:
     return COSET_CALL_COST + COSET_GATHER_COST * gathers
 
 
-def _coset_terms(p: int, nu: int, limits: tuple[int, ...], full: int,
-                 engine: float) -> bool:
-    """Whether `_coset_step` chains the leading `full` coordinates (whole
-    orders below q - 1, full >= 2): where that costs less than `engine`,
-    the engine's cost on every walk (ties go to the engine).
+def _plan(p: int, nu: int, limits: tuple[int, ...], full: int
+          ) -> tuple[bool, int, tuple[bool, tuple[int, ...], float] | None,
+                     tuple[int, ...]]:
+    """What `spectral_counts` does with walks of these limits, the leading
+    `full` of them whole cosets of proper subgroups: (chain, m, route,
+    limits), each split evaluated once.
 
-    The chain costs a `_coset_step` for each coordinate after the first,
-    over the subgroup whose order is the gcd of the orders so far, and
-    then the engine's split on its counts, of prod(limits[:full])
-    points, and the other walks.
+    chain: whether `_coset_step` chains the whole cosets (full >= 2).
+    It costs a `_coset_step` for each coset after the first, over the
+    subgroup whose order is the gcd of the orders so far, and its counts,
+    of prod(limits[:full]) points, then stand in for those walks.  It is
+    taken where it and the split of what is left cost less than the
+    split of every walk; ties go to the split.  m and route are the
+    split (`_transform_terms`) of the limits returned: the chain's
+    product and the rest, or the limits given.
     """
-    cost, sub = 0.0, limits[0]
-    for size in limits[1:full]:
-        sub = math.gcd(sub, size)
-        cost += _coset_cost(p, nu, sub, size)
-    if cost >= engine:
-        return False
-    tail = (math.prod(limits[:full]),) + limits[full:]
-    return cost + _transform_terms(p, nu, tail)[0] < engine
+    cost, m, route = _transform_terms(p, nu, limits)
+    if full > 1:
+        chain, sub = 0.0, limits[0]
+        for size in limits[1:full]:
+            sub = math.gcd(sub, size)
+            chain += _coset_cost(p, nu, sub, size)
+        if chain < cost:
+            tail = (math.prod(limits[:full]),) + limits[full:]
+            tail_cost, tail_m, tail_route = _transform_terms(p, nu, tail)
+            if chain + tail_cost < cost:
+                return True, tail_m, tail_route, tail
+    return False, m, route, limits
 
 
 def _coset_step(counts: np.ndarray, walk: np.ndarray, sub: int, p: int,
@@ -670,25 +671,27 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
 
     A coordinate whose limit is q - 1 takes every unit once: its
     histogram is 1 - delta_0, and convolving counts c with it gives
-    c.sum() - c, one exact O(q) step with no walk.  Of the rest, the
-    coordinates at their whole order s_j < q - 1 (all but the last, and
-    the last too when r = s_n) each walk a whole coset of <g_j>.  Where
-    the field holds its log table (`spec._zech`, q <= 2^14) and
-    `_coset_terms` finds it cheaper, those are chained exactly: counts
-    start from the first one's histogram, and each later one is one
-    `_coset_step` over the subgroup whose order is the gcd of the orders
-    so far, (q - 1)/gcd + 1 points of s_j gathers each, where the engine
-    pays a transform or s_j shifts of q adds.  The chain's counts then
-    stand in for its walks.  The rest go through the engine: their
-    leading m walks (`_transform_terms`) go through the floating-point
-    transform, certified for their sub-box of prod(rest[:m]) points, and
-    the other walks are shifted and added exactly; m = 1 needs no
-    transform (the first walk's histogram), and no walk at all starts
-    from delta_0.  An uncertified transform falls back to shift-and-add
-    of every walk (CapExceeded past its work cap).  `walks` are
-    `box_walks(eq, box)`, of which the full-order ones are ignored; when
-    not given, only the others are computed.  Memory is O(n q) whatever
-    the box.
+    c.sum() - c, one exact O(q) step with no walk, folded in last.  The
+    other walks go through one plan (`_plan`) and three exact stages:
+
+    1. The lead counts: the first walk's histogram, or delta_0 with no
+       walk at all.  Where the field reads its log table (q <= 2^14) and
+       the plan chains the coordinates at their whole order s_j < q - 1
+       (all but the last, and the last too when r = s_n), each whole
+       coset after the first is one `_coset_step` over the subgroup
+       whose order is the gcd of the orders so far, (q - 1)/gcd + 1
+       points of s_j gathers each; the chain's counts stand in for its
+       walks.
+    2. The next m - 1 walks' histograms convolved with the lead counts
+       by the floating-point transform, certified for their sub-box; an
+       uncertified transform leaves the lead counts as they were, and
+       every walk after them goes to stage 3.
+    3. The remaining walks shifted and added exactly (`_exact_counts`;
+       CapExceeded past its work cap).
+
+    `walks` are `box_walks(eq, box)`, of which the full-order ones are
+    ignored; when not given, only the others are computed.  Memory is
+    O(n q) whatever the box.
     """
     spec = eq.spec
     q, p, nu = spec.cardinality, spec.p, spec.nu
@@ -704,34 +707,26 @@ def spectral_counts(eq: ExpEquation, box: SearchBox,
     # the coordinates at their whole order: all but the last, and the
     # last too when r = s_n
     full = len(rest) - (box.r < box.orders_sorted[-1])
-    # split: the engine's pick for `rest`, once worked out
-    hists, split = [], None
-    if full > 1 and spec._zech is not None:
-        split = _transform_terms(p, nu, rest)
-        if _coset_terms(p, nu, rest, full, split[0]):
-            antilog = np.asarray(spec._zech[1])
-            counts = np.bincount(_pack(walks[0], p), minlength=q)
-            sub = rest[0]
-            for walk in walks[1:full]:
-                sub = math.gcd(sub, len(walk))
-                counts = _coset_step(counts, walk, sub, p, antilog)
-            hists, split = [counts], None
-            walks = walks[full:]
-            rest = (math.prod(rest[:full]),) + rest[full:]
-    hists += [np.bincount(_pack(walk, p), minlength=q) for walk in walks]
-    if not hists:
-        counts = np.zeros(q, dtype=np.int64)
-        counts[0] = 1
-    else:
-        _, m, route = split or _transform_terms(p, nu, rest)
-        counts = None
-        if m > 1:
-            counts = _fft_counts(hists[:m], p, nu, math.prod(rest[:m]),
-                                 route)
-        if counts is None:
-            counts, m = hists[0], 1
-        if m < len(hists):
-            counts = _exact_counts([counts] + hists[m:], p, nu)
+    chain, m, route, rest = _plan(p, nu, rest,
+                                  full if reads_log_table(spec) else 0)
+    # counts cover every walk up to walks[0] (delta_0: no walk at all)
+    counts = np.bincount(_pack(walks[0], p) if walks else [0], minlength=q)
+    if chain:
+        _log_table(spec)
+        antilog = np.asarray(spec._zech[1])
+        sub = len(walks[0])
+        for walk in walks[1:full]:
+            sub = math.gcd(sub, len(walk))
+            counts = _coset_step(counts, walk, sub, p, antilog)
+        walks = walks[full - 1:]
+    if m > 1:
+        hists = [counts] + [np.bincount(_pack(walk, p), minlength=q)
+                            for walk in walks[1:m]]
+        fft = _fft_counts(hists, p, nu, math.prod(rest[:m]), route)
+        if fft is not None:
+            counts, walks = fft, walks[m - 1:]
+    if len(walks) > 1:
+        counts = _exact_counts(counts, walks[1:], p)
     for _ in range(len(limits) - len(part)):
         counts = counts.sum() - counts
     total = int(counts.sum())

@@ -489,7 +489,7 @@ def cmd_reduce(args) -> int:
     doc = red.to_dict()
     samples = _get_int(cfg, "samples")
     rep = None
-    if samples:
+    if samples is not None:
         rep = mu_bound_report(eq.spec, samples=samples,
                               n=eq.n, seed=_get_int(cfg, "seed", 0))
         doc["mu_report"] = rep.to_dict()

@@ -229,7 +229,7 @@ class FieldSpec:
     __slots__ = ("p", "nu", "cardinality", "modulus", "_zero", "_one",
                  "_zech")
 
-    def __init__(self, p: int, nu: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, nu: int):
         if not _is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if nu < 1:
@@ -240,15 +240,7 @@ class FieldSpec:
         self.p = p
         self.nu = nu
         self.cardinality = q
-        if modulus is None:
-            modulus = _first_irreducible(p, nu)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != nu + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {nu}")
-            if not _is_irreducible(list(modulus), p):
-                raise ValueError("modulus is reducible")
-        self.modulus = tuple(modulus)
+        self.modulus = _first_irreducible(p, nu)
         self._zech = None
         self._zero = FieldElement(self, 0)
         self._one = FieldElement(self, 1)
@@ -258,11 +250,10 @@ class FieldSpec:
             return True
         if not isinstance(other, FieldSpec):
             return NotImplemented
-        return (self.p, self.nu, self.modulus) == (other.p, other.nu,
-                                                   other.modulus)
+        return (self.p, self.nu) == (other.p, other.nu)
 
     def __hash__(self):
-        return hash((self.p, self.nu, self.modulus))
+        return hash((self.p, self.nu))
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, nu={self.nu})"

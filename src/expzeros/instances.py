@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from .arith import (Factorization, _first_generator, _log_table, factorize,
-                    reads_log_table)
+from .arith import _first_generator, _log_table, factorize, reads_log_table
 from .charsum import ExpEquation, make_equation
 from .errors import InvariantViolated
 from .fields import FieldElement, FieldSpec
@@ -34,22 +33,19 @@ def random_equation(spec: FieldSpec, n: int, rng: random.Random,
     return make_equation(spec, terms, b)
 
 
-def find_generator(spec: FieldSpec,
-                   fact: Factorization | None = None) -> FieldElement:
+def find_generator(spec: FieldSpec) -> FieldElement:
     """Smallest unit (in packed order) generating F_q^x.
 
     Where reads_log_table holds that is the generator gamma of the
     field's log table, built here if missing: gamma = gamma^1 is
     antilog[1 mod (q-1)], and the table build's scan is the only one.
-    Every other field scans, with `fact` when given.
+    Every other field scans.
     """
     if reads_log_table(spec):
         _log_table(spec)
         antilog = spec._zech[1]
         return spec.from_packed(antilog[1 % len(antilog)])
-    if fact is None:
-        fact = factorize(spec.cardinality - 1)
-    return _first_generator(spec, fact)
+    return _first_generator(spec, factorize(spec.cardinality - 1))
 
 
 def element_of_order(spec: FieldSpec, d: int, gen: FieldElement,

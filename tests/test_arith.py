@@ -491,8 +491,8 @@ def test_field_past_the_table_cap_multiplies_without_a_table(monkeypatch):
 
 
 def test_products_never_build_a_table(monkeypatch):
-    # a fresh spec, with a modulus other than the canonical one
-    spec = FieldSpec(2, 6, modulus=(1, 0, 0, 1, 0, 0, 1))
+    # a fresh spec, outside make_field's cache
+    spec = FieldSpec(2, 6)
 
     def no_table(*args):
         raise AssertionError("a product built a log table")

@@ -429,6 +429,7 @@ def test_missing_inputs_exit_1():
     (["qmodel", "--terms", "1,3;1,2", "--slack-exponent", "1066"], "slack"),
     (["qmodel", "--terms", "1,3;1,2", "--slack-exponent", "1066", "--mode",
       "thm3"], "slack"),
+    (["reduce", "--samples", "0"], "need samples >= 1"),
 ])
 def test_bad_parameter_exits_1_with_one_error_line(argv, names):
     rc, out, err = run([argv[0], "--p", "7", "--terms", "1,3", "--b", "1",
@@ -497,7 +498,9 @@ def test_exact_fallback_work_cap_exits_2(monkeypatch):
     # q - 1, forced off the coset step and onto the exact route under a
     # tiny cap
     f7 = ["density", "--p", "7", "--terms", "1,2;3,2", "--b", "3"]
-    monkeypatch.setattr(charsum, "_coset_terms", lambda *args: False)
+    plan = charsum._plan
+    monkeypatch.setattr(charsum, "_plan", lambda p, nu, limits, full:
+                        plan(p, nu, limits, 0))
     monkeypatch.setattr(charsum, "_fft_counts", lambda *args: None)
     assert run(f7)[0] == 0
     monkeypatch.setattr(charsum, "EXACT_WORK_CAP", 7 * 3 - 1)

@@ -49,7 +49,6 @@ def test_generator_past_the_table_scans_and_builds_no_table(p, nu):
     fact = factorize(spec.cardinality - 1)
     expected = _first_generator(spec, fact)
     assert find_generator(spec) == expected
-    assert find_generator(spec, fact) == expected
     assert spec._zech is None
 
 

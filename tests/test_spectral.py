@@ -179,6 +179,20 @@ def coset_instances(draw):
     return instance(p, nu, terms, 0, r)
 
 
+def plan_forced(chain):
+    """`_plan` with the coset chain forced onto every whole coset (chain
+    true) or off, and the engine's own split of what is left."""
+    plan = charsum._plan
+
+    def forced(p, nu, limits, full):
+        if not chain or full < 2:
+            return plan(p, nu, limits, 0)
+        tail = (math.prod(limits[:full]),) + limits[full:]
+        return (True,) + charsum._transform_terms(p, nu, tail)[1:] + (tail,)
+
+    return forced
+
+
 def bare_copy(eq):
     """eq over a fresh FieldSpec of the same field, which holds no log
     table (make_equation would build one)."""
@@ -196,9 +210,11 @@ def bare_copy(eq):
 @example(instance(3, 4, [(1, 21), (2, 13)], 0), True)        # 16, 10
 @example(instance(2, 6, [(1, 6), (5, 6)], 0), True)          # 9, 9
 def test_coset_step_matches_brute_for_every_b(case, shared):
-    # The rule's own choice, the chain forced onto every whole coset, and
-    # the same box over a bare FieldSpec, which keeps to the engine; with
-    # and without the walks `count` shares.  Every b against brute_count.
+    # The rule's own choice, the chain forced onto every whole coset, on
+    # the equation's field and on a bare FieldSpec, whose log table the
+    # chain builds, and the chain forced off, which keeps to the engine
+    # and builds no table; with and without the walks `count` shares.
+    # Every b against brute_count.
     eq, box = case
     q = eq.q
     full = whole_cosets(eq.spec.p, eq.spec.nu, box.orders_sorted, box.r)
@@ -218,14 +234,19 @@ def test_coset_step_matches_brute_for_every_b(case, shared):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(charsum, "_coset_step", counted)
         assert spectral_counts(eq, box, walks_of(eq)).tolist() == want
-        steps.clear()
-        mp.setattr(charsum, "_coset_terms", lambda *args: True)
-        assert spectral_counts(eq, box, walks_of(eq)).tolist() == want
+        mp.setattr(charsum, "_plan", plan_forced(True))
         # one step per whole coset after the first, over the subgroup of
         # the orders' running gcd
         orders = [s for s in box.orders_sorted if s < q - 1][:full]
-        assert steps == [math.gcd(*orders[:i + 1]) for i in range(1, full)]
+        gcds = [math.gcd(*orders[:i + 1]) for i in range(1, full)]
+        for chained in (eq, bare_copy(eq)):
+            steps.clear()
+            assert spectral_counts(chained, box,
+                                   walks_of(chained)).tolist() == want
+            assert steps == gcds
+            assert chained.spec._zech is not None
         bare = bare_copy(eq)
+        mp.setattr(charsum, "_plan", plan_forced(False))
         mp.setattr(charsum, "_coset_step", None)  # never reached
         assert spectral_counts(bare, box, walks_of(bare)).tolist() == want
         assert bare.spec._zech is None
@@ -255,6 +276,13 @@ def histograms(eq, box):
                         minlength=eq.q)
             for (a, g), lim in zip(charsum.sorted_terms(eq, box),
                                    box.limits())]
+
+
+def exact_counts(walks, p, q):
+    """The walks' convolution by shift-and-add alone, from the first
+    walk's histogram."""
+    lead = np.bincount(fields._pack(walks[0], p), minlength=q)
+    return charsum._exact_counts(lead, walks[1:], p)
 
 
 def fft_counts(hists, p, nu, card):
@@ -331,7 +359,8 @@ def test_both_routes_match_exact_and_brute(data):
     hists = histograms(eq, box)
     counts = fft_counts(hists, p, nu, box.card)
     assert counts is not None  # the float route itself, not its fallback
-    assert counts.tolist() == charsum._exact_counts(hists, p, nu).tolist()
+    assert counts.tolist() == \
+        exact_counts(list(charsum.box_walks(eq, box)), p, q).tolist()
     assert counts.tolist() == spectral_counts(eq, box).tolist()
     assert counts[eq.b.packed()] == brute_count(eq, box, list_cap=0)[0]
 
@@ -386,12 +415,6 @@ def test_transform_shape_pads_prime_axis_to_smooth_length():
     assert charsum._transform_shape(131, 2, 2) == (131, 131)
 
 
-def walk_histograms(spec, walks):
-    """Histograms of a g^x, x < limit, for (a, g, limit) in walks."""
-    return [np.bincount(fields._pack(fields._power_walk(a, g, limit), spec.p),
-                        minlength=spec.cardinality) for a, g, limit in walks]
-
-
 @pytest.mark.parametrize("p, nu, limits", [
     # F_{127^2}: 2.0e12 points pass the FFT's bound, not the dense one
     (127, 2, [16128, 500, 500, 500]),
@@ -404,9 +427,11 @@ def test_float_route_certifies_boxes_past_the_first_grids_bound(
     spec = make_field(p, nu)
     q = spec.cardinality
     gamma = find_generator(spec)
-    walks = [(gamma ** (3 * j + 1), gamma ** e, limit) for j, (e, limit)
+    walks = [fields._power_walk(gamma ** (3 * j + 1), gamma ** e, limit)
+             for j, (e, limit)
              in enumerate(zip([1, 5, 11, 13, 17, 19, 23], limits))]
-    hists = walk_histograms(spec, walks)
+    hists = [np.bincount(fields._pack(walk, p), minlength=q)
+             for walk in walks]
     card = math.prod(limits)
     n, slack = len(hists), charsum.ROUND_SLACK
     if p <= charsum.MATRIX_MAX_P:
@@ -419,7 +444,7 @@ def test_float_route_certifies_boxes_past_the_first_grids_bound(
     assert charsum._fft_error_bound(card, n, (p,) * nu) < slack
     counts = fft_counts(hists, p, nu, card)
     assert counts is not None and len(counts) == q
-    assert counts.tolist() == charsum._exact_counts(hists, p, nu).tolist()
+    assert counts.tolist() == exact_counts(walks, p, q).tolist()
 
 
 def test_smooth_length_small_values():
@@ -458,7 +483,7 @@ try:
 except errors.InvariantViolated:
     print("census invariant held")
 charsum._fft_counts = lambda *args: None
-charsum._exact_counts = lambda hists, p, nu: 0 * hists[0]
+charsum._exact_counts = lambda counts, walks, p: 0 * counts
 charsum._coset_step = lambda counts, *args: 0 * counts
 # orders (3, 3): no coordinate of order q - 1, so both walks reach the
 # engine or the coset step, each broken
@@ -492,24 +517,23 @@ SPLIT_FIELDS = [(7, 1), (127, 1), (131, 1), (257, 1), (1031, 1),
 
 
 def forced_counts(eq, box, m, fallback=False):
-    """spectral_counts with the coset step off and the split forced to m,
-    and with the transform refused (the exact fallback) when `fallback`;
-    and how many histograms each call of the exact shift-and-add
+    """spectral_counts with the coset chain off and the split forced to
+    m, and with the transform refused (the exact fallback) when
+    `fallback`; and how many walks each call of the exact shift-and-add
     received."""
     exact_counts, calls = charsum._exact_counts, []
 
-    def counted(hists, p, nu):
-        calls.append(len(hists))
-        return exact_counts(hists, p, nu)
+    def counted(counts, walks, p):
+        calls.append(len(walks))
+        return exact_counts(counts, walks, p)
 
-    def forced(p, nu, limits):
+    def forced(p, nu, limits, full):
         card = math.prod(limits[:m])
-        return 0, m, (charsum._transform_route(p, nu, m, card) if m > 1
-                      else None)
+        return False, m, (charsum._transform_route(p, nu, m, card)
+                          if m > 1 else None), limits
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(charsum, "_coset_terms", lambda *args: False)
-        mp.setattr(charsum, "_transform_terms", forced)
+        mp.setattr(charsum, "_plan", forced)
         mp.setattr(charsum, "_exact_counts", counted)
         if fallback:
             mp.setattr(charsum, "_fft_counts", lambda *args: None)
@@ -542,8 +566,7 @@ def test_every_route_matches_brute_and_exact_counts(data):
     r = data.draw(st.one_of(st.just(1),
                             st.integers(1, max(1, min(last, budget)))))
     box = make_box(eq, r)
-    hists = histograms(eq, box)
-    want = charsum._exact_counts(hists, p, nu)
+    want = exact_counts(list(charsum.box_walks(eq, box)), p, q)
     assert spectral_counts(eq, box).tolist() == want.tolist()
     # full-order coordinates are folded in closed form; the split runs on
     # the n others
@@ -554,10 +577,10 @@ def test_every_route_matches_brute_and_exact_counts(data):
         # after the first is shifted
         counts, calls = forced_counts(eq, box, m)
         assert counts.tolist() == want.tolist()
-        assert calls == ([n - m + 1] if m < n else [])
+        assert calls == ([n - m] if m < n else [])
         counts, calls = forced_counts(eq, box, m, fallback=True)
         assert counts.tolist() == want.tolist()
-        assert calls == ([n] if n > 1 else [])
+        assert calls == ([n - 1] if n > 1 else [])
     if n == 0:
         counts, calls = forced_counts(eq, box, 1)
         assert counts.tolist() == want.tolist() and calls == []
@@ -602,7 +625,7 @@ BENCHMARK_SPLITS = [
 
 
 def test_split_rule_picks_for_benchmark_shapes():
-    picks = {(p, nu, limits): charsum._transform_terms(p, nu, limits)[1]
+    picks = {(p, nu, limits): charsum._plan(p, nu, limits, 0)[1]
              for p, nu, limits, _ in BENCHMARK_SPLITS}
     assert picks == {(p, nu, limits): m
                      for p, nu, limits, m in BENCHMARK_SPLITS}
@@ -647,9 +670,29 @@ def coset_chain(p, nu, orders, r):
     q = p ** nu
     limits = orders[:-1] + (r or orders[-1],)
     rest = tuple(limit for limit in limits if limit != q - 1)
-    full = whole_cosets(p, nu, orders, r)
-    engine = charsum._transform_terms(p, nu, rest)[0]
-    return full > 1 and charsum._coset_terms(p, nu, rest, full, engine)
+    return charsum._plan(p, nu, rest, whole_cosets(p, nu, orders, r))[0]
+
+
+def corpus_shapes():
+    """The count and sweep shapes of perfbench/corpus.py, (p, nu, orders,
+    r) each."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus",
+                                                  CORPUS_PATH)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    return ([shape[:4] for shape in corpus.COUNT_SHAPES],
+            [shape[:4] for shape in corpus.SWEEP_SHAPES])
+
+
+def shape_instance(p, nu, orders, r, rng):
+    """(eq, box) of that shape, a_j = 1, over a fresh FieldSpec."""
+    spec = make_field(p, nu)
+    gen = find_generator(spec)
+    terms = [(1, element_of_order(spec, s, gen, rng).packed())
+             for s in orders]
+    eq = make_equation(fields.FieldSpec(p, nu), terms, 0)
+    return eq, make_box(eq, r)
 
 
 def test_coset_rule_picks_for_benchmark_shapes(monkeypatch):
@@ -657,32 +700,149 @@ def test_coset_rule_picks_for_benchmark_shapes(monkeypatch):
              for shape in BENCHMARK_COSETS}
     assert picks == {shape[:4]: shape[4] for shape in BENCHMARK_COSETS}
     # the list is every such count and sweep shape of the corpus
-    spec = importlib.util.spec_from_file_location("perfbench_corpus",
-                                                  CORPUS_PATH)
-    corpus = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = corpus  # its dataclasses look their module up
-    spec.loader.exec_module(corpus)
-    routes = {shape[:4] for shape in corpus.COUNT_SHAPES
-              + corpus.SWEEP_SHAPES if whole_cosets(*shape[:4]) >= 2}
+    count, sweep = corpus_shapes()
+    routes = {shape for shape in count + sweep if whole_cosets(*shape) >= 2}
     assert routes == set(picks)
-    # end to end: spectral_counts steps where the rule chains, on a fresh
-    # FieldSpec whose log table only make_equation's orders build
+    # end to end: spectral_counts steps where the rule chains
     steps = []
     step = charsum._coset_step
     monkeypatch.setattr(charsum, "_coset_step",
                         lambda *args: steps.append(1) or step(*args))
     rng = random.Random(25)
     for p, nu, orders, r, chains in BENCHMARK_COSETS:
-        spec = make_field(p, nu)
-        gen = find_generator(spec)
-        terms = [(1, element_of_order(spec, s, gen, rng).packed())
-                 for s in orders]
-        eq = make_equation(fields.FieldSpec(p, nu), terms, 0)
-        box = make_box(eq, r)
+        eq, box = shape_instance(p, nu, orders, r, rng)
         steps.clear()
         spectral_counts(eq, box)
         assert len(steps) == (whole_cosets(p, nu, orders, r) - 1
                               if chains else 0)
+
+
+# What spectral_counts does on every count and sweep shape of the corpus:
+# (p, nu, sorted orders, r or None, folds, steps, transform, shifts),
+# where folds counts the coordinates of order q - 1 folded in closed form,
+# steps the coset steps, transform is (m, route) for the certified
+# transform of m histograms on the "dense" character matrix, the
+# "padded" FFT or the unpadded "grid" FFT (None: no transform), and
+# shifts the walk rows shifted and added exactly.
+BENCHMARK_PLANS = [
+    # count
+    (7, 1, (6, 6, 6, 6), None, 4, 0, None, 0),
+    (7, 1, (6, 3), None, 1, 0, None, 0),
+    (31, 1, (30, 15, 10), None, 1, 1, None, 0),
+    (31, 1, (30,), None, 1, 0, None, 0),
+    (101, 1, (100, 100, 10), 5, 2, 0, None, 0),
+    (101, 1, (50, 25, 20, 4), None, 0, 0, (4, "dense"), 0),
+    (257, 1, (256, 128), 64, 1, 0, None, 0),
+    (257, 1, (64, 32, 16), 8, 0, 1, None, 8),
+    (1031, 1, (1030, 103), 50, 1, 0, None, 0),
+    (1031, 1, (206, 103, 5), 2, 0, 1, None, 2),
+    (9973, 1, (831, 277), 40, 0, 0, None, 40),
+    (9973, 1, (277, 277, 12), 1, 0, 1, None, 1),
+    (9973, 1, (9972,), 8, 0, 0, None, 0),
+    (9973, 1, (277, 12), 3, 0, 0, None, 3),
+    (2, 3, (7, 7, 7), None, 3, 0, None, 0),
+    (3, 2, (8, 8, 8, 4), None, 3, 0, None, 0),
+    (5, 2, (24, 12, 8), None, 1, 1, None, 0),
+    (2, 6, (63, 21, 9), None, 1, 1, None, 0),
+    (3, 4, (80, 40), None, 1, 0, None, 0),
+    (7, 4, (96, 25, 25), 12, 0, 0, (3, "dense"), 0),
+    (7, 4, (2400,), 30, 0, 0, None, 0),
+    (2, 12, (585, 63), 63, 0, 1, None, 0),
+    (2, 12, (4095,), 5, 0, 0, None, 0),
+    (3, 8, (205, 41), 41, 0, 1, None, 0),
+    (3, 8, (41, 41, 5), 3, 0, 1, (2, "dense"), 0),
+    (97, 2, (147, 49, 7), 3, 0, 1, None, 3),
+    (97, 2, (96, 96), 4, 0, 0, None, 4),
+    # sweep
+    (7, 1, (6, 6), None, 2, 0, None, 0),
+    (31, 1, (30, 30, 30), None, 3, 0, None, 0),
+    (97, 1, (96, 96, 96), None, 3, 0, None, 0),
+    (101, 1, (100, 100, 100), None, 3, 0, None, 0),
+    (257, 1, (256, 256, 32), None, 2, 0, None, 0),
+    (769, 1, (768, 768, 3), None, 2, 0, None, 0),
+    (1031, 1, (1030, 1030), None, 2, 0, None, 0),
+    (2, 3, (7, 7, 7, 7), None, 4, 0, None, 0),
+    (3, 2, (8, 8, 8, 8), None, 4, 0, None, 0),
+    (5, 2, (24, 24, 24, 24), None, 4, 0, None, 0),
+    (2, 6, (63, 63, 63), None, 3, 0, None, 0),
+    (3, 4, (80, 80, 80), None, 3, 0, None, 0),
+    (7, 4, (2400, 2400), 100, 1, 0, None, 0),
+    (2, 12, (4095, 4095), 256, 1, 0, None, 0),
+    (3, 8, (6560, 328), None, 1, 0, None, 0),
+    (97, 2, (9408, 147), None, 1, 0, None, 0),
+    (3329, 1, (3328, 3328), 10, 1, 0, None, 0),
+    (9973, 1, (9972, 9972), 8, 1, 0, None, 0),
+    (12289, 1, (12288, 12288), 12, 1, 0, None, 0),
+    (40961, 1, (40960, 40960), 16, 1, 0, None, 0),
+    (65537, 1, (65536, 65536), 20, 1, 0, None, 0),
+]
+
+
+def test_plan_on_every_benchmark_shape(monkeypatch):
+    count, sweep = corpus_shapes()
+    assert [plan[:4] for plan in BENCHMARK_PLANS] == count + sweep
+    log = {}
+    step, fft, exact = (charsum._coset_step, charsum._fft_counts,
+                        charsum._exact_counts)
+
+    def counted_step(*args):
+        log["steps"] += 1
+        return step(*args)
+
+    def counted_fft(hists, p, nu, card, route):
+        dense, shape, _ = route
+        log["transform"] = (len(hists), "dense" if dense else
+                            "grid" if shape == (p,) * nu else "padded")
+        return fft(hists, p, nu, card, route)
+
+    def counted_exact(counts, walks, p):
+        log["shifts"] += sum(len(walk) for walk in walks)
+        return exact(counts, walks, p)
+
+    monkeypatch.setattr(charsum, "_coset_step", counted_step)
+    monkeypatch.setattr(charsum, "_fft_counts", counted_fft)
+    monkeypatch.setattr(charsum, "_exact_counts", counted_exact)
+    rng = random.Random(26)
+    for i, plan in enumerate(BENCHMARK_PLANS):
+        eq, box = shape_instance(*plan[:4], rng)
+        log.update(steps=0, transform=None, shifts=0)
+        # count hands spectral_counts its walks, the sweep does not
+        walks = list(charsum.box_walks(eq, box)) if i < len(count) else None
+        spectral_counts(eq, box, walks)
+        folds = box.limits().count(eq.q - 1)
+        assert (folds, log["steps"], log["transform"], log["shifts"]) \
+            == plan[4:], plan[:4]
+    # no shape takes numpy's FFT or a partial split (a transform followed
+    # by shifts); the sweep only folds, or keeps one walk
+    for plan in BENCHMARK_PLANS:
+        assert plan[6] is None or (plan[6][1] == "dense" and plan[7] == 0)
+    assert all(plan[5:] == (0, None, 0)
+               for plan in BENCHMARK_PLANS[len(count):])
+
+
+def test_chained_call_splits_twice_and_bins_no_shifted_walk(monkeypatch):
+    # F_9973 (277, 277, 1): the split of every walk, then the split of the
+    # chain's counts and the last walk, which is only shifted; F_9973
+    # (831, 40) takes no chain, and its second walk is only shifted.
+    # Only the lead walk is bincounted.
+    splits, binned = [], []
+    terms, bincount = charsum._transform_terms, np.bincount
+    monkeypatch.setattr(charsum, "_transform_terms",
+                        lambda p, nu, limits: splits.append(limits)
+                        or terms(p, nu, limits))
+    monkeypatch.setattr(np, "bincount", lambda x, **kw: binned.append(len(x))
+                        or bincount(x, **kw))
+    rng = random.Random(9973)
+    for orders, r, want, lead in [((277, 277, 12), 1,
+                                   [(277, 277, 1), (76729, 1)], 277),
+                                  ((831, 277), 40, [(831, 40)], 831)]:
+        eq, box = shape_instance(9973, 1, orders, r, rng)
+        walks = list(charsum.box_walks(eq, box))
+        splits.clear()
+        binned.clear()
+        counts = spectral_counts(eq, box, walks)
+        assert splits == want and binned == [lead]
+        assert counts.tolist() == exact_counts(walks, 9973, 9973).tolist()
 
 
 def test_split_rule_trades_shifts_against_transforms():
@@ -705,19 +865,23 @@ def test_split_rule_trades_shifts_against_transforms():
 
 
 def test_exact_counts_slice_adds_match_roll():
-    # the 2^k slice adds of a shift against np.roll over every axis,
-    # weights above 1 and the zero shift too
+    # the 2^k slice adds of a shift by each walk row against np.roll over
+    # every axis, the zero shift too
     rng = np.random.default_rng(3)
     for p, nu in [(2, 1), (7, 1), (131, 1), (3329, 1), (2, 3), (3, 2),
                   (5, 2), (7, 2), (2, 5)]:
-        grid = (p,) * nu
-        hists = [rng.integers(0, 4, p ** nu) for _ in range(3)]
-        want = hists[0].reshape(grid)
-        for h in hists[1:]:
-            want = sum(int(h[v]) * np.roll(want, np.unravel_index(v, grid),
-                                           axis=tuple(range(nu)))
-                       for v in range(p ** nu))
-        got = charsum._exact_counts(hists, p, nu)
+        q, grid = p ** nu, (p,) * nu
+        counts = rng.integers(0, 4, q)
+        # walks of distinct values, as digit rows low first
+        values = [rng.choice(q, rng.integers(1, min(q, 6) + 1),
+                             replace=False) for _ in range(2)]
+        walks = [(v[:, None] // p ** np.arange(nu) % p).astype(
+            fields._digit_dtype(p)) for v in values]
+        want = counts.reshape(grid)
+        for vs in values:
+            want = sum(np.roll(want, np.unravel_index(v, grid),
+                               axis=tuple(range(nu))) for v in vs)
+        got = charsum._exact_counts(counts, walks, p)
         assert got.dtype == np.int64
         assert got.tolist() == want.reshape(-1).tolist()
 
