@@ -214,12 +214,34 @@ def resolve_equation(cfg: dict):
     return random_equation(spec, n, rng), True
 
 
-# Least length of an int64 array written by `_int_array_text`: its fixed
-# cost (about 35 us) is what tolist + repr spend on some 256 ints.
+# Least length of an int64 array written by `_int_array_text`.  Below it
+# an array goes through tolist + repr, which spend on some 200 ints what
+# the digit table costs on any array (about 10 us); a short array with
+# dense runs would take the digit table.
 ARRAY_TEXT_MIN = 256
 
 
 def _int_array_text(values: np.ndarray, sep: str) -> str:
+    """sep.join(map(repr, values)) for a 1-D non-negative int64 array.
+
+    The text is written run by run: a run of n equal entries v is one
+    (sep + str(v)) * n.  Where runs are dense, more than 1 run in 8
+    entries, writing by runs costs more than the digit table, and the
+    array goes to `_digit_table_text` instead.
+    """
+    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    if 8 * (len(starts) + 1) > len(values):
+        return _digit_table_text(values, sep)
+    # entry 0 is written alone, without sep, so the first run covers
+    # entries 1 to starts[0] - 1 (none when entry 1 starts the next run)
+    bounds = [1, *starts.tolist(), len(values)]
+    heads = [int(values[0]), *values[starts].tolist()]
+    return "".join([str(heads[0])] + [
+        (sep + str(v)) * (hi - lo)
+        for v, lo, hi in zip(heads, bounds, bounds[1:])])
+
+
+def _digit_table_text(values: np.ndarray, sep: str) -> str:
     """sep.join(map(repr, values)) for a 1-D non-negative int64 array.
 
     Column k of a uint8 table holds the text of entry k: sep, then its
@@ -249,27 +271,39 @@ def _json_text(value, indent: str = "") -> str:
       array through its tolist();
     - a list of plain ints is one repr and one replace, and a list of
       equally long such lists (count's solutions) one %-format;
-    - an int is its repr, and a str or key goes straight to the C string
-      encoder json.dumps calls; other scalars go through json.dumps.
+    - an int or a finite float is its repr, and a str or key goes
+      straight to the C string encoder json.dumps calls; other scalars
+      go through json.dumps.  Scalars are tested for first: they are
+      most of the calls.
+    A container's text is one join of its pieces, since each + copies
+    the text so far: a per-b array's 3 MB would be copied once per +.
     Keys must be str.
     """
+    if type(value) is int:
+        return repr(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
     inner = indent + "  "
     if isinstance(value, np.ndarray):
         if (value.dtype == np.int64 and value.ndim == 1
                 and len(value) >= ARRAY_TEXT_MIN and value.min() >= 0):
             body = _int_array_text(value, ",\n" + inner)
-            return "[\n" + inner + body + "\n" + indent + "]"
+            return "".join(("[\n", inner, body, "\n", indent, "]"))
         value = value.tolist()
     if isinstance(value, dict):
         if not value:
             return "{}"
-        lines = []
+        parts = []
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, got {key!r}")
-            lines.append(f"{inner}{encode_basestring_ascii(key)}: "
-                         f"{_json_text(item, inner)}")
-        return "{\n" + ",\n".join(lines) + "\n" + indent + "}"
+            parts += (",\n", inner, encode_basestring_ascii(key), ": ",
+                      _json_text(item, inner))
+        parts[0] = "{\n"
+        parts += ("\n", indent, "}")
+        return "".join(parts)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -278,20 +312,16 @@ def _json_text(value, indent: str = "") -> str:
             body = repr(list(value))[1:-1].replace(", ", ",\n" + inner)
         elif (kinds <= {list, tuple} and len(set(map(len, value))) == 1
               and value[0]
-              and set(map(type, chain.from_iterable(value))) == {int}):
+              and set(map(type, flat := tuple(chain.from_iterable(value))))
+              == {int}):
             deeper = inner + "  "
             row = ("[\n" + deeper + (",\n" + deeper).join(
                 ["%d"] * len(value[0])) + "\n" + inner + "]")
-            body = ((",\n" + inner).join([row] * len(value))
-                    % tuple(chain.from_iterable(value)))
+            body = (",\n" + inner).join([row] * len(value)) % flat
         else:
             body = (",\n" + inner).join(_json_text(item, inner)
                                         for item in value)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if type(value) is int:
-        return repr(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return "".join(("[\n", inner, body, "\n", indent, "]"))
     return json.dumps(value)
 
 

@@ -364,16 +364,20 @@ INT64_MAX = (1 << 63) - 1
 @st.composite
 def int_arrays(draw):
     """1-D arrays around and far past ARRAY_TEXT_MIN: non-negative int64
-    (the array writer's input), all-zero ones, and near misses that must
-    take the list path (a negative entry, other dtypes)."""
-    n = draw(st.sampled_from([1, 255, 256, 257]) | st.integers(1, 70_000))
+    (the array writer's input), uniform or made of runs, and near misses
+    that must take the list path (a negative entry, other dtypes)."""
+    n = draw(st.sampled_from([1, 255, 256, 257]) | st.integers(1, 70_000)
+             | st.integers(cli.ARRAY_TEXT_MIN, 4096))
     top = draw(st.sampled_from([0, 1, 9, 10, 99, 10 ** 9 - 1, 10 ** 9,
                                 1 << 32, INT64_MAX]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    arr = rng.integers(0, top, n, dtype=np.int64, endpoint=True)
-    arr[rng.integers(0, n)] = top
-    kind = draw(st.sampled_from(["int64", "negative", "int32", "uint64",
-                                 "float64"]))
+    if draw(st.booleans()):
+        arr = rng.integers(0, top, n, dtype=np.int64, endpoint=True)
+        arr[rng.integers(0, n)] = top
+    else:
+        arr = draw(run_arrays(n, top, rng))
+    kind = draw(st.just("int64") | st.sampled_from(
+        ["negative", "int32", "uint64", "float64"]))
     if kind == "negative":
         arr[rng.integers(0, n)] = -draw(st.integers(1, INT64_MAX))
     elif kind != "int64":
@@ -381,11 +385,79 @@ def int_arrays(draw):
     return arr
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def run_arrays(draw, n, top, rng):
+    """n entries in k runs of random lengths over a few values up to top,
+    neighbouring runs unequal.  k is drawn on both sides of the writer's
+    fallback edge (more than 1 run in 8 entries), and the runs at either
+    end may be forced to length 1."""
+    k = draw(st.sampled_from(sorted({1, 2, max(1, n // 8), n // 8 + 1}))
+             | st.integers(1, max(1, n // 4)))
+    k = min(k, n)
+    values = np.unique(np.append(
+        rng.integers(0, top, 3, dtype=np.int64, endpoint=True), top))
+    if len(values) == 1:
+        k = 1
+    steps = rng.integers(1, len(values), k - 1) if k > 1 else []
+    picks = np.cumsum([rng.integers(0, len(values)), *steps]) % len(values)
+    cuts = set(rng.choice(np.arange(1, n), k - 1, replace=False).tolist()
+               if k > 1 else [])
+    if draw(st.booleans()) and k > 2 and n > 2 * k:
+        # runs of length 1 at both ends: entries 0 and n - 1 stand alone
+        cuts = set(sorted(cuts - {1, n - 1})[:k - 3]) | {1, n - 1}
+    lengths = np.diff([0, *sorted(cuts), n])
+    return np.repeat(values[picks], lengths)
+
+
+@settings(max_examples=120, deadline=None)
 @given(int_arrays(), st.sampled_from(["", "  ", "    ", "      "]))
 def test_json_writer_formats_int_arrays_like_their_lists(arr, indent):
     want = json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + indent)
     assert cli._json_text(arr, indent) == want
+
+
+def planted(n, changes):
+    arr = np.full(n, 7, dtype=np.int64)
+    for k, v in changes.items():
+        arr[k] = v
+    return arr
+
+
+@pytest.mark.parametrize("arr", [
+    planted(cli.ARRAY_TEXT_MIN, {}),
+    planted(cli.ARRAY_TEXT_MIN + 1, {}),
+    planted(70_000, {}),
+    planted(300, {299: 8}),  # the last entry differs
+    planted(300, {0: 123}),
+    planted(300, {150: 0}),  # one entry in the middle differs
+    planted(300, {150: 10 ** 12, 151: 10 ** 12}),
+    planted(4096, {0: 0, 4095: 0, 2048: INT64_MAX}),
+], ids=["min", "min+1", "long", "last", "first", "middle", "middle-pair",
+        "ends-and-middle"])
+def test_json_writer_planted_run_boundaries(arr):
+    assert cli._json_text({"counts": arr}) == json.dumps(
+        {"counts": arr.tolist()}, indent=2)
+
+
+def test_array_writer_falls_back_past_one_run_in_eight(monkeypatch):
+    # 256 entries in 32 runs are written by runs; 33 runs are dense
+    called = []
+    real = cli._digit_table_text
+
+    def table(values, sep):
+        called.append(len(values))
+        return real(values, sep)
+
+    monkeypatch.setattr(cli, "_digit_table_text", table)
+    for runs, dense in [(1, False), (32, False), (33, True), (256, True)]:
+        lengths = np.full(runs, 256 // runs)
+        lengths[:256 - lengths.sum()] += 1
+        arr = np.repeat(np.arange(runs, dtype=np.int64) % 3 * 10 ** 5,
+                        lengths)
+        called.clear()
+        text = cli._int_array_text(arr, ",\n  ")
+        assert text == ",\n  ".join(map(repr, arr.tolist()))
+        assert called == ([256] if dense else []), runs
 
 
 def test_json_writer_array_digit_places():

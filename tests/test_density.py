@@ -413,6 +413,25 @@ def test_report_dict_writes_like_its_list():
     assert report_from_dict(listed).counts.tolist() == listed["counts"]
 
 
+def test_folded_report_writes_by_runs(monkeypatch):
+    # a full-order coordinate folds the sweep: the 12 289 counts take 21
+    # runs in packed order, so the writer takes its run path
+    spec = make_field(12289)
+    g = find_generator(spec)
+    eq = make_equation(spec, [(1, g.packed()), (5, (g ** 3).packed())], 0)
+    rep = sweep_b(eq, make_box(eq, r=10))
+    runs = int(np.count_nonzero(rep.counts[1:] != rep.counts[:-1])) + 1
+    assert eq.orders[0] == 12288 and runs == 21
+    doc = report_to_dict(rep, exceptional_census(rep, 1))
+    listed = {**doc, "counts": doc["counts"].tolist()}
+
+    def dense(values, sep):
+        raise AssertionError("the folded counts took the digit table")
+
+    monkeypatch.setattr(cli, "_digit_table_text", dense)
+    assert cli._json_text(doc) == json.dumps(listed, indent=2)
+
+
 def test_per_b_csv_layout():
     _, _, rep = sweep_fixture(7, 1, [(1, 3), (1, 2)])
     census = exceptional_census(rep, 1)

@@ -845,6 +845,23 @@ def test_chained_call_splits_twice_and_bins_no_shifted_walk(monkeypatch):
         assert counts.tolist() == exact_counts(walks, 9973, 9973).tolist()
 
 
+@pytest.mark.parametrize("tail_cost, chain", [(7.0, False), (6.0, True)])
+def test_plan_tie_goes_to_the_split(monkeypatch, tail_cost, chain):
+    # the chain's step (3) and its tail's split (7) cost exactly the split
+    # of every walk (10): a tie keeps the split; one unit less chains
+    costs = {(4, 4, 3): (10.0, 2, "every walk"),
+             (16, 3): (tail_cost, 1, "tail")}
+    monkeypatch.setattr(charsum, "_coset_cost",
+                        lambda p, nu, sub, size: 3.0)
+    monkeypatch.setattr(charsum, "_transform_terms",
+                        lambda p, nu, limits: costs[limits])
+    plan = charsum._plan(97, 1, (4, 4, 3), 2)
+    if chain:
+        assert plan == (True, 1, "tail", (16, 3))
+    else:
+        assert plan == (False, 2, "every walk", (4, 4, 3))
+
+
 def test_split_rule_trades_shifts_against_transforms():
     # more trailing values move the split toward the transform
     picks = [charsum._transform_terms(3329, 1, (3328, r))[1]
