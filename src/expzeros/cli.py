@@ -22,6 +22,7 @@ import random
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,47 +87,75 @@ def parse_terms(text: str) -> list[tuple[int, int]]:
     return terms
 
 
+class Flag(NamedTuple):
+    """One --flag of a subcommand: its option string, its help, and the
+    type and choices a value must pass."""
+    option: str
+    help: str
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def dest(self) -> str:
+        """The attribute argparse stores it under: --log-base, log_base."""
+        return self.option[2:].replace("-", "_")
+
+
+_OUTPUT_FLAGS = (
+    Flag("--config", "key=value config file"),
+    Flag("--out", "output path (default stdout)"),
+    Flag("--format", "output format (default text)",
+         choices=("json", "csv", "text")),
+)
+_EQUATION_FLAGS = (
+    Flag("--p", "field characteristic", int),
+    Flag("--nu", "extension degree (default 1)", int),
+    Flag("--terms", 'terms "a1,g1;a2,g2;..." (packed ints)'),
+    Flag("--b", "constant term (packed)", int),
+    Flag("--n", "random instance: number of terms", int),
+    Flag("--seed", "random instance seed (default 0)", int),
+    Flag("--log-base", "base of log q in box formulas",
+         choices=("natural", "base2")),
+)
+_RADIUS_FLAG = Flag("--r", "box radius (default s_n)", int)
+
+# Subcommand -> its flags, in the order its help lists them: the one
+# source of both its argparse parser (_add_arguments) and parse_args's
+# scan.
+FLAGS = {
+    "orders": _OUTPUT_FLAGS + _EQUATION_FLAGS,
+    "count": _OUTPUT_FLAGS + _EQUATION_FLAGS + (_RADIUS_FLAG,),
+    "density": _OUTPUT_FLAGS + _EQUATION_FLAGS + (
+        _RADIUS_FLAG,
+        Flag("--delta", "census threshold (default sqrt(ln q))", float),
+    ),
+    "solve": _OUTPUT_FLAGS + _EQUATION_FLAGS,
+    "qmodel": _OUTPUT_FLAGS + _EQUATION_FLAGS + (
+        Flag("--mode", "cost model variant (default thm2)",
+             choices=("thm2", "thm3")),
+        Flag("--slack-exponent",
+             "polylog slack power in bounds (default 3)", int),
+    ),
+    "exponents": _OUTPUT_FLAGS + (
+        Flag("--n-max", "last row of the table (default 10)", int),
+    ),
+    "reduce": _OUTPUT_FLAGS + _EQUATION_FLAGS + (
+        Flag("--samples", "also sample this many random equations for "
+             "the mu <= d(q-1) report", int),
+    ),
+    "bench": _OUTPUT_FLAGS + (
+        Flag("--qs", 'comma list of primes, e.g. "101,257"'),
+        Flag("--ns", 'comma list of term counts, e.g. "2,3"'),
+        Flag("--seed", "instance seed (default 0)", int),
+    ),
+}
+
+
 def _add_arguments(sp: argparse.ArgumentParser, name: str) -> None:
     """Subcommand `name`'s flags and handler, added to its parser sp."""
-    sp.add_argument("--config", help="key=value config file")
-    sp.add_argument("--out", help="output path (default stdout)")
-    sp.add_argument("--format", choices=["json", "csv", "text"],
-                    help="output format (default text)")
-    if name not in ("exponents", "bench"):
-        sp.add_argument("--p", type=int, help="field characteristic")
-        sp.add_argument("--nu", type=int,
-                        help="extension degree (default 1)")
-        sp.add_argument("--terms",
-                        help='terms "a1,g1;a2,g2;..." (packed ints)')
-        sp.add_argument("--b", type=int, help="constant term (packed)")
-        sp.add_argument("--n", type=int,
-                        help="random instance: number of terms")
-        sp.add_argument("--seed", type=int,
-                        help="random instance seed (default 0)")
-        sp.add_argument("--log-base", dest="log_base",
-                        choices=["natural", "base2"],
-                        help="base of log q in box formulas")
-    if name in ("count", "density"):
-        sp.add_argument("--r", type=int, help="box radius (default s_n)")
-    if name == "density":
-        sp.add_argument("--delta", type=float,
-                        help="census threshold (default sqrt(ln q))")
-    elif name == "qmodel":
-        sp.add_argument("--mode", choices=["thm2", "thm3"],
-                        help="cost model variant (default thm2)")
-        sp.add_argument("--slack-exponent", dest="slack_exponent", type=int,
-                        help="polylog slack power in bounds (default 3)")
-    elif name == "exponents":
-        sp.add_argument("--n-max", dest="n_max", type=int,
-                        help="last row of the table (default 10)")
-    elif name == "reduce":
-        sp.add_argument("--samples", type=int,
-                        help="also sample this many random equations for "
-                             "the mu <= d(q-1) report")
-    elif name == "bench":
-        sp.add_argument("--qs", help='comma list of primes, e.g. "101,257"')
-        sp.add_argument("--ns", help='comma list of term counts, e.g. "2,3"')
-        sp.add_argument("--seed", type=int, help="instance seed (default 0)")
+    for flag in FLAGS[name]:
+        sp.add_argument(flag.option, type=flag.type, choices=flag.choices,
+                        help=flag.help)
     sp.set_defaults(func=COMMANDS[name][0])
 
 
@@ -156,16 +185,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with one parse by one parser.
+@functools.cache
+def _flag_lookup(name: str) -> tuple[dict, dict]:
+    """Subcommand `name`'s option string -> Flag, and its namespace with
+    every dest None: what its parser gives before reading a flag."""
+    flags = FLAGS[name]
+    unset = {"command": name, **dict.fromkeys(f.dest for f in flags),
+             "func": COMMANDS[name][0]}
+    return {f.option: f for f in flags}, unset
 
-    When argv starts with a subcommand, that subcommand's parser alone
-    (command_parser) reads the rest into a namespace that already holds
-    `command`, as the top-level parser's subparser action would.  Only
-    an empty argv, -h, an unknown command and extra arguments, whose
-    error is the top-level parser's, build the top-level parser.
+
+def _scan(argv: list) -> argparse.Namespace | None:
+    """The namespace of an argv `<command> (--flag value)*` whose every
+    flag is one of the command's own, given exactly, and whose every
+    value passes its flag's type and choices without starting with "-";
+    None for any other argv.  Over that form argparse stores each value
+    under its dest, the last of a repeated flag winning, so the two
+    namespaces are equal."""
+    if len(argv) % 2 == 0 or argv[0] not in FLAGS:
+        return None
+    options, unset = _flag_lookup(argv[0])
+    values = dict(unset)
+    for option, text in zip(argv[1::2], argv[2::2]):
+        flag = options.get(option)
+        if flag is None or text.startswith("-"):
+            return None
+        value = text
+        if flag.type is not None:
+            try:
+                value = flag.type(text)
+            except ValueError:
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    return argparse.Namespace(**values)
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with at most one parse by one
+    parser.
+
+    A well-formed argv (see _scan) is read straight from FLAGS, with no
+    parser.  Otherwise, when argv starts with a subcommand, that
+    subcommand's parser alone (command_parser) reads the rest into a
+    namespace that already holds `command`, as the top-level parser's
+    subparser action would.  Only an empty argv, -h, an unknown command
+    and extra arguments, whose error is the top-level parser's, build
+    the top-level parser.  So help, usage errors, abbreviations,
+    --flag=value and negative values are argparse's own.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
+    if (args := _scan(argv)) is not None:
+        return args
     if not argv or argv[0] not in COMMANDS:
         return build_parser().parse_args(argv)
     args, extras = command_parser(argv[0]).parse_known_args(
@@ -261,8 +333,20 @@ def _digit_table_text(values: np.ndarray, sep: str) -> str:
     return table.T.tobytes().translate(None, b"\0").decode()[head:]
 
 
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2), byte for byte.
+def _json_text(value, indent: str = "", end: str = "") -> str:
+    """json.dumps(value, indent=2) + end, byte for byte, as one join of
+    the pieces `_json_pieces` appends: each container joined on its own
+    would copy its text again at every level, the per-b counts of a
+    density document included."""
+    pieces = []
+    _json_pieces(value, indent, pieces)
+    pieces.append(end)
+    return "".join(pieces)
+
+
+def _json_pieces(value, indent: str, out: list) -> None:
+    """Append the pieces of json.dumps(value, indent=2), each line after
+    the first indented by `indent`, to out.
 
     With indent set, the stdlib runs its pure-Python encoder on every
     value.  Here:
@@ -275,41 +359,47 @@ def _json_text(value, indent: str = "") -> str:
       straight to the C string encoder json.dumps calls; other scalars
       go through json.dumps.  Scalars are tested for first: they are
       most of the calls.
-    A container's text is one join of its pieces, since each + copies
-    the text so far: a per-b array's 3 MB would be copied once per +.
     Keys must be str.
     """
     if type(value) is int:
-        return repr(value)
+        out.append(repr(value))
+        return
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        out.append(encode_basestring_ascii(value))
+        return
     if type(value) is float and math.isfinite(value):
-        return repr(value)
+        out.append(repr(value))
+        return
     inner = indent + "  "
     if isinstance(value, np.ndarray):
         if (value.dtype == np.int64 and value.ndim == 1
                 and len(value) >= ARRAY_TEXT_MIN and value.min() >= 0):
-            body = _int_array_text(value, ",\n" + inner)
-            return "".join(("[\n", inner, body, "\n", indent, "]"))
+            out += ("[\n", inner, _int_array_text(value, ",\n" + inner),
+                    "\n", indent, "]")
+            return
         value = value.tolist()
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        parts = []
+            out.append("{}")
+            return
+        sep = "{\n" + inner
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, got {key!r}")
-            parts += (",\n", inner, encode_basestring_ascii(key), ": ",
-                      _json_text(item, inner))
-        parts[0] = "{\n"
-        parts += ("\n", indent, "}")
-        return "".join(parts)
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _json_pieces(item, inner, out)
+            sep = ",\n" + inner
+        out += ("\n", indent, "}")
+        return
     if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         kinds = set(map(type, value))
         if kinds == {int}:
-            body = repr(list(value))[1:-1].replace(", ", ",\n" + inner)
+            out += ("[\n", inner,
+                    repr(list(value))[1:-1].replace(", ", ",\n" + inner),
+                    "\n", indent, "]")
         elif (kinds <= {list, tuple} and len(set(map(len, value))) == 1
               and value[0]
               and set(map(type, flat := tuple(chain.from_iterable(value))))
@@ -317,12 +407,17 @@ def _json_text(value, indent: str = "") -> str:
             deeper = inner + "  "
             row = ("[\n" + deeper + (",\n" + deeper).join(
                 ["%d"] * len(value[0])) + "\n" + inner + "]")
-            body = (",\n" + inner).join([row] * len(value)) % flat
+            out += ("[\n", inner, (",\n" + inner).join([row] * len(value))
+                    % flat, "\n", indent, "]")
         else:
-            body = (",\n" + inner).join(_json_text(item, inner)
-                                        for item in value)
-        return "".join(("[\n", inner, body, "\n", indent, "]"))
-    return json.dumps(value)
+            sep = "[\n" + inner
+            for item in value:
+                out.append(sep)
+                _json_pieces(item, inner, out)
+                sep = ",\n" + inner
+            out += ("\n", indent, "]")
+        return
+    out.append(json.dumps(value))
 
 
 def emit(cfg: dict, text, doc: dict | None = None,
@@ -334,7 +429,7 @@ def emit(cfg: dict, text, doc: dict | None = None,
     if fmt == "json":
         if doc is None:
             raise ConfigError("no json form for this command")
-        payload = _json_text(doc) + "\n"
+        payload = _json_text(doc, end="\n")
     elif fmt == "csv":
         if csv_text is not None:
             payload = csv_text

@@ -110,25 +110,27 @@ class CensusResult:
 def exceptional_census(report: DensityReport, delta) -> CensusResult:
     """All b with |Delta_b(r)| >= delta sqrt(r q^(n-2)), exactly.
 
-    delta may be an int, float, or Fraction; it is squared exactly, and
-    the threshold comparison is integer arithmetic, so ties (|Delta|
-    exactly equal to the threshold counts as exceptional) are decided
-    deterministically.  Postcondition: census size <= q / delta^2.
+    delta may be an int, float, or Fraction; it is squared exactly from
+    delta.as_integer_ratio(), and every comparison is integer arithmetic,
+    so ties (|Delta| exactly equal to the threshold counts as
+    exceptional) are decided deterministically.  Postcondition: census
+    size <= q / delta^2.
     """
     q, n, r = report.q, report.box.n, report.box.r
     if not 0 < delta < math.inf:   # False for nan too
         raise BadDelta(f"need a finite delta > 0, got {delta}")
-    delta_sq = Fraction(delta) ** 2
-    if delta_sq > q:
-        raise BadDelta(f"need delta <= sqrt(q), got delta^2 = {delta_sq}")
-    threshold_sq = delta_sq * r * Fraction(q) ** (n - 2)
-    # |N - card/q|^2 >= thr  <=>  den (q N - card)^2 >= num  (num/den =
-    # thr q^2)  <=>  |q N - card| >= t, the least integer with den t^2 >=
-    # num  <=>  N >= ceil((card + t) / q)  or  N <= floor((card - t) / q).
-    scaled = threshold_sq * q * q
-    num, den = scaled.numerator, scaled.denominator
-    t = math.isqrt(-(-num // den))
-    if den * t * t < num:
+    num, den = delta.as_integer_ratio()
+    num, den = num * num, den * den   # delta^2 = num/den in lowest terms
+    if num > q * den:
+        raise BadDelta("need delta <= sqrt(q), got delta^2 = "
+                       f"{Fraction(num, den)}")
+    # thr = delta^2 r q^(n-2), and |N - card/q|^2 >= thr  <=>  den (q N -
+    # card)^2 >= num r q^n  <=>  |q N - card| >= t, the least integer
+    # with den t^2 >= num r q^n  <=>  N >= ceil((card + t) / q)  or
+    # N <= floor((card - t) / q).
+    scaled = num * r * q ** n
+    t = math.isqrt(-(-scaled // den))
+    if den * t * t < scaled:
         t += 1
     card = report.box.card
     # strict comparisons, so clipping to int64 never admits a count
@@ -137,13 +139,15 @@ def exceptional_census(report: DensityReport, delta) -> CensusResult:
     mask = (report.counts > above) | (report.counts < below)
     mask.flags.writeable = False
     exceptional = np.flatnonzero(mask).tolist()
-    bound = Fraction(q) / delta_sq
-    size_ok = len(exceptional) <= bound
+    size_ok = len(exceptional) * num <= q * den
+    bound = Fraction(q * den, num)
     if not size_ok:
         raise InvariantViolated(
             f"census of {len(exceptional)} exceeds q/delta^2 = {bound}; "
             "energy bound violated?")
-    return CensusResult(float(delta_sq) ** 0.5, delta_sq, threshold_sq,
+    threshold_sq = (Fraction(num * r * q ** (n - 2), den) if n >= 2
+                    else Fraction(num * r, den * q))
+    return CensusResult((num / den) ** 0.5, Fraction(num, den), threshold_sq,
                         mask, tuple(exceptional), bound, size_ok)
 
 

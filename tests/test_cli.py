@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -639,23 +640,33 @@ def test_bench_small_grid_deterministic():
 
 def test_cached_parser_matches_fresh_parser(monkeypatch):
     # one process, several subcommands through the cached parser; a flag
-    # given to one command (--r, --delta) must not leak into the next
+    # given to one command (--r, --delta) must not leak into the next.
+    # The scan reads the well-formed argvs with no parser, so the ones
+    # given as --flag=value are what the cached parsers read
     argvs = [["count", *F7_ARGS, "--r", "1", "--format", "json"],
              ["density", *F7_ARGS, "--format", "json"],
              ["density", *F7_ARGS, "--delta", "1", "--r", "2"],
-             ["count", *F7_ARGS]]
+             ["count", *F7_ARGS],
+             ["count", *F7_ARGS, "--r=1", "--format", "json"],
+             ["density", *F7_ARGS, "--format=json"],
+             ["density", *F7_ARGS, "--delta=1", "--r", "2"]]
+    parsed = [argv for argv in argvs
+              if not any("=" in arg for arg in argv)]
     assert main is cli.main and cli.build_parser() is cli.build_parser()
     assert cli.command_parser("count") is cli.command_parser("count")
     cached = [run(argv) for argv in argvs]
     hits = cli.command_parser.cache_info().hits
     cached += [run(argv) for argv in argvs]
-    assert cli.command_parser.cache_info().hits == hits + len(argvs)
+    assert (cli.command_parser.cache_info().hits
+            == hits + len(argvs) - len(parsed))
     monkeypatch.setattr(cli, "command_parser",
                         cli.command_parser.__wrapped__)
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     fresh = [run(argv) for argv in argvs] * 2
     assert cached == fresh
     assert all(rc == 0 for rc, _, _ in cached)
+    # --r=1 and --r 1 give the same output
+    assert cached[4] == cached[0] and cached[5] == cached[1]
 
 
 def test_cached_parser_still_rejects_bad_arguments():
@@ -714,6 +725,82 @@ def test_dispatch_exits_as_the_full_parser_does(argv):
     assert full[0] == (0 if "-h" in argv else 2)
 
 
+SCAN_WORDS = ["", "x", "seven", "1.5", "1e3", " 7", "nan", "1,3;1,2",
+              "-1", "-x", "--", "-", "=", "json", "base2", "thm3"]
+
+
+@st.composite
+def table_argvs(draw):
+    """An argv of one subcommand built from its flag table: `--flag
+    value` pairs whose values fit the flag, repeats allowed.  Half the
+    argvs then get one or two faults among the pairs: a value of any kind
+    (negative ints, words, empty), --flag=value, an abbreviated, unknown
+    or help flag, or a trailing flag with no value."""
+    name = draw(st.sampled_from(list(cli.FLAGS)))
+    flags = cli.FLAGS[name]
+
+    def fitting(flag):
+        if flag.choices:
+            return st.sampled_from(flag.choices)
+        if flag.type is None:
+            return st.sampled_from(["x", "1,3;1,2", "101,257", "a b", "7"])
+        return st.integers(0, 10 ** 6).map(str)
+
+    pairs = [[flag.option, draw(fitting(flag))] for flag in draw(
+        st.lists(st.sampled_from(flags), max_size=5))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        flag = draw(st.sampled_from(flags))
+        value = draw(st.integers(-20, 20).map(str)
+                     | st.sampled_from(SCAN_WORDS) | st.text(max_size=4))
+        fault = draw(st.sampled_from(
+            ["value", "equals", "abbrev", "unknown", "help", "trailing"]))
+        if fault == "value":
+            pair = [flag.option, value]
+        elif fault == "equals":
+            pair = [f"{flag.option}={draw(fitting(flag) | st.just(value))}"]
+        elif fault == "abbrev":
+            pair = [flag.option[:draw(st.integers(2, len(flag.option)))],
+                    draw(fitting(flag))]
+        elif fault == "unknown":
+            pair = [draw(st.sampled_from(["--bogus", "-p", "--P"])), value]
+        elif fault == "help":
+            pair = [draw(st.sampled_from(["-h", "--help"]))]
+        else:
+            pairs.append([flag.option])
+            continue
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return [name, *chain.from_iterable(pairs)]
+
+
+def parse_outcome(parse, argv):
+    """parse(argv)'s namespace, or (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_argvs())
+@example(["density", "--p", "7", "--delta", "-1"])
+@example(["count", "--p", "7", "--r", ""])
+@example(["count", "--p", "7", "--p", "11", "--format", "csv"])
+@example(["qmodel", "--mode", "thm4"])
+@example(["solve", "--p"])
+@example(["bench", "--seed", "1", "--qs", "11"])
+@example(["count", "--p=7", "--r", "1"])
+@example(["density", "--del", "1", "--p", "7"])
+@example(["qmodel", "--s", "1", "--p", "7"])
+@example(["solve", "--terms", "-x", "--p", "7"])
+def test_scan_gives_what_argparse_gives(argv):
+    full = parse_outcome(cli.build_parser().parse_args, argv)
+    assert parse_outcome(cli.parse_args, argv) == full
+    scanned = cli._scan(argv)
+    assert scanned is None or scanned == full
+
+
 def test_a_command_builds_its_own_parser_and_no_other(monkeypatch):
     # every parser a subcommand runs gets its flags from _add_arguments
     built = []
@@ -730,8 +817,13 @@ def test_a_command_builds_its_own_parser_and_no_other(monkeypatch):
     clear_caches()
     monkeypatch.setattr(cli, "_add_arguments", recording)
     try:
+        # a well-formed argv is read from the flag table alone
         assert run(["count", *F7_ARGS, "--format", "json"])[0] == 0
         assert run(["count", *F7_ARGS])[0] == 0
+        assert built == []
+        # any other argv that names a subcommand: its own parser only
+        assert run(["count", *F7_ARGS, "--format=json"])[0] == 0
+        assert run(["count", *F7_ARGS, "--r=1"])[0] == 0
         assert built == ["expzeros count"]
         # the top-level parser, and with it every subparser, only for
         # what a subcommand's parser cannot answer alone

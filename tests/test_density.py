@@ -286,6 +286,104 @@ def test_census_matches_loop_oracle(field, n, k, data):
     assert list(census.exceptional) == [b for b in range(q) if want[b]]
 
 
+def fraction_census(report, delta):
+    """exceptional_census computed with Fraction arithmetic: the oracle
+    for its integer arithmetic."""
+    import math
+    q, n, r = report.q, report.box.n, report.box.r
+    if not 0 < delta < math.inf:
+        raise BadDelta(f"need a finite delta > 0, got {delta}")
+    delta_sq = Fraction(delta) ** 2
+    if delta_sq > q:
+        raise BadDelta(f"need delta <= sqrt(q), got delta^2 = {delta_sq}")
+    threshold_sq = delta_sq * r * Fraction(q) ** (n - 2)
+    scaled = threshold_sq * q * q
+    num, den = scaled.numerator, scaled.denominator
+    t = math.isqrt(-(-num // den))
+    if den * t * t < num:
+        t += 1
+    card = report.box.card
+    above = min(-(-(card + t) // q) - 1, density.INT64_MAX)
+    below = max((card - t) // q + 1, density.INT64_MIN)
+    mask = (report.counts > above) | (report.counts < below)
+    exceptional = np.flatnonzero(mask).tolist()
+    bound = Fraction(q) / delta_sq
+    if not len(exceptional) <= bound:
+        raise InvariantViolated(
+            f"census of {len(exceptional)} exceeds q/delta^2 = {bound}; "
+            "energy bound violated?")
+    return CensusResult(float(delta_sq) ** 0.5, delta_sq, threshold_sq,
+                        mask, tuple(exceptional), bound, True)
+
+
+def census_outcome(census, report, delta):
+    try:
+        result = census(report, delta)
+    except (BadDelta, InvariantViolated) as exc:
+        return type(exc), str(exc)
+    return result, result.to_dict(), result.mask.tolist()
+
+
+CENSUS_DELTAS = st.one_of(
+    st.floats(0, 20), st.floats(1e-300, 1e-6),
+    st.integers(-2, 12),
+    st.fractions(0, 20, max_denominator=10 ** 6),
+    st.sampled_from([0.3, 1, 2, Fraction(3, 7), float("inf"), 5e-324,
+                     float("nan"), -0.0, 1e-8]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(CENSUS_FIELDS), n=st.integers(1, 4),
+       r=st.integers(1, 50), delta=CENSUS_DELTAS, data=st.data())
+def test_census_in_integers_matches_fraction_oracle(field, n, r, delta,
+                                                    data):
+    # result, JSON fields and mask agree, and so do the errors: delta
+    # out of range, and a census past q / delta^2 on synthetic counts
+    spec = make_field(*field)
+    q = spec.cardinality
+    base = data.draw(st.sampled_from([0, 5, 1000, 1 << 40]))
+    counts = data.draw(st.lists(st.integers(base, base + 30),
+                                min_size=q, max_size=q))
+    card = data.draw(st.sampled_from([sum(counts), q * base + q]))
+    eq = make_equation(spec, [(1, 1)] * n, 0)
+    box = SearchBox(tuple(range(n)), (r,) * n, r, card)
+    rep = DensityReport(eq, box, np.array(counts, dtype=np.int64),
+                        Fraction(card, q), Fraction(0))
+    want = census_outcome(fraction_census, rep, delta)
+    assert census_outcome(exceptional_census, rep, delta) == want
+
+
+def test_census_in_integers_at_the_cli_deltas():
+    import math
+    rng = random.Random(28)
+    for p, nu, n, r in [(101, 1, 2, None), (3, 4, 3, None), (1031, 1, 2, 3),
+                        (2, 6, 3, 1)]:
+        eq = random_equation(make_field(p, nu), n, rng)
+        rep = sweep_b(eq, make_box(eq, r=r))
+        for delta in (math.sqrt(math.log(rep.q)), 1, 0.3, Fraction(3, 7),
+                      2):
+            want = census_outcome(fraction_census, rep, delta)
+            assert census_outcome(exceptional_census, rep, delta) == want
+
+
+def test_census_at_its_bound_holds_and_one_past_raises():
+    # q = 9, delta = 3: the bound q / delta^2 is 1, and with n = 2, r = 1
+    # and card = 18 a b is exceptional when |N - 2| >= 3
+    spec = make_field(3, 2)
+    eq = make_equation(spec, [(1, 3), (1, 3)], 0)
+    box = SearchBox((0, 1), (1, 1), 1, 18)
+    for counts, size in [([5, 2, 2, 2, 2, 2, 2, 1, 0], 1),
+                         ([5, 5, 2, 2, 2, 2, 0, 0, 0], 2)]:
+        rep = DensityReport(eq, box, np.array(counts, dtype=np.int64),
+                            Fraction(2), Fraction(0))
+        want = census_outcome(fraction_census, rep, 3)
+        assert census_outcome(exceptional_census, rep, 3) == want
+        if size == 1:
+            assert want[0].exceptional == (0,) and want[0].size_ok
+        else:
+            assert want[0] is InvariantViolated
+
+
 def test_census_delta_validation():
     _, _, rep = sweep_fixture(7, 1, [(1, 3), (1, 2)])
     for bad in (0, -1, Fraction(-1, 2), float("nan"), float("inf"),

@@ -7,7 +7,10 @@ every subcommand over prime and extension fields, and all three solve
 statuses, so a refactor that changes a count, a census, a
 solution or a QueryCounter ledger shows up here.  Each TEXT_CASES entry
 runs `main(argv)` with no --format and compares stdout with
-tests/golden/<name>.txt, so the text report is pinned as well.
+tests/golden/<name>.txt, so the text report is pinned as well.  The
+parser's own help and error texts (PARSER_CASES) are pinned the same way,
+at a fixed COLUMNS, so a change to how argv is read shows up as drift in
+what argparse prints.
 
 Regenerate (only when an output change is intended) with
 
@@ -17,6 +20,7 @@ Regenerate (only when an output change is intended) with
 import contextlib
 import io
 import json
+import os
 import pathlib
 
 import pytest
@@ -156,6 +160,20 @@ TEXT_CASES = {
 }
 
 
+# argparse's own output: top-level and per-subcommand help (exit 0, on
+# stdout) and three usage errors (exit 2, on stderr).
+PARSER_CASES = {
+    "help": ["-h"],
+    **{f"help_{name}": [name, "-h"]
+       for name in ["orders", "count", "density", "solve", "qmodel",
+                    "exponents", "reduce", "bench"]},
+    "error_no_command": [],
+    "error_bad_int": ["count", "--p", "seven"],
+    "error_unknown_flag": ["solve", "--p", "7", "--bogus", "1"],
+}
+PARSER_COLUMNS = "80"
+
+
 def render(argv, fmt=("--format", "json")) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -176,6 +194,27 @@ def test_golden_cli_text(name):
     assert render(TEXT_CASES[name], fmt=()) == expected
 
 
+def parser_exit(argv) -> tuple[int, str]:
+    """(exit code, text) of a parse that exits: stdout for help, stderr
+    for an error, with the other stream required empty."""
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          pytest.raises(SystemExit) as exc):
+        main(argv)
+    code = exc.value.code
+    quiet, text = (err, out) if code == 0 else (out, err)
+    assert quiet.getvalue() == ""
+    return code, text.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_CASES))
+def test_golden_parser_text(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", PARSER_COLUMNS)
+    code, text = parser_exit(PARSER_CASES[name])
+    assert code == (2 if name.startswith("error_") else 0)
+    assert text == (GOLDEN_DIR / f"{name}.txt").read_text()
+
+
 def test_golden_corpus_covers_every_solve_status():
     statuses = {json.loads((GOLDEN_DIR / f"{name}.json").read_text())["status"]
                 for name in CASES if name.startswith("solve_")}
@@ -188,3 +227,6 @@ if __name__ == "__main__":
         (GOLDEN_DIR / f"{name}.json").write_text(render(argv))
     for name, argv in TEXT_CASES.items():
         (GOLDEN_DIR / f"{name}.txt").write_text(render(argv, fmt=()))
+    os.environ["COLUMNS"] = PARSER_COLUMNS
+    for name, argv in PARSER_CASES.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(parser_exit(argv)[1])

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from expzeros import cli, density
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "pass_split.py"
@@ -15,11 +17,14 @@ def test_one_pass_times_every_layer():
     wrapped = (cli.parse_args, cli.resolve_equation, density.sweep_b,
                density.exceptional_census, cli._json_text)
     out = pass_split.split("sweep", 1, passes=1)
-    assert list(out) == ["pass", "parse_args", "resolve_equation",
-                         "sweep_b", "exceptional_census", "_json_text"]
+    layers = ["parse_args", "resolve_equation", "sweep_b",
+              "exceptional_census", "_json_text"]
+    assert list(out) == ["pass", *layers, "other"]
     assert all(ms > 0 for ms in out.values())
-    # the layers lie inside the pass, and every wrapper is taken off
-    assert sum(out.values()) - out["pass"] < out["pass"]
+    # the layers lie inside the pass, "other" is the rest of it, and
+    # every wrapper is taken off
+    assert out["other"] == pytest.approx(
+        out["pass"] - sum(out[name] for name in layers))
     assert (cli.parse_args, cli.resolve_equation, density.sweep_b,
             density.exceptional_census, cli._json_text) == wrapped
 

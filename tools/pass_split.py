@@ -6,10 +6,14 @@
 Builds the workload's corpus with perfbench (imported read-only), runs
 its warm-up ops and WARMUP whole passes, then times --passes passes with
 these functions wrapped: `cli.parse_args`, `cli.resolve_equation`, the
-workload's compute calls (COMPUTE) and `cli._json_text`.  A wrapped
-function is timed at its outermost call only, so `_json_text` is the
-top-level call `emit` makes.  Prints the mean ms a pass of each, and of
-the whole pass ("pass").  Set OPENBLAS_NUM_THREADS=1 for steady numbers.
+workload's compute calls (COMPUTE) and `cli._json_text`, the JSON
+writer's entry point (`emit` calls it once a document).  A wrapped
+function is timed at its outermost call only.  None of them calls
+another, so "other", the pass minus the wrapped columns, is what an op
+costs outside them: perfbench's own call, the config merge, the box, the
+write.  Prints the mean ms a pass of the whole pass ("pass"), of each
+wrapped function and of "other".  Set OPENBLAS_NUM_THREADS=1 for steady
+numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ COMPUTE = {
 
 
 def split(workload: str, seed: int, passes: int) -> dict:
-    """name -> mean ms a pass: "pass", then each wrapped function."""
+    """name -> mean ms a pass: "pass", each wrapped function, "other"."""
     ops, _ = run.setup(workload, seed)
     for op in ops * WARMUP:
         run.run_op(op.argv)
@@ -66,6 +70,8 @@ def split(workload: str, seed: int, passes: int) -> dict:
     finally:
         for module, name, func in originals:
             setattr(module, name, func)
+    spent["other"] = spent["pass"] - sum(
+        ns for name, ns in spent.items() if name != "pass")
     return {name: ns / passes / 1e6 for name, ns in spent.items()}
 
 
